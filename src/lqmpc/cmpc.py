@@ -92,6 +92,12 @@ class TerminalDesign:
     S: HPolytope
     gain: GainPolicy
     zeta: float = 1.0
+    # controllers built by the module-level wrappers, by horizon; they live
+    # and die with the design, and are not pickled with it
+    _controllers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "_controllers": {}}
 
     @classmethod
     def for_optimal_cost(cls, prob: ConstrainedProblem) -> "TerminalDesign":
@@ -145,11 +151,16 @@ class MpcStep:
 class MpcController:
     """Precondensed ell-step MPC for one (problem, design, horizon) triple.
 
-    The QP blocks that do not depend on the initial state (Hessian,
-    constraint normals, prediction maps) are built once; each query assembles
-    only the affine parts.  When the unconstrained finite-horizon solution
-    happens to satisfy every constraint it is returned directly (it is then
-    the QP optimum by strict convexity), which makes closed-loop tails cheap.
+    Everything that does not depend on the initial state x0 is built once:
+    the QP's Hessian (validated once, in a template QP), constraint normals
+    and prediction maps, and the unconstrained finite-horizon solution, which
+    is linear in x0: z = Z x0 with terminal state x_ell = T x0.  That
+    solution satisfies every constraint exactly on the polytope
+    {x0 | H_u x0 <= g_const}, H_u = G Z - g_map (the critical region of the
+    empty active set in explicit MPC).  A query inside that polytope (with
+    slack 1e-10) is answered by Z x0 directly, since it is then the QP
+    optimum by strict convexity, which makes closed-loop tails cheap.  Any
+    other query derives its QP from the template by its affine parts alone.
     """
 
     def __init__(self, prob: ConstrainedProblem, design: TerminalDesign, ell: int):
@@ -177,7 +188,7 @@ class MpcController:
         Qbar[ell * n :, ell * n :] = K
         Rbar = np.kron(np.eye(ell), sys.R)
 
-        self._P = 2.0 * (Gamma.T @ Qbar @ Gamma + Rbar)
+        P = 2.0 * (Gamma.T @ Qbar @ Gamma + Rbar)
         self._q_map = 2.0 * (Gamma.T @ Qbar @ Phi)  # q = q_map @ x0
         self._off_map = Phi.T @ Qbar @ Phi  # offset = x0' off_map x0
 
@@ -198,22 +209,32 @@ class MpcController:
         G_rows.append(S.H @ Gamma[sl])
         gmap_rows.append(-S.H @ Phi[sl])
         gconst_rows.append(S.h)
-        self._G = np.vstack(G_rows)
+        G = np.vstack(G_rows)
         self._g_map = np.vstack(gmap_rows)  # g = g_const + g_map @ x0
         self._g_const = np.concatenate(gconst_rows)
         self._Gamma = Gamma
         self._Phi = Phi
+        self._qp = QpProblem(P=P, q=np.zeros(ell * m), G=G, g=self._g_const)
 
-        # unconstrained finite-horizon solution: gain ladder and value matrix
+        # unconstrained finite-horizon solution: the gain ladder (greedy at
+        # F^j(K), applied from j = ell-1 down to 0) run once on the identity
         ladder = []
         Kj = K
         for _ in range(ell):
-            ladder.append(greedy_gain(sys, Kj).L)
+            ladder.append(greedy_gain(sys, Kj))
             Kj = iterate_bellman(sys, Kj, 1)
-        self._gain_ladder = ladder  # ladder[j] is greedy at F^j(K)
         self._value_matrix = Kj  # F^ell(K)
-        self._Kbar = iterate_bellman(sys, K, ell - 1)
-        self._policy_gain = greedy_gain(sys, self._Kbar)
+        self._policy_gain = ladder[-1]  # greedy at F^(ell-1)(K)
+        Z = np.empty((ell * m, n))
+        X = np.eye(n)
+        for k in range(ell):
+            Z[k * m : (k + 1) * m] = ladder[ell - 1 - k].L @ X
+            X = A @ X + B @ Z[k * m : (k + 1) * m]
+        self._Z = Z  # z_unc = Z @ x0
+        self._T = X  # x_ell = T @ x0
+        # the shortcut polytope H_u x0 <= g_const, with 1e-10 of slack
+        self._H_u = G @ Z - self._g_map
+        self._h_u = self._g_const + 1e-10
         self._tail_cost: Optional[np.ndarray] = None
 
     @property
@@ -227,16 +248,6 @@ class MpcController:
         if self._tail_cost is None:
             self._tail_cost = closed_loop_cost(self.prob.sys, self._policy_gain)
         return self._tail_cost
-
-    def _unconstrained_candidate(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sys = self.prob.sys
-        z = np.empty(self.ell * sys.m)
-        x = x0
-        for k in range(self.ell):
-            u = self._gain_ladder[self.ell - 1 - k] @ x
-            z[k * sys.m : (k + 1) * sys.m] = u
-            x = sys.A @ x + sys.B @ u
-        return z, x
 
     def shift_candidate(self, step: MpcStep) -> Optional[np.ndarray]:
         """Horizon-shifted feasible candidate for the successor state: drop
@@ -252,27 +263,23 @@ class MpcController:
 
     def qp_at(self, x0) -> QpProblem:
         x0 = np.asarray(x0, dtype=float).ravel()
-        return QpProblem(
-            P=self._P,
+        return self._qp.with_linear_terms(
             q=self._q_map @ x0,
-            G=self._G,
             g=self._g_const + self._g_map @ x0,
             objective_offset=float(x0 @ self._off_map @ x0),
         )
 
     def solve(self, x0, z_warm: Optional[np.ndarray] = None) -> MpcStep:
         x0 = np.asarray(x0, dtype=float).ravel()
-        g = self._g_const + self._g_map @ x0
-        z_unc, x_term = self._unconstrained_candidate(x0)
-        if np.all(self._G @ z_unc <= g + 1e-10):
+        if np.all(self._H_u @ x0 <= self._h_u):
+            # the first move as the policy gain rounds it; (Z x0)[:m] is the
+            # same move, rounded by a longer product
+            u0 = self._policy_gain.L @ x0
+            z_unc = self._Z @ x0
+            z_unc[: u0.size] = u0
             value = float(x0 @ self._value_matrix @ x0)
-            m = self.prob.sys.m
-            return MpcStep(True, z_unc[:m].copy(), value, z_unc, x_term)
-        qp = QpProblem(
-            P=self._P, q=self._q_map @ x0, G=self._G, g=g,
-            objective_offset=float(x0 @ self._off_map @ x0),
-        )
-        sol: QpSolution = solve_qp(qp, z0=z_warm)
+            return MpcStep(True, u0, value, z_unc, self._T @ x0)
+        sol: QpSolution = solve_qp(self.qp_at(x0), z0=z_warm)
         if sol.status == "infeasible":
             return MpcStep(False, None, math.inf, None)
         if sol.status != "optimal":
@@ -339,15 +346,10 @@ class MpcController:
         return out
 
 
-_controller_cache: dict[tuple[int, int, int], MpcController] = {}
-
-
 def _controller(prob: ConstrainedProblem, design: TerminalDesign, ell: int) -> MpcController:
-    key = (id(prob), id(design), ell)
-    ctl = _controller_cache.get(key)
-    if ctl is None:
-        ctl = MpcController(prob, design, ell)
-        _controller_cache[key] = ctl
+    ctl = design._controllers.get(ell)
+    if ctl is None or ctl.prob is not prob:
+        ctl = design._controllers[ell] = MpcController(prob, design, ell)
     return ctl
 
 

@@ -243,18 +243,11 @@ def vertices_2d(P: HPolytope, tol: float = FEAS_TOL) -> np.ndarray:
     return np.array(dedup)
 
 
-def _check_bounded(P: HPolytope) -> None:
-    for k in range(P.dim):
-        e = np.zeros(P.dim)
-        for sign in (1.0, -1.0):
-            e[k] = sign
-            if lp_solve(e, P).status != "optimal":
-                raise ValueError("polytope is unbounded or empty")
-        e[k] = 0.0
-
-
 def bounding_box(P: HPolytope) -> tuple[np.ndarray, np.ndarray]:
-    """Tight axis-aligned bounds (lo, hi) of a bounded polytope."""
+    """Tight axis-aligned bounds (lo, hi) of a polytope, by 2 dim LPs.
+
+    Raises ValueError when the polytope is unbounded or empty.
+    """
     lo = np.empty(P.dim)
     hi = np.empty(P.dim)
     for k in range(P.dim):
@@ -265,10 +258,7 @@ def bounding_box(P: HPolytope) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def volume_mc(P: HPolytope, n_samples: int = 1_000_000, seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo volume estimate with its standard error (seeded)."""
-    _check_bounded(P)
-    lo, hi = bounding_box(P)
+def _volume_mc_in_box(P: HPolytope, lo, hi, n_samples: int, seed: int) -> tuple[float, float]:
     box_vol = float(np.prod(hi - lo))
     if box_vol == 0.0:
         return 0.0, 0.0
@@ -287,6 +277,12 @@ def volume_mc(P: HPolytope, n_samples: int = 1_000_000, seed: int = 0) -> tuple[
     return vol, se
 
 
+def volume_mc(P: HPolytope, n_samples: int = 1_000_000, seed: int = 0) -> tuple[float, float]:
+    """Monte Carlo volume estimate with its standard error (seeded)."""
+    lo, hi = bounding_box(P)
+    return _volume_mc_in_box(P, lo, hi, n_samples, seed)
+
+
 def volume(P: HPolytope, n_samples: int = 1_000_000, seed: int = 0) -> float:
     """Volume of a bounded polytope.
 
@@ -294,9 +290,8 @@ def volume(P: HPolytope, n_samples: int = 1_000_000, seed: int = 0) -> float:
     dim >= 3: Monte Carlo over the bounding box (use `volume_mc` to get the
     standard error as well).  dim = 1: interval length.
     """
-    _check_bounded(P)
+    lo, hi = bounding_box(P)  # also rejects an unbounded or empty P
     if P.dim == 1:
-        lo, hi = bounding_box(P)
         return float(max(hi[0] - lo[0], 0.0))
     if P.dim == 2:
         V = vertices_2d(P)
@@ -304,12 +299,12 @@ def volume(P: HPolytope, n_samples: int = 1_000_000, seed: int = 0) -> float:
             return 0.0
         x, y = V[:, 0], V[:, 1]
         return float(0.5 * abs(np.dot(x, np.roll(y, 1)) - np.dot(np.roll(x, 1), y)))
-    return volume_mc(P, n_samples=n_samples, seed=seed)[0]
+    return _volume_mc_in_box(P, lo, hi, n_samples, seed)[0]
 
 
 def sample_interior(P: HPolytope, n: int, seed: int = 0, burn: int = 20) -> np.ndarray:
     """Hit-and-run samples from a bounded polytope (deterministic per seed)."""
-    _check_bounded(P)
+    bounding_box(P)  # rejects an unbounded or empty P
     rng = np.random.default_rng(seed)
     # Chebyshev-ish start: analytic center surrogate via LP on slack.
     H, h = P.H, P.h

@@ -7,7 +7,13 @@ The solver is a primal active-set method for (strictly) convex dense
 problems: a Phase-1 LP supplies a feasible start (or a Farkas certificate of
 infeasibility), then equality-constrained subproblems are solved on a working
 set until all multipliers are nonnegative.  Optimal returns carry certified
-KKT residuals.
+KKT residuals; infeasible returns carry a Farkas vector that is verified
+before it is returned.
+
+A `QpProblem` validates its Hessian (positive semidefinite) once, at
+construction.  Problems that share P, G and E with a validated one, such as
+the per-state QPs of one MPC controller, are derived from it by
+`QpProblem.with_linear_terms` without repeating that check.
 
 `condense_mpc` eliminates the states of the finite-horizon constrained LQ
 problem by forward substitution, producing a dense QP in the stacked controls
@@ -16,6 +22,7 @@ z = (u_0, ..., u_{ell-1}).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,7 +30,7 @@ import numpy as np
 from scipy.linalg import qr as scipy_qr
 from scipy.optimize import linprog
 
-from .matcore import min_eigenvalue, symmetrize
+from .matcore import symmetrize
 from .polytope import HPolytope
 from .riccati import LqSystem
 
@@ -56,6 +63,9 @@ class QpProblem:
     E: np.ndarray = field(default=None)  # type: ignore[assignment]
     e: np.ndarray = field(default=None)  # type: ignore[assignment]
     objective_offset: float = 0.0
+    # smallest eigenvalue of P and the 2-norms of G's rows, computed once
+    min_eig: float = field(init=False, repr=False, compare=False)
+    row_scale: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         P = symmetrize(self.P)
@@ -75,14 +85,33 @@ class QpProblem:
             raise ValueError("inconsistent inequality dimensions")
         if E.shape != (e.size, n):
             raise ValueError("inconsistent equality dimensions")
-        if min_eigenvalue(P) < -1e-9 * max(1.0, float(np.linalg.norm(P, 2))):
+        # ascending eigenvalues of the symmetric P; |P|_2 is the larger end
+        lam = np.linalg.eigvalsh(P) if n else np.zeros(1)
+        if lam[0] < -1e-9 * max(1.0, abs(lam[0]), abs(lam[-1])):
             raise ValueError("P must be positive semidefinite")
-        for name, val in (("P", P), ("q", q), ("G", G), ("g", g), ("E", E), ("e", e)):
+        for name, val in (("P", P), ("q", q), ("G", G), ("g", g), ("E", E), ("e", e),
+                          ("min_eig", float(lam[0])),
+                          ("row_scale", np.linalg.norm(G, axis=1))):
             object.__setattr__(self, name, val)
 
     @property
     def n(self) -> int:
         return self.q.size
+
+    def with_linear_terms(self, q, g, objective_offset: float = 0.0) -> "QpProblem":
+        """The same P, G, E and e with a new q, g and offset.
+
+        P was validated when this problem was built, so the derived problem
+        skips that check along with the rest of the set-up.
+        """
+        q = np.asarray(q, dtype=float).ravel()
+        g = np.asarray(g, dtype=float).ravel()
+        if q.shape != self.q.shape or g.shape != self.g.shape:
+            raise ValueError("new linear terms do not match the problem's dimensions")
+        out = copy.copy(self)
+        for name, val in (("q", q), ("g", g), ("objective_offset", float(objective_offset))):
+            object.__setattr__(out, name, val)
+        return out
 
 
 @dataclass(frozen=True)
@@ -95,36 +124,71 @@ class QpSolution:
     primal_residual: float
     dual_residual: float
     comp_residual: float
-    farkas: Optional[np.ndarray] = None  # y >= 0, G'y (+E part) = 0, g'y < 0
+    # over the rows of [G; E]: y >= 0 on G's rows, G'y + E'w = 0, g'y + e'w < 0
+    farkas: Optional[np.ndarray] = None
     regularized: bool = False
     iterations: int = 0
 
 
 def _phase1(p: QpProblem) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """Feasible point for {Gz<=g, Ez=e}, or (None, farkas_certificate)."""
+    """Feasible point for {Gz<=g, Ez=e}, or (None, verified Farkas vector)."""
     n = p.n
-    mi = p.g.size
-    if mi == 0 and p.e.size == 0:
+    mi, me = p.g.size, p.e.size
+    if mi == 0 and me == 0:
         return np.zeros(n), None
     # min t  s.t.  Gz - t <= g,  Ez = e,  t >= 0
     c = np.r_[np.zeros(n), 1.0]
     A_ub = np.hstack([p.G, -np.ones((mi, 1))]) if mi else None
     b_ub = p.g if mi else None
-    A_eq = np.hstack([p.E, np.zeros((p.e.size, 1))]) if p.e.size else None
-    b_eq = p.e if p.e.size else None
+    A_eq = np.hstack([p.E, np.zeros((me, 1))]) if me else None
+    b_eq = p.e if me else None
     res = linprog(
         c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
         bounds=[(None, None)] * n + [(0, None)], method="highs",
     )
-    if res.status != 0:
-        # Inconsistent equalities without a usable ray; signal infeasible.
-        return None, np.zeros(mi)
-    t = res.x[-1]
-    if t <= QP_FEAS_TOL:
-        return res.x[:n], None
-    y = -np.asarray(res.ineqlin.marginals) if mi else np.zeros(0)
-    y = np.maximum(y, 0.0)
-    return None, y
+    if res.status == 0:
+        t = res.x[-1]
+        if t <= QP_FEAS_TOL:
+            return res.x[:n], None
+        # the LP's duals: y >= 0 on Gz - t <= g, w free on Ez = e
+        y = np.maximum(-np.asarray(res.ineqlin.marginals), 0.0) if mi else np.zeros(0)
+        w = -np.asarray(res.eqlin.marginals) if me else np.zeros(0)
+    else:
+        # the Phase-1 LP is infeasible only when Ez = e is: the least-squares
+        # residual r is orthogonal to range(E), so w = -r has E'w = 0 and
+        # e'w = -|r|^2 < 0
+        y = np.zeros(mi)
+        w = np.zeros(0)
+        if me:
+            w = p.E @ np.linalg.lstsq(p.E, p.e, rcond=None)[0] - p.e
+    farkas = np.r_[y, w]
+    stat, gap = _farkas_residuals(p, farkas)
+    if not (stat <= 1e-9 and gap < -1e-12):
+        raise ArithmeticError(
+            "Phase-1 LP gave no verified infeasibility certificate "
+            f"(HiGHS status {res.status}: {res.message}; "
+            f"relative |M'y| {stat:.2e}, relative b'y {gap:.2e})"
+        )
+    return None, farkas
+
+
+def _farkas_residuals(p: QpProblem, farkas: np.ndarray) -> tuple[float, float]:
+    """Relative residuals of a Farkas vector over the rows of M = [G; E].
+
+    With y = (y_G, w), y_G >= 0 and b = (g, e), returns
+    |M'y|_inf / (|y|_1 max|M|) and b'y / (|y|_1 max|b|): {Gz <= g, Ez = e}
+    is infeasible when the first is ~0 and the second negative.  A zero
+    vector gives (inf, 0).
+    """
+    M = np.vstack([p.G, p.E])
+    b = np.r_[p.g, p.e]
+    y1 = float(np.abs(farkas).sum())
+    if y1 == 0.0 or np.any(farkas[: p.g.size] < 0.0):
+        return float("inf"), 0.0
+    stat = float(np.max(np.abs(M.T @ farkas), initial=0.0))
+    stat /= y1 * max(float(np.max(np.abs(M), initial=0.0)), 1e-300)
+    gap = float(b @ farkas) / (y1 * max(float(np.max(np.abs(b))), 1e-300))
+    return stat, gap
 
 
 def _kkt_residuals(p: QpProblem, z, mu, nu) -> tuple[float, float, float]:
@@ -190,12 +254,13 @@ def solve_qp(p: QpProblem, z0: Optional[np.ndarray] = None, max_iter: int = 0) -
 
     `z0` may supply a feasible warm start (verified; ignored when violated).
     Returns status "optimal" with certified KKT residuals, "infeasible" with
-    a Farkas certificate, or "max_iter" with the last iterate's residuals.
+    a verified Farkas certificate, or "max_iter" with the last iterate's
+    residuals.
     """
     n = p.n
     P = p.P
     regularized = False
-    if n and min_eigenvalue(P) < _TIKHONOV:
+    if n and p.min_eig < _TIKHONOV:
         P = P + _TIKHONOV * np.eye(n)
         regularized = True
     mi, me = p.g.size, p.e.size
@@ -206,7 +271,8 @@ def solve_qp(p: QpProblem, z0: Optional[np.ndarray] = None, max_iter: int = 0) -
         z0 = np.asarray(z0, dtype=float).ravel()
         ok = z0.size == n
         if ok and mi:
-            ok = bool(np.all(p.G @ z0 <= p.g + QP_FEAS_TOL))
+            Gz0 = p.G @ z0
+            ok = bool(np.all(Gz0 <= p.g + QP_FEAS_TOL))
         if ok and me:
             ok = bool(np.max(np.abs(p.E @ z0 - p.e)) <= QP_FEAS_TOL)
         if not ok:
@@ -232,9 +298,9 @@ def solve_qp(p: QpProblem, z0: Optional[np.ndarray] = None, max_iter: int = 0) -
     # LP vertex with up to n spurious tight rows; starting empty and letting
     # the ratio test build the set is far cheaper than unwinding those.
     work: list[int] = []
-    if warm:
-        active = [i for i in range(mi) if p.G[i] @ z >= p.g[i] - _ACT_TOL]
-        if active:
+    if warm and mi:
+        active = np.flatnonzero(Gz0 >= p.g - _ACT_TOL)
+        if active.size:
             GA = p.G[active]
             if E.shape[0]:
                 # independence relative to E: test rows projected onto E's
@@ -244,9 +310,8 @@ def solve_qp(p: QpProblem, z0: Optional[np.ndarray] = None, max_iter: int = 0) -
                 keep = _independent_rows(GA @ Ze)
             else:
                 keep = _independent_rows(GA)
-            work = [active[k] for k in keep]
+            work = [int(active[k]) for k in keep]
 
-    row_scale = np.linalg.norm(p.G, axis=1) if mi else np.zeros(0)
     mu_full = np.zeros(mi)
     nu_full = np.zeros(me)
     iters = 0
@@ -269,7 +334,7 @@ def solve_qp(p: QpProblem, z0: Optional[np.ndarray] = None, max_iter: int = 0) -
                 if work:
                     in_work[work] = True
                 Gs = p.G @ step
-                thresh = 1e-13 * np.maximum(1.0, row_scale * np.linalg.norm(step))
+                thresh = 1e-13 * np.maximum(1.0, p.row_scale * np.linalg.norm(step))
                 viable = np.flatnonzero(~in_work & (Gs > thresh))
                 if viable.size:
                     room = np.maximum(p.g[viable] - p.G[viable] @ z, 0.0)

@@ -1,8 +1,11 @@
 """Constrained MPC engine: policy evaluation, the function-space Bellman
 step, closed-loop costs, and the grid sweeps."""
 
+import gc
 import math
 import os
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from lqmpc import (
     suboptimality_map,
 )
 from lqmpc import cmpc, polytope
+from conftest import ZEFF_2D
 from _checks import check_policy_cost_below_value
 
 
@@ -368,6 +372,115 @@ def test_submap_parallel_matches_serial(di2d_prob, di2d_design_eff):
 def test_grid_requires_2d(ac4d_prob, ac4d_design_eff):
     with pytest.raises(ValueError):
         feasible_region_grid(ac4d_prob, ac4d_design_eff, 2, grid_spec=SMALL_GRID)
+
+
+# ---------------------------------------------------------------------------
+# the unconstrained fast path against the gain-ladder loop it replaced
+# ---------------------------------------------------------------------------
+
+def _gain_ladder(sys, K, ell):
+    """ladder[j] is the greedy gain at F^j(K)."""
+    ladder = []
+    for _ in range(ell):
+        ladder.append(greedy_gain(sys, K).L)
+        K = iterate_bellman(sys, K, 1)
+    return ladder
+
+
+def _ladder_candidate(sys, ladder, x0):
+    """Unconstrained minimizer and terminal state by running the ladder on x0."""
+    ell = len(ladder)
+    z = np.empty(ell * sys.m)
+    x = x0
+    for k in range(ell):
+        u = ladder[ell - 1 - k] @ x
+        z[k * sys.m : (k + 1) * sys.m] = u
+        x = sys.A @ x + sys.B @ u
+    return z, x
+
+
+@pytest.mark.parametrize("name", ["di2d", "ac4d"])
+@pytest.mark.parametrize("ell", [1, 3, 100])
+def test_unconstrained_map_matches_gain_ladder(request, name, ell):
+    prob = request.getfixturevalue(f"{name}_prob")
+    design = request.getfixturevalue(f"{name}_design_eff")
+    ctl = MpcController(prob, design, ell)
+    ladder = _gain_ladder(prob.sys, design.K, ell)
+    lo, hi = prob.box
+    for x0 in np.random.default_rng(ell).uniform(lo, hi, size=(20, prob.sys.n)):
+        z_ref, x_ref = _ladder_candidate(prob.sys, ladder, x0)
+        for got, ref in ((ctl._Z @ x0, z_ref), (ctl._T @ x0, x_ref)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("ell", [3, 100])
+def test_shortcut_polytope_matches_candidate_test(di2d_prob, di2d_design_eff, ell):
+    ctl = MpcController(di2d_prob, di2d_design_eff, ell)
+    ladder = _gain_ladder(di2d_prob.sys, di2d_design_eff.K, ell)
+    G = ctl._qp.G
+    lo, hi = di2d_prob.box
+    verdicts = []
+    for x2 in np.linspace(lo[1], hi[1], 41):
+        for x1 in np.linspace(lo[0], hi[0], 41):
+            x0 = np.array([x1, x2])
+            z_unc, _ = _ladder_candidate(di2d_prob.sys, ladder, x0)
+            excess = float(np.max(G @ z_unc - (ctl._g_const + ctl._g_map @ x0)))
+            if abs(excess - 1e-10) <= 1e-9:
+                continue  # too close to the slack for rounding to settle
+            old = excess <= 1e-10
+            new = bool(np.all(ctl._H_u @ x0 <= ctl._g_const + 1e-10))
+            assert new == old, x0
+            if new:
+                # the applied move rounds exactly as the loop's first move,
+                # which keeps closed-loop costs bit for bit
+                np.testing.assert_array_equal(ctl.solve(x0).u0, z_unc[:1])
+            verdicts.append(old)
+    assert len(verdicts) >= 41 * 41 - 41
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_hessian_validated_once_per_controller(di2d_prob, di2d_design_eff, monkeypatch):
+    eig_calls, qp_calls = [], []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        eig_calls.append(1)
+        return eigvalsh(a, *args, **kwargs)
+
+    def counting_solve_qp(p, *args, **kwargs):
+        qp_calls.append(1)
+        return solve_qp(p, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(cmpc, "solve_qp", counting_solve_qp)
+    ctl = MpcController(di2d_prob, di2d_design_eff, 100)
+    lo, hi = di2d_prob.box
+    for x0 in np.random.default_rng(5).uniform(lo, hi, size=(50, 2)):
+        ctl.solve(x0)
+    assert qp_calls
+    assert len(eig_calls) <= 1
+
+
+def test_wrapper_controllers_die_with_their_design(di2d_prob):
+    refs = []
+    for _ in range(40):
+        design = TerminalDesign.for_amplified_cost(di2d_prob, ZEFF_2D)
+        assert math.isfinite(approx_optimal_cost(di2d_prob, design, np.array([0.5, -0.3])))
+        refs.append(weakref.ref(design))
+        del design
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_wrapper_controllers_follow_the_problem(di2d_sys, di2d_prob):
+    design = TerminalDesign.for_amplified_cost(di2d_prob, ZEFF_2D)
+    size = len(pickle.dumps(design))
+    mpc_policy(di2d_prob, design, 3, np.zeros(2))
+    # the cached controllers stay in this process
+    assert len(pickle.dumps(design)) == size
+    other = ConstrainedProblem(di2d_sys, di2d_prob.Xhat, di2d_prob.U)
+    mpc_policy(other, design, 3, np.zeros(2))
+    assert design._controllers[3].prob is other
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,28 @@ def test_volume_mc_deterministic():
     assert a1 == a2
 
 
+def test_volume_4d_one_bounding_box(monkeypatch):
+    from lqmpc import polytope
+
+    calls = []
+
+    def counting_lp_solve(c, P):
+        calls.append(1)
+        return lp_solve(c, P)
+
+    monkeypatch.setattr(polytope, "lp_solve", counting_lp_solve)
+    P = HPolytope.symmetric_box([1.0, 2.0, 0.5, 1.5]).intersect(
+        HPolytope(np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([1.0]))
+    )
+    v = volume(P, n_samples=200_000, seed=3)
+    # one LP per face of the bounding box, shared by the boundedness check
+    # and the Monte Carlo box
+    assert len(calls) <= 2 * P.dim
+    # the same samples in the same box as before the box was shared
+    assert v == 17.34864
+    assert volume_mc(P, n_samples=200_000, seed=3)[0] == v
+
+
 # ---------------------------------------------------------------------------
 # maximal_invariant_set
 # ---------------------------------------------------------------------------

@@ -92,6 +92,42 @@ def test_infeasible_returns_farkas():
     assert y @ np.array([-2.0, -2.0]) < -1e-9
 
 
+def test_infeasible_equalities_return_farkas():
+    # z = 0 and z = 1 at once: the Phase-1 LP itself is infeasible
+    E, e = np.array([[1.0], [1.0]]), np.array([0.0, 1.0])
+    sol = solve_qp(_qp(np.eye(1), [0.0], E=E, e=e))
+    assert sol.status == "infeasible"
+    w = sol.farkas
+    assert np.abs(w).sum() > 0.0
+    assert abs(E.T @ w).max() <= 1e-9 * np.abs(w).sum()
+    assert e @ w < 0.0
+
+
+def test_farkas_with_mixed_constraints():
+    # z1 + z2 = 4 with z1, z2 <= 1: the certificate spans G's and E's rows
+    G, g = np.eye(2), np.ones(2)
+    E, e = np.array([[1.0, 1.0]]), np.array([4.0])
+    sol = solve_qp(_qp(np.eye(2), [0.0, 0.0], G=G, g=g, E=E, e=e))
+    assert sol.status == "infeasible"
+    y, w = sol.farkas[:2], sol.farkas[2:]
+    assert (y >= 0.0).all()
+    assert abs(G.T @ y + E.T @ w).max() <= 1e-9 * np.abs(sol.farkas).sum()
+    assert g @ y + e @ w < 0.0
+
+
+def test_phase1_failure_without_certificate_raises(monkeypatch):
+    from types import SimpleNamespace
+
+    from lqmpc import qp
+
+    monkeypatch.setattr(
+        qp, "linprog",
+        lambda *a, **k: SimpleNamespace(status=4, message="numerical difficulties"),
+    )
+    with pytest.raises(ArithmeticError, match="HiGHS status 4: numerical difficulties"):
+        solve_qp(_qp(np.eye(1), [0.0], G=[[1.0], [-1.0]], g=[-2.0, -2.0]))
+
+
 def test_warm_start_agrees():
     rng = np.random.default_rng(14)
     M = rng.standard_normal((4, 4))
@@ -116,6 +152,26 @@ def test_qp_oracle_equivalence():
 def test_psd_validation():
     with pytest.raises(ValueError):
         solve_qp(_qp([[-1.0]], [0.0]))
+
+
+def test_with_linear_terms_matches_direct_build():
+    rng = np.random.default_rng(21)
+    M = rng.standard_normal((3, 3))
+    P = M @ M.T + 0.1 * np.eye(3)
+    G = np.vstack([np.eye(3), -np.eye(3)])
+    template = _qp(P, np.zeros(3), G=G, g=np.ones(6))
+    q, g = rng.standard_normal(3), np.full(6, 0.5)
+    derived = template.with_linear_terms(q, g, objective_offset=2.0)
+    direct = QpProblem(P=P, q=q, G=G, g=g, objective_offset=2.0)
+    assert derived.min_eig == direct.min_eig
+    np.testing.assert_array_equal(derived.row_scale, direct.row_scale)
+    a, b = solve_qp(derived), solve_qp(direct)
+    np.testing.assert_array_equal(a.z, b.z)
+    assert a.objective == b.objective
+    # the template itself is left as it was
+    np.testing.assert_array_equal(template.q, np.zeros(3))
+    with pytest.raises(ValueError):
+        template.with_linear_terms(np.zeros(2), g)
 
 
 # ---------------------------------------------------------------------------
