@@ -53,7 +53,7 @@ from .polytope import (
     volume,
     volume_mc,
 )
-from .qp import QpProblem, QpSolution, condense_mpc, solve_qp
+from .qp import QpProblem, QpSolution, solve_qp
 from .cmpc import (
     ConstrainedProblem,
     CostMapGrid,

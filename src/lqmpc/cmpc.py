@@ -50,6 +50,10 @@ __all__ = [
 
 _SIM_CAP = 10_000
 _APPROX_OPT_HORIZON = 100
+# a stored infeasibility certificate answers a query only when its lower
+# bound on the Phase-1 optimum exceeds this, ten times HiGHS's primal
+# feasibility tolerance (1e-7), so Phase 1 would call the query infeasible too
+_CERT_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -59,8 +63,10 @@ class ConstrainedProblem:
     sys: LqSystem
     Xhat: HPolytope
     U: HPolytope
-    # tight axis-aligned bounds (lo, hi) of Xhat, found by the boundedness LPs
+    # tight axis-aligned bounds (lo, hi) of Xhat and of U, found by the
+    # boundedness LPs
     box: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    input_box: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.Xhat.dim != self.sys.n:
@@ -76,6 +82,7 @@ class ConstrainedProblem:
             except ValueError:
                 raise ValueError(f"{name} constraint set must be bounded") from None
         object.__setattr__(self, "box", boxes["state"])
+        object.__setattr__(self, "input_box", boxes["input"])
 
     @property
     def box_radius(self) -> float:
@@ -161,6 +168,19 @@ class MpcController:
     slack 1e-10) is answered by Z x0 directly, since it is then the QP
     optimum by strict convexity, which makes closed-loop tails cheap.  Any
     other query derives its QP from the template by its affine parts alone.
+
+    The controller also keeps the infeasibility certificates of its own
+    earlier solves.  G does not depend on x0 and g(x0) = g_const + g_map x0,
+    so the verified Farkas vector y (y >= 0, G'y ~ 0) of one infeasible QP
+    gives, by weak duality, an affine lower bound on the Phase-1 optimum
+    (the least uniform constraint violation) at every x0:
+    b + a'x0 = -g(x0)'y / 1'y, less the most that the residual G'y can
+    contribute over the input box.  A query that no shortcut answers is
+    declared infeasible without an LP when some stored row bounds it above
+    1e-6, where Phase 1 would call it infeasible as well; any other query
+    goes to the QP, and the store grows by one row whenever that QP is
+    infeasible.  A feasible query is never answered from the store, so no
+    result depends on what the store holds.
     """
 
     def __init__(self, prob: ConstrainedProblem, design: TerminalDesign, ell: int):
@@ -236,6 +256,12 @@ class MpcController:
         self._H_u = G @ Z - self._g_map
         self._h_u = self._g_const + 1e-10
         self._tail_cost: Optional[np.ndarray] = None
+        # the stored certificates, rows (a, b) of b + a'x0 (see the class
+        # docstring), and |z_j| <= z_bound_j for every z in U^ell
+        self._cert_a = np.zeros((0, n))
+        self._cert_b = np.zeros(0)
+        lo, hi = prob.input_box
+        self._z_bound = np.tile(np.maximum(-lo, hi), ell)
 
     @property
     def policy_gain(self) -> GainPolicy:
@@ -279,8 +305,11 @@ class MpcController:
             z_unc[: u0.size] = u0
             value = float(x0 @ self._value_matrix @ x0)
             return MpcStep(True, u0, value, z_unc, self._T @ x0)
+        if self._cert_b.size and np.max(self._cert_a @ x0 + self._cert_b) > _CERT_MARGIN:
+            return MpcStep(False, None, math.inf, None)
         sol: QpSolution = solve_qp(self.qp_at(x0), z0=z_warm)
         if sol.status == "infeasible":
+            self._keep_certificate(sol.farkas)
             return MpcStep(False, None, math.inf, None)
         if sol.status != "optimal":
             raise ArithmeticError(
@@ -291,6 +320,20 @@ class MpcController:
         sl = slice(self.ell * n, (self.ell + 1) * n)
         x_term = self._Phi[sl] @ x0 + self._Gamma[sl] @ sol.z
         return MpcStep(True, sol.z[:m].copy(), sol.objective, sol.z, x_term)
+
+    def _keep_certificate(self, y: np.ndarray) -> None:
+        """Store the verified Farkas vector y of an infeasible QP as one row.
+
+        Scale y to 1'y = 1.  Any z with G z <= g(x0) + eps meets the input
+        rows of G, so |z| <= z_bound, and since y >= 0,
+        -g(x0)'y <= eps - (G'y)'z <= eps + |G'y|'z_bound.  The row's value
+        at x0 is thus a lower bound on the Phase-1 optimum eps there,
+        whatever residual G'y the vector's check let pass.
+        """
+        s = float(y.sum())
+        slack = np.abs(self._qp.G.T @ y) @ self._z_bound
+        self._cert_a = np.vstack([self._cert_a, -(self._g_map.T @ y) / s])
+        self._cert_b = np.append(self._cert_b, -(self._g_const @ y + slack) / s)
 
     def simulate_cost(self, x0, ball_tol: Optional[float] = None) -> float:
         """Realized infinite-horizon closed-loop cost from x0 (inf if any

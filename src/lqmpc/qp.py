@@ -1,4 +1,4 @@
-"""Dense convex quadratic programming and the condensed MPC formulation.
+"""Dense convex quadratic programming.
 
 minimize    0.5 z'Pz + q'z         (+ a fixed offset, for reporting)
 subject to  G z <= g,   E z = e
@@ -14,10 +14,6 @@ A `QpProblem` validates its Hessian (positive semidefinite) once, at
 construction.  Problems that share P, G and E with a validated one, such as
 the per-state QPs of one MPC controller, are derived from it by
 `QpProblem.with_linear_terms` without repeating that check.
-
-`condense_mpc` eliminates the states of the finite-horizon constrained LQ
-problem by forward substitution, producing a dense QP in the stacked controls
-z = (u_0, ..., u_{ell-1}).
 """
 
 from __future__ import annotations
@@ -31,8 +27,6 @@ from scipy.linalg import qr as scipy_qr
 from scipy.optimize import linprog
 
 from .matcore import symmetrize
-from .polytope import HPolytope
-from .riccati import LqSystem
 
 __all__ = [
     "QP_FEAS_TOL",
@@ -41,7 +35,6 @@ __all__ = [
     "QpProblem",
     "QpSolution",
     "solve_qp",
-    "condense_mpc",
 ]
 
 QP_FEAS_TOL = 1e-8
@@ -383,77 +376,3 @@ def solve_qp(p: QpProblem, z0: Optional[np.ndarray] = None, max_iter: int = 0) -
         regularized=regularized, iterations=iters,
     )
 
-
-def condense_mpc(
-    sys: LqSystem,
-    Xhat: HPolytope,
-    U: HPolytope,
-    S: HPolytope,
-    K,
-    ell: int,
-    x0,
-) -> QpProblem:
-    """Dense QP of the ell-step constrained LQ problem in z = (u_0..u_{ell-1}).
-
-    States are eliminated: x_k = A^k x0 + sum_j A^{k-1-j} B u_j.  The QP
-    objective (including its reported offset) equals
-
-        sum_{k=0}^{ell-1} (x_k'Q x_k + u_k'R u_k) + x_ell' K x_ell,
-
-    and the constraints encode x_k in Xhat for k = 0..ell-1, u_k in U, and
-    x_ell in S.  An x0 outside Xhat yields an infeasible QP through the k=0
-    constraint row (no special-casing).
-    """
-    if ell < 1:
-        raise ValueError("horizon must be >= 1")
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n, m = sys.n, sys.m
-    if x0.size != n:
-        raise ValueError(f"x0 has {x0.size} entries, expected {n}")
-    if Xhat.dim != n or S.dim != n or U.dim != m:
-        raise ValueError("constraint-set dimensions do not match the system")
-    K = symmetrize(K)
-    if K.shape != (n, n):
-        raise ValueError(f"terminal cost shape {K.shape}, expected {(n, n)}")
-
-    A, B = sys.A, sys.B
-    # prediction matrices: X = Phi x0 + Gamma z, stacking x_0..x_ell
-    Apow = [np.eye(n)]
-    for _ in range(ell):
-        Apow.append(A @ Apow[-1])
-    Phi = np.vstack(Apow)
-    Gamma = np.zeros(((ell + 1) * n, ell * m))
-    for k in range(1, ell + 1):
-        for j in range(k):
-            Gamma[k * n : (k + 1) * n, j * m : (j + 1) * m] = Apow[k - 1 - j] @ B
-
-    Qblocks = [sys.Q] * ell + [K]
-    Qbar = np.zeros(((ell + 1) * n, (ell + 1) * n))
-    for k, Qk in enumerate(Qblocks):
-        Qbar[k * n : (k + 1) * n, k * n : (k + 1) * n] = Qk
-    Rbar = np.kron(np.eye(ell), sys.R)
-
-    P = 2.0 * (Gamma.T @ Qbar @ Gamma + Rbar)
-    Phix = Phi @ x0
-    q = 2.0 * (Gamma.T @ Qbar @ Phix)
-    offset = float(Phix @ Qbar @ Phix)
-
-    G_rows = []
-    g_rows = []
-    for k in range(ell):  # x_k in Xhat, k = 0..ell-1
-        sl = slice(k * n, (k + 1) * n)
-        G_rows.append(Xhat.H @ Gamma[sl])
-        g_rows.append(Xhat.h - Xhat.H @ Phix[sl])
-    for k in range(ell):  # u_k in U
-        sel = np.zeros((m, ell * m))
-        sel[:, k * m : (k + 1) * m] = np.eye(m)
-        G_rows.append(U.H @ sel)
-        g_rows.append(U.h)
-    sl = slice(ell * n, (ell + 1) * n)  # x_ell in S
-    G_rows.append(S.H @ Gamma[sl])
-    g_rows.append(S.h - S.H @ Phix[sl])
-
-    return QpProblem(
-        P=P, q=q, G=np.vstack(G_rows), g=np.concatenate(g_rows),
-        objective_offset=offset,
-    )

@@ -24,6 +24,7 @@ from lqmpc import (
     in_region_of_decreasing,
     iterate_bellman,
     GainPolicy,
+    MpcController,
     monotone_bound,
     mpc_policy,
     newton_bound,
@@ -269,3 +270,12 @@ def check_policy_cost_below_value(prob, design, ell, n_states=500, seed=17):
             collected += 1
     assert collected >= n_states, f"only found {collected} feasible samples"
     return f"{collected} feasible states satisfy the policy-value inequality"
+
+
+def lp_verdicts(args):
+    """Feasibility verdicts of the ell-step QP at each point, each from its
+    own Phase-1 LP: no shortcut and no stored certificate.  Takes one
+    (prob, design, ell, points) tuple, so that a process pool can map it."""
+    prob, design, ell, points = args
+    ctl = MpcController(prob, design, ell)
+    return [solve_qp(ctl.qp_at(x0)).status != "infeasible" for x0 in points]

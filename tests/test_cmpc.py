@@ -3,12 +3,15 @@ step, closed-loop costs, and the grid sweeps."""
 
 import gc
 import math
+import multiprocessing
 import os
 import pickle
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqmpc import (
     ConstrainedProblem,
@@ -24,15 +27,16 @@ from lqmpc import (
     greedy_gain,
     in_region_of_decreasing,
     iterate_bellman,
+    load_scenario,
     lp_solve,
     mpc_policy,
     sample_interior,
     solve_qp,
     suboptimality_map,
 )
-from lqmpc import cmpc, polytope
+from lqmpc import cmpc, polytope, qp
 from conftest import ZEFF_2D
-from _checks import check_policy_cost_below_value
+from _checks import check_policy_cost_below_value, lp_verdicts
 
 
 SMALL_GRID = {"resolution": 21}
@@ -481,6 +485,150 @@ def test_wrapper_controllers_follow_the_problem(di2d_sys, di2d_prob):
     other = ConstrainedProblem(di2d_sys, di2d_prob.Xhat, di2d_prob.U)
     mpc_policy(other, design, 3, np.zeros(2))
     assert design._controllers[3].prob is other
+
+
+# ---------------------------------------------------------------------------
+# infeasibility certificates kept by the controller
+# ---------------------------------------------------------------------------
+
+def _count_linprog(monkeypatch) -> list:
+    calls = []
+    linprog = qp.linprog
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(qp, "linprog", counting_linprog)
+    return calls
+
+
+def _forget(ctl: MpcController) -> MpcController:
+    ctl._cert_a = ctl._cert_a[:0]
+    ctl._cert_b = ctl._cert_b[:0]
+    return ctl
+
+
+def _same_step(a, b) -> bool:
+    return a.feasible == b.feasible and np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+
+
+def test_certificate_outside_state_set_is_the_state_facet(di2d_prob, di2d_design_eff,
+                                                          monkeypatch):
+    ctl = MpcController(di2d_prob, di2d_design_eff, 3)
+    assert not ctl.solve(np.array([6.0, 0.0])).feasible
+    # the k = 0 rows of G are zero, so the certificate is the facet x1 <= 5
+    # of the state constraints
+    assert ctl._cert_b.size == 1
+    np.testing.assert_allclose(ctl._cert_a[0], [1.0, 0.0], atol=1e-12)
+    assert ctl._cert_b[0] == pytest.approx(-5.0, abs=1e-12)
+    calls = _count_linprog(monkeypatch)
+    assert not ctl.solve(np.array([7.0, 2.0])).feasible
+    assert calls == []
+
+
+def test_certificate_margin_at_the_boundary(di2d_prob, di2d_design_eff, monkeypatch):
+    def one_row_controller():
+        ctl = MpcController(di2d_prob, di2d_design_eff, 3)
+        assert not ctl.solve(np.array([0.0, 4.9])).feasible
+        assert ctl._cert_b.size == 1
+        return ctl
+
+    ctl = one_row_controller()
+    a, b = ctl._cert_a[0], ctl._cert_b[0]
+    calls = _count_linprog(monkeypatch)
+    # well past the stored facet: answered from the store, no LP
+    far = np.array([0.0, 4.0])
+    assert a @ far + b > 0.5
+    assert not ctl.solve(far).feasible
+    assert calls == []
+    # on or just outside the facet, inside the margin: the LP decides, as it
+    # does for a controller that has stored nothing
+    for excess in (0.0, 2e-7, 9e-7):
+        x0 = np.array([0.0, (excess - b) / a[1]])
+        ctl = one_row_controller()
+        assert 0.0 <= ctl._cert_a[0] @ x0 + ctl._cert_b[0] <= cmpc._CERT_MARGIN
+        n = len(calls)
+        step = ctl.solve(x0)
+        assert len(calls) == n + 1
+        assert _same_step(step, MpcController(di2d_prob, di2d_design_eff, 3).solve(x0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    which=st.sampled_from(["eff", "opt"]),
+    ell=st.sampled_from([3, 10]),
+    points=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+                    min_size=1, max_size=30),
+)
+def test_verdict_does_not_depend_on_the_store(di2d_prob, di2d_design_eff, di2d_design_opt,
+                                              which, ell, points):
+    design = di2d_design_eff if which == "eff" else di2d_design_opt
+    keeper = MpcController(di2d_prob, design, ell)
+    fresh = MpcController(di2d_prob, design, ell)
+    for pt in points:
+        x0 = np.array(pt)
+        before = keeper._cert_b.size and float(np.max(keeper._cert_a @ x0 + keeper._cert_b))
+        ref = _forget(fresh).solve(x0)
+        assert _same_step(keeper.solve(x0), ref), x0
+        if ref.feasible:
+            assert before <= cmpc._CERT_MARGIN, x0
+
+
+@pytest.mark.parametrize("which", ["eff", "opt"])
+def test_certificate_store_growth_on_a_region_sweep(di2d_prob, request, which, monkeypatch):
+    design = request.getfixturevalue(f"di2d_design_{which}")
+    infeasible_qps = []
+
+    def recording_solve_qp(p, *args, **kwargs):
+        sol = solve_qp(p, *args, **kwargs)
+        infeasible_qps.append(sol.status == "infeasible")
+        return sol
+
+    monkeypatch.setattr(cmpc, "solve_qp", recording_solve_qp)
+    ctl = MpcController(di2d_prob, design, 3)
+    lo, hi = di2d_prob.box
+    verdicts = []
+    for x2 in np.linspace(lo[1], hi[1], 41):
+        for x1 in np.linspace(lo[0], hi[0], 41):
+            n = ctl._cert_b.size
+            k = sum(infeasible_qps)
+            verdicts.append(ctl.solve(np.array([x1, x2])).feasible)
+            # a row is stored exactly when a QP came back infeasible
+            assert ctl._cert_b.size - n == sum(infeasible_qps) - k
+    assert ctl._cert_b.size == sum(infeasible_qps) <= 36
+    # most infeasible cells were answered from the store
+    assert verdicts.count(False) > 10 * ctl._cert_b.size
+
+
+@pytest.fixture(scope="module")
+def lp_pool():
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        yield pool
+
+
+@pytest.mark.parametrize("which", ["eff", "opt"])
+@pytest.mark.parametrize("ell", [3, 10])
+def test_certificates_match_lp_on_every_grid_cell(di2d_prob, request, which, ell, lp_pool):
+    """The example-3 grid (101x101) of the sweep against the LP-every-time
+    path.
+
+    The store only ever answers "infeasible", and a cell it does not answer
+    runs the same QP as a controller without a store.  So the two can differ
+    only on cells the sweep calls infeasible, and each of those gets a
+    Phase-1 LP of its own.
+    """
+    design = request.getfixturevalue(f"di2d_design_{which}")
+    grid = feasible_region_grid(di2d_prob, design, ell, load_scenario("di-2d").grid_spec(),
+                                workers=2)
+    assert grid.feasible.shape == (101, 101)
+    iy, ix = np.nonzero(~grid.feasible)
+    assert iy.size > 5000
+    assert np.all(grid.cost[iy, ix] == math.inf)
+    points = np.column_stack([grid.xs[ix], grid.ys[iy]])
+    chunks = [(di2d_prob, design, ell, c) for c in np.array_split(points, 2)]
+    verdicts = np.concatenate(lp_pool.map(lp_verdicts, chunks))
+    assert not verdicts.any(), points[verdicts]
 
 
 # ---------------------------------------------------------------------------

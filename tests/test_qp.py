@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from lqmpc import (
+    ConstrainedProblem,
     HPolytope,
+    MpcController,
     QpProblem,
-    condense_mpc,
+    TerminalDesign,
     greedy_gain,
     iterate_bellman,
     solve_qp,
@@ -175,7 +177,7 @@ def test_with_linear_terms_matches_direct_build():
 
 
 # ---------------------------------------------------------------------------
-# condense_mpc
+# the condensed QP of MpcController
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -190,26 +192,30 @@ def di2d_pieces(di2d_sys):
     amplified = LqSystem(di2d_sys.A, di2d_sys.B, di2d_sys.Q, ZEFF_2D * di2d_sys.R)
     gain = greedy_gain(amplified, K)
     S = maximal_invariant_set(gain.closed_loop, Xhat, U, gain.L)
-    return Xhat, U, S, K
+    return Xhat, U, S, K, gain
+
+
+def _condensed(sys, Xhat, U, S, K, gain, ell, x0) -> QpProblem:
+    design = TerminalDesign(K=K, S=S, gain=gain)
+    return MpcController(ConstrainedProblem(sys, Xhat, U), design, ell).qp_at(x0)
 
 
 def test_condensed_one_step_gain(di2d_sys, di2d_pieces):
     # with constraints wide enough to stay inactive, the ell=1 minimizer is
     # the greedy gain applied to x0
-    _, _, S, K = di2d_pieces
+    _, _, S, K, gain = di2d_pieces
     big = HPolytope.symmetric_box([1e6, 1e6])
     bigU = HPolytope.symmetric_box([1e6])
     bigS = HPolytope.symmetric_box([1e6, 1e6])
     x0 = np.array([0.7, -0.4])
-    prob = condense_mpc(di2d_sys, big, bigU, bigS, K, 1, x0)
+    prob = _condensed(di2d_sys, big, bigU, bigS, K, gain, 1, x0)
     sol = solve_qp(prob)
     expected = greedy_gain(di2d_sys, K).L @ x0
     np.testing.assert_allclose(sol.z, expected, atol=1e-8)
 
 
 def test_condensed_origin(di2d_sys, di2d_pieces):
-    Xhat, U, S, K = di2d_pieces
-    prob = condense_mpc(di2d_sys, Xhat, U, S, K, 3, np.zeros(2))
+    prob = _condensed(di2d_sys, *di2d_pieces, 3, np.zeros(2))
     sol = solve_qp(prob)
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.z, np.zeros(3), atol=1e-9)
@@ -219,10 +225,10 @@ def test_condensed_origin(di2d_sys, di2d_pieces):
 
 def test_condensed_objective_value(di2d_sys, di2d_pieces):
     # QP optimum must equal the simulated finite-horizon cost of its minimizer
-    Xhat, U, S, K = di2d_pieces
+    K = di2d_pieces[3]
     x0 = np.array([-2.0, 0.8])
     ell = 3
-    prob = condense_mpc(di2d_sys, Xhat, U, S, K, ell, x0)
+    prob = _condensed(di2d_sys, *di2d_pieces, ell, x0)
     sol = solve_qp(prob)
     assert sol.status == "optimal"
     x = x0.copy()
@@ -236,28 +242,25 @@ def test_condensed_objective_value(di2d_sys, di2d_pieces):
 
 
 def test_condensed_infeasible_outside_box(di2d_sys, di2d_pieces):
-    Xhat, U, S, K = di2d_pieces
-    prob = condense_mpc(di2d_sys, Xhat, U, S, K, 3, np.array([6.0, 0.0]))
+    prob = _condensed(di2d_sys, *di2d_pieces, 3, np.array([6.0, 0.0]))
     assert solve_qp(prob).status == "infeasible"
 
 
 def test_condensed_hessian_psd(di2d_sys, di2d_pieces):
     from lqmpc import min_eigenvalue
 
-    Xhat, U, S, K = di2d_pieces
     for ell in (1, 2, 5, 8):
-        prob = condense_mpc(di2d_sys, Xhat, U, S, K, ell, np.zeros(2))
+        prob = _condensed(di2d_sys, *di2d_pieces, ell, np.zeros(2))
         assert min_eigenvalue(prob.P) >= -1e-9
 
 
 def test_condensed_feasibility_boundary(di2d_sys, di2d_pieces):
     # status flips from optimal to infeasible across the region boundary
-    Xhat, U, S, K = di2d_pieces
     x_in = np.array([0.0, 1.0])
     x_out = np.array([0.0, 4.9])  # too much velocity to stop within the box
-    assert solve_qp(condense_mpc(di2d_sys, Xhat, U, S, K, 3, x_in)).status == "optimal"
+    assert solve_qp(_condensed(di2d_sys, *di2d_pieces, 3, x_in)).status == "optimal"
     assert (
-        solve_qp(condense_mpc(di2d_sys, Xhat, U, S, K, 3, x_out)).status
+        solve_qp(_condensed(di2d_sys, *di2d_pieces, 3, x_out)).status
         == "infeasible"
     )
 
@@ -265,10 +268,10 @@ def test_condensed_feasibility_boundary(di2d_sys, di2d_pieces):
 def test_condensed_unconstrained_agreement(di2d_sys, di2d_pieces):
     # interior start with inactive constraints: first control equals the
     # ell-horizon design gain
-    Xhat, U, S, K = di2d_pieces
+    K = di2d_pieces[3]
     ell = 3
     x0 = np.array([0.15, -0.1])
-    prob = condense_mpc(di2d_sys, Xhat, U, S, K, ell, x0)
+    prob = _condensed(di2d_sys, *di2d_pieces, ell, x0)
     sol = solve_qp(prob)
     Kbar = iterate_bellman(di2d_sys, K, ell - 1)
     u_gain = greedy_gain(di2d_sys, Kbar).L @ x0
