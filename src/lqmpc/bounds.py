@@ -10,7 +10,8 @@ bounds:
 * a Newton-step bound gamma * beta_ell^2 * ||K - K*||^2, reflecting that one
   greedy step is a Newton/Kleinman step on the Riccati equation.
 
-`full_report` packages all constants, the three bounds, and the exact gap.
+`full_report` evaluates all constants, the three bounds, and the exact gap;
+the single-bound functions read its fields.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .riccati import (
     greedy_gain,
     in_region_of_decreasing,
     iterate_bellman,
-    solve_dare,
 )
 
 __all__ = [
@@ -95,31 +95,13 @@ def beta_const(sys: LqSystem, Lstar: GainPolicy, ell: int) -> float:
 
 
 def contraction_bound(sys: LqSystem, K, ell: int) -> float:
-    """Contraction-based bound on ||K_L~ - K*||.
-
-    (c2 / (c1 (1 - rho))) * (rho + (c2/c1) alpha) * beta_ell * ||K - K*||,
-    where (rho, c1, c2) come from the weighted norm built for the closed loop
-    of the greedy gain at F^(ell-1)(K).
-    """
-    _require_in_region(sys, K)
-    Kstar, Lstar = solve_dare(sys)
-    Kbar = iterate_bellman(sys, K, ell - 1)
-    Lt = greedy_gain(sys, Kbar)
-    wn = build_weighted_norm(Lt.closed_loop)
-    alpha = alpha_const(sys, Lstar)
-    beta = beta_const(sys, Lstar, ell)
-    ratio = wn.c2 / wn.c1
-    pref = ratio / (1.0 - wn.rho) * (wn.rho + ratio * alpha)
-    return pref * beta * induced_two_norm(np.asarray(K, dtype=float) - Kstar)
+    """Contraction-based bound on ||K_L~ - K*|| (`full_report`)."""
+    return full_report(sys, K, ell).bound_contraction
 
 
 def monotone_bound(sys: LqSystem, K, ell: int) -> float:
-    """Monotonicity bound alpha * beta_ell * ||K - K*||."""
-    _require_in_region(sys, K)
-    Kstar, Lstar = solve_dare(sys)
-    alpha = alpha_const(sys, Lstar)
-    beta = beta_const(sys, Lstar, ell)
-    return alpha * beta * induced_two_norm(np.asarray(K, dtype=float) - Kstar)
+    """Monotonicity bound alpha * beta_ell * ||K - K*|| (`full_report`)."""
+    return full_report(sys, K, ell).bound_monotone
 
 
 def newton_gamma(sys: LqSystem, Kbar) -> float:
@@ -136,10 +118,12 @@ def newton_gamma(sys: LqSystem, Kbar) -> float:
     multiplying the quadratic residual once the fixed point is subtracted).
     Truncation: terms are accumulated until, with the current power inside the
     unit ball, the next term contributes less than 1e-12 of the partial sum;
-    the remaining geometric tail is added in closed form.
+    the remaining geometric tail is added in closed form.  An exactly zero
+    power (a nilpotent loop) ends the sum.  A series still running after
+    `_GAMMA_SERIES_CAP` terms raises, since its partial sum understates gamma.
     """
     Kbar = np.asarray(Kbar, dtype=float)
-    Kstar, _ = solve_dare(sys)
+    Kstar, _ = sys.optimal
     A, B, R = sys.A, sys.B, sys.R
     Mstar = B.T @ Kstar @ B + R
     Mbar = B.T @ Kbar @ B + R
@@ -162,6 +146,8 @@ def newton_gamma(sys: LqSystem, Kbar) -> float:
     for _ in range(_GAMMA_SERIES_CAP):
         term_norm = induced_two_norm(M)
         total += term_norm**2
+        if term_norm == 0.0:
+            break
         if term_norm < 1.0 and term_norm**2 < _GAMMA_SERIES_RTOL * total:
             r = term_norm / prev if prev > 0 else 0.0  # one-step decay estimate
             r = min(max(r, 0.0), 1.0 - 1e-12)
@@ -169,17 +155,17 @@ def newton_gamma(sys: LqSystem, Kbar) -> float:
             break
         prev = term_norm
         M = M @ Dt
+    else:
+        raise ArithmeticError(
+            f"gamma series not converged in {_GAMMA_SERIES_CAP} terms: last term "
+            f"||D~^i||^2 = {term_norm**2:.3e}, partial sum {total:.6e}"
+        )
     return eta**2 * induced_two_norm(Mstar) * total
 
 
 def newton_bound(sys: LqSystem, K, ell: int) -> float:
-    """Newton-step bound gamma * beta_ell^2 * ||K - K*||^2."""
-    _require_in_region(sys, K)
-    Kstar, Lstar = solve_dare(sys)
-    Kbar = iterate_bellman(sys, K, ell - 1)
-    gamma = newton_gamma(sys, Kbar)
-    beta = beta_const(sys, Lstar, ell)
-    return gamma * beta**2 * induced_two_norm(np.asarray(K, dtype=float) - Kstar) ** 2
+    """Newton-step bound gamma * beta_ell^2 * ||K - K*||^2 (`full_report`)."""
+    return full_report(sys, K, ell).bound_newton
 
 
 def gap_of_policy(sys: LqSystem, policy: GainPolicy) -> float:
@@ -193,7 +179,7 @@ def gap_of_policy(sys: LqSystem, policy: GainPolicy) -> float:
     the catastrophic cancellation of subtracting two O(||K*||) solves when the
     gap is tiny (e.g. 1e-13 against ||K*|| ~ 10).
     """
-    Kstar, Lstar = solve_dare(sys)
+    Kstar, Lstar = sys.optimal
     Mstar = sys.B.T @ Kstar @ sys.B + sys.R
     dL = policy.L - Lstar.L
     Delta = solve_dlyap(policy.closed_loop, dL.T @ Mstar @ dL)
@@ -201,17 +187,22 @@ def gap_of_policy(sys: LqSystem, policy: GainPolicy) -> float:
 
 
 def actual_gap(sys: LqSystem, K, ell: int) -> float:
-    """Exact gap ||K_L~ - K*|| of the ell-horizon policy with terminal cost K."""
-    _require_in_region(sys, K)
-    Kbar = iterate_bellman(sys, K, ell - 1)
-    return gap_of_policy(sys, greedy_gain(sys, Kbar))
+    """Exact gap ||K_L~ - K*|| of the ell-horizon policy (`full_report`)."""
+    return full_report(sys, K, ell).actual_gap
 
 
 def full_report(sys: LqSystem, K, ell: int) -> BoundsReport:
-    """Compute every constant, all three bounds, and the exact gap at (K, ell)."""
+    """Compute every constant, all three bounds, and the exact gap at (K, ell),
+    from K*, L* (the system's cached pair), Kbar = F^(ell-1)(K) and the greedy
+    gain L~ at Kbar.  The contraction bound is
+
+        (c2 / (c1 (1 - rho))) * (rho + (c2/c1) alpha) * beta_ell * ||K - K*||,
+
+    with (rho, c1, c2) from the weighted norm built for the closed loop of L~.
+    """
     K = np.asarray(K, dtype=float)
     _require_in_region(sys, K)
-    Kstar, Lstar = solve_dare(sys)
+    Kstar, Lstar = sys.optimal
     dist = induced_two_norm(K - Kstar)
     alpha = alpha_const(sys, Lstar)
     beta = beta_const(sys, Lstar, ell)
@@ -219,10 +210,7 @@ def full_report(sys: LqSystem, K, ell: int) -> BoundsReport:
     Lt = greedy_gain(sys, Kbar)
     wn = build_weighted_norm(Lt.closed_loop)
     ratio = wn.c2 / wn.c1
-    b_contr = ratio / (1.0 - wn.rho) * (wn.rho + ratio * alpha) * beta * dist
     gamma = newton_gamma(sys, Kbar)
-    b_newton = gamma * beta**2 * dist**2
-    gap = gap_of_policy(sys, Lt)
     return BoundsReport(
         ell=ell,
         alpha=alpha,
@@ -231,9 +219,9 @@ def full_report(sys: LqSystem, K, ell: int) -> BoundsReport:
         c1=wn.c1,
         c2=wn.c2,
         gamma=gamma,
-        bound_contraction=b_contr,
+        bound_contraction=ratio / (1.0 - wn.rho) * (wn.rho + ratio * alpha) * beta * dist,
         bound_monotone=alpha * beta * dist,
-        bound_newton=b_newton,
-        actual_gap=gap,
+        bound_newton=gamma * beta**2 * dist**2,
+        actual_gap=gap_of_policy(sys, Lt),
         design_distance=dist,
     )

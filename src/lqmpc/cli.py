@@ -23,15 +23,17 @@ import numpy as np
 from .bounds import BoundsReport, full_report
 from .cmpc import (
     ConstrainedProblem,
+    CostMapGrid,
     MpcController,
     TerminalDesign,
+    approx_optimal_cost,
     boundary_points,
     feasible_region_grid,
     suboptimality_map,
 )
 from .matcore import induced_two_norm
-from .polytope import lp_solve, volume
-from .riccati import LqSystem, solve_dare, zeta_dare
+from .polytope import volume
+from .riccati import LqSystem, zeta_dare
 from .scenarios import Scenario, ScenarioError, builtin_names, load_scenario
 
 __all__ = ["main"]
@@ -141,11 +143,13 @@ def _outdir(args) -> str:
     return args.out
 
 
+def _scenario(name: str, seed: Optional[int]) -> Scenario:
+    sc = load_scenario(name)
+    return sc if seed is None else sc.with_overrides(seed=seed)
+
+
 def _load(args) -> Scenario:
-    sc = load_scenario(args.scenario)
-    if getattr(args, "seed", None) is not None:
-        sc = sc.with_overrides(seed=args.seed)
-    return sc
+    return _scenario(args.scenario, getattr(args, "seed", None))
 
 
 def _parse_list(text: str, cast, what: str) -> list:
@@ -173,8 +177,7 @@ def _terminal_matrix(sc: Scenario, zeta_arg: Optional[float]) -> tuple[np.ndarra
     if sc.terminal_kind == "zeta_dare":
         amp = sc.amplification()
         return zeta_dare(sys_, amp), f"zeta={sc.zeta:g} (effective amplification {amp:g})"
-    K, _ = solve_dare(sys_)
-    return K, "optimal cost matrix"
+    return sys_.optimal[0], "optimal cost matrix"
 
 
 def _design(prob: ConstrainedProblem, sc: Scenario, terminal: str) -> TerminalDesign:
@@ -183,16 +186,36 @@ def _design(prob: ConstrainedProblem, sc: Scenario, terminal: str) -> TerminalDe
     return TerminalDesign.for_amplified_cost(prob, sc.amplification())
 
 
-def _write_gnuplot_stub(path: str, csv_name: str, title: str, value_col: int) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+def _mpc_setup(args):
+    """Scenario, output directory, problem, terminal design and horizon."""
+    sc = _load(args)
+    out = _outdir(args)
+    prob = sc.constrained_problem()
+    ell = args.ell if args.ell is not None else sc.horizon
+    return sc, out, prob, _design(prob, sc, args.terminal), ell
+
+
+def _grid_spec(sc: Scenario, args) -> dict:
+    spec = sc.grid_spec()
+    if args.grid is not None:
+        spec["resolution"] = args.grid
+    return spec
+
+
+def _write_grid(grid: CostMapGrid, stem: str, title: str, value_col: int) -> str:
+    """Write `stem`.csv and a gnuplot script `stem`.gp; returns the CSV path."""
+    csv_path = stem + ".csv"
+    grid.to_csv(csv_path)
+    with open(stem + ".gp", "w", encoding="utf-8") as f:
         f.write(
             "set datafile separator ','\n"
             "set xlabel 'x1'\nset ylabel 'x2'\n"
             f"set title '{title}'\n"
             "set view map\n"
-            f"splot '{csv_name}' skip 2 using 1:2:{value_col} with points "
+            f"splot '{os.path.basename(csv_path)}' skip 2 using 1:2:{value_col} with points "
             "pointtype 5 pointsize 0.4 palette notitle\n"
         )
+    return csv_path
 
 
 def _bounds_rows(sys_: LqSystem, K, ells) -> list[tuple]:
@@ -206,10 +229,16 @@ def _bounds_rows(sys_: LqSystem, K, ells) -> list[tuple]:
     return rows
 
 
-_BOUNDS_HEADER = (
-    "ell,status,actual_gap,bound_contraction,bound_monotone,bound_newton,"
-    "alpha,beta_ell,rho,c1,c2,gamma,design_distance"
+# the report fields of a bounds CSV row, after ell and status
+_BOUNDS_FIELDS = (
+    "actual_gap", "bound_contraction", "bound_monotone", "bound_newton",
+    "alpha", "beta_ell", "rho", "c1", "c2", "gamma", "design_distance",
 )
+_BOUNDS_HEADER = "ell,status," + ",".join(_BOUNDS_FIELDS)
+
+
+def _bounds_fields(rep: BoundsReport) -> str:
+    return ",".join(_fmt(getattr(rep, name)) for name in _BOUNDS_FIELDS)
 
 
 def _write_bounds_csv(path: str, rows: list[tuple], note: str) -> None:
@@ -217,20 +246,46 @@ def _write_bounds_csv(path: str, rows: list[tuple], note: str) -> None:
         f.write(f"# terminal matrix: {note}\n{_BOUNDS_HEADER}\n")
         for ell, status, rep in rows:
             if rep is None:
-                f.write(f"{ell},{status}" + ",nan" * 11 + "\n")
-                continue
-            f.write(
-                ",".join(
-                    [str(ell), status] + [
-                        _fmt(v) for v in (
-                            rep.actual_gap, rep.bound_contraction,
-                            rep.bound_monotone, rep.bound_newton,
-                            rep.alpha, rep.beta_ell, rep.rho, rep.c1, rep.c2,
-                            rep.gamma, rep.design_distance,
-                        )
-                    ]
-                ) + "\n"
-            )
+                f.write(f"{ell},{status}" + ",nan" * len(_BOUNDS_FIELDS) + "\n")
+            else:
+                f.write(f"{ell},{status},{_bounds_fields(rep)}\n")
+
+
+def _terminal_sets(prob: ConstrainedProblem, zetas, seed: int, out: str) -> tuple[float, list]:
+    """The optimal terminal set and one amplified set per zeta (zeta = 1 is
+    the optimal one), each written to `out` as CSV.  Returns the optimal
+    set's volume and (zeta, volume, volume ratio, contained in Xhat) rows."""
+    base = TerminalDesign.for_optimal_cost(prob)
+    vol_base = volume(base.S, seed=seed)
+    base.S.to_csv(os.path.join(out, "terminal-set-optimal.csv"))
+    rows = []
+    for z in zetas:
+        design = base if z == 1.0 else TerminalDesign.for_amplified_cost(prob, z)
+        v = volume(design.S, seed=seed)
+        design.S.to_csv(os.path.join(out, f"terminal-set-zeta-{z:g}.csv"))
+        rows.append((z, v, v / vol_base, prob.state_set_contains(design.S)))
+    return vol_base, rows
+
+
+def _trajectory_header(sys_: LqSystem, costs: list[str]) -> str:
+    return ",".join(
+        ["k"] + [f"x{i + 1}" for i in range(sys_.n)] + [f"u{i + 1}" for i in range(sys_.m)]
+        + ["stage_cost"] + costs
+    ) + "\n"
+
+
+def _trajectory_costs(prob: ConstrainedProblem, design: TerminalDesign, ell: int,
+                      x0, steps: int) -> list[dict]:
+    """`simulate_trajectory` records of the ell-step closed loop from x0; each
+    feasible record also gets the cost-to-go from its state of that loop
+    ("policy") and of the ell=100 approximation of the optimum ("optimal")."""
+    ctl = MpcController(prob, design, ell)
+    records = ctl.simulate_trajectory(x0, max_steps=steps)
+    for rec in records:
+        if rec["feasible"]:
+            rec["policy"] = ctl.simulate_cost(rec["x"])
+            rec["optimal"] = approx_optimal_cost(prob, design, rec["x"])
+    return records
 
 
 # --------------------------------------------------------------------------
@@ -263,59 +318,32 @@ def cmd_terminal_set(args) -> int:
     sc = _load(args)
     out = _outdir(args)
     zetas = _parse_list(args.zeta, float, "zeta")
-    prob = sc.constrained_problem()
-    base = TerminalDesign.for_optimal_cost(prob)
-    vol_base = volume(base.S, seed=sc.seed)
-    base_path = os.path.join(out, "terminal-set-optimal.csv")
-    base.S.to_csv(base_path)
-    rows = [(1.0, vol_base, 1.0, True, base_path)]
-    for z in zetas:
-        design = (
-            base if z == 1.0 else TerminalDesign.for_amplified_cost(prob, z)
-        )
-        v = volume(design.S, seed=sc.seed)
-        contained = all(
-            lp_solve(prob.Xhat.H[i], design.S).value <= prob.Xhat.h[i] + 1e-7
-            for i in range(prob.Xhat.nrows)
-        )
-        path = os.path.join(out, f"terminal-set-zeta-{z:g}.csv")
-        design.S.to_csv(path)
-        rows.append((z, v, v / vol_base, contained, path))
+    vol_base, rows = _terminal_sets(sc.constrained_problem(), zetas, sc.seed, out)
+    rows.insert(0, (1.0, vol_base, 1.0, True))
     csv_path = os.path.join(out, f"terminal-ratios-{sc.name}.csv")
     with open(csv_path, "w", encoding="utf-8") as f:
         f.write("zeta,volume,ratio,contained\n")
-        for z, v, r, c, _ in rows:
+        for z, v, r, c in rows:
             f.write(f"{_fmt(z)},{_fmt(v)},{_fmt(r)},{int(c)}\n")
     print(f"{'zeta':>8} {'volume':>14} {'ratio':>10} contained")
-    for z, v, r, c, _ in rows:
+    for z, v, r, c in rows:
         print(f"{z:>8g} {v:>14.6f} {r:>10.6f} {'yes' if c else 'NO'}")
     print(f"wrote {csv_path}")
     return EXIT_OK
 
 
 def cmd_region(args) -> int:
-    sc = _load(args)
-    out = _outdir(args)
-    prob = sc.constrained_problem()
-    design = _design(prob, sc, args.terminal)
-    ell = args.ell if args.ell is not None else sc.horizon
-    spec = sc.grid_spec()
-    if args.grid is not None:
-        spec["resolution"] = args.grid
-    grid = feasible_region_grid(prob, design, ell, spec, workers=args.workers)
+    sc, out, prob, design, ell = _mpc_setup(args)
+    grid = feasible_region_grid(prob, design, ell, _grid_spec(sc, args), workers=args.workers)
     tag = f"{sc.name}-ell{ell}-{args.terminal}"
-    csv_path = os.path.join(out, f"region-{tag}.csv")
-    grid.to_csv(csv_path)
+    csv_path = _write_grid(grid, os.path.join(out, f"region-{tag}"),
+                           f"feasible region (ell={ell})", 3)
     bpts = boundary_points(prob, design, ell, grid)
     bpath = os.path.join(out, f"region-boundary-{tag}.csv")
     with open(bpath, "w", encoding="utf-8") as f:
         f.write("x1,x2\n")
         for p in bpts:
             f.write(f"{_fmt(p[0])},{_fmt(p[1])}\n")
-    _write_gnuplot_stub(
-        os.path.join(out, f"region-{tag}.gp"), os.path.basename(csv_path),
-        f"feasible region (ell={ell})", 3,
-    )
     n_feas = int(grid.feasible.sum())
     print(f"{n_feas} of {grid.feasible.size} grid points feasible")
     print(f"wrote {csv_path} ({len(bpts)} refined boundary points)")
@@ -323,22 +351,11 @@ def cmd_region(args) -> int:
 
 
 def cmd_submap(args) -> int:
-    sc = _load(args)
-    out = _outdir(args)
-    prob = sc.constrained_problem()
-    design = _design(prob, sc, args.terminal)
-    ell = args.ell if args.ell is not None else sc.horizon
-    spec = sc.grid_spec()
-    if args.grid is not None:
-        spec["resolution"] = args.grid
-    grid = suboptimality_map(prob, design, ell, spec, workers=args.workers)
+    sc, out, prob, design, ell = _mpc_setup(args)
+    grid = suboptimality_map(prob, design, ell, _grid_spec(sc, args), workers=args.workers)
     tag = f"{sc.name}-ell{ell}-{args.terminal}"
-    csv_path = os.path.join(out, f"submap-{tag}.csv")
-    grid.to_csv(csv_path)
-    _write_gnuplot_stub(
-        os.path.join(out, f"submap-{tag}.gp"), os.path.basename(csv_path),
-        f"relative suboptimality (ell={ell})", 5,
-    )
+    csv_path = _write_grid(grid, os.path.join(out, f"submap-{tag}"),
+                           f"relative suboptimality (ell={ell})", 5)
     finite = grid.rel_gap[np.isfinite(grid.rel_gap)]
     if finite.size:
         print(
@@ -352,11 +369,7 @@ def cmd_submap(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    sc = _load(args)
-    out = _outdir(args)
-    prob = sc.constrained_problem()
-    design = _design(prob, sc, args.terminal)
-    ell = args.ell if args.ell is not None else sc.horizon
+    sc, out, prob, design, ell = _mpc_setup(args)
     if args.x0 is not None:
         x0 = np.array(_parse_list(args.x0, float, "x0"))
     elif sc.x0 is not None:
@@ -365,28 +378,17 @@ def cmd_simulate(args) -> int:
         raise ScenarioError("no x0 given (use --x0 or a scenario that defines one)")
     if x0.size != sc.system.n:
         raise ScenarioError(f"x0 has {x0.size} entries, expected {sc.system.n}")
-    ctl = MpcController(prob, design, ell)
-    opt = MpcController(prob, design, 100)
-    records = ctl.simulate_trajectory(x0, max_steps=args.steps)
+    records = _trajectory_costs(prob, design, ell, x0, args.steps)
     csv_path = os.path.join(out, f"trajectory-{sc.name}-ell{ell}.csv")
-    n, m = sc.system.n, sc.system.m
     with open(csv_path, "w", encoding="utf-8") as f:
-        cols = (
-            ["k"] + [f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(m)]
-            + ["stage_cost", "horizon_value", "policy_cost_to_go", "optimal_cost_to_go"]
-        )
-        f.write(",".join(cols) + "\n")
-        for rec in records:
-            if not rec["feasible"]:
-                f.write(f"{rec['k']}," + ",".join([_fmt(v) for v in rec["x"]])
-                        + ",nan" * (m + 4) + "\n")
+        f.write(_trajectory_header(
+            sc.system, ["horizon_value", "policy_cost_to_go", "optimal_cost_to_go"]))
+        for r in records:
+            if not r["feasible"]:
+                f.write(f"{r['k']}," + ",".join([_fmt(v) for v in r["x"]])
+                        + ",nan" * (sc.system.m + 4) + "\n")
                 continue
-            jp = ctl.simulate_cost(rec["x"])
-            jo = opt.simulate_cost(rec["x"])
-            vals = (
-                [rec["k"]] + list(rec["x"]) + list(rec["u"])
-                + [rec["stage"], rec["value"], jp, jo]
-            )
+            vals = [r["k"], *r["x"], *r["u"], r["stage"], r["value"], r["policy"], r["optimal"]]
             f.write(",".join(_fmt(v) for v in vals) + "\n")
     if records and not records[-1]["feasible"]:
         print(f"INFEASIBLE at step {records[-1]['k']} (state {records[-1]['x']})")
@@ -399,7 +401,9 @@ def cmd_simulate(args) -> int:
 # reproduction harness
 # --------------------------------------------------------------------------
 
-_EXAMPLE1_TARGETS = {"gap": 3.3, "contraction": 534.5, "monotone": 14.4, "newton": 43.0}
+_EXAMPLE1_TARGETS = {
+    "actual_gap": 3.3, "bound_contraction": 534.5, "bound_monotone": 14.4, "bound_newton": 43.0,
+}
 
 _TABLE1 = [("di-2d", 2.5, 9.9), ("ac-4d", 4.3, 486.0)]
 
@@ -416,17 +420,9 @@ _TABLE3 = [(5.0, 1.23), (15.0, 1.56), (25.0, 1.65), (35.0, 1.63)]
 
 
 def _apply_cell(cs: CheckSet, name: str, value: float, cell: tuple) -> None:
-    kind = cell[0]
-    if kind == "rel":
-        cs.rel(name, value, cell[1], cell[2])
-    elif kind == "upper":
-        cs.upper(name, value, cell[1])
-    elif kind == "lower":
-        cs.lower(name, value, cell[1])
-    elif kind == "oom":
-        cs.oom(name, value, cell[1])
-    else:  # pragma: no cover - table definitions are static
-        raise ValueError(f"unknown check kind {kind}")
+    """Check value against a cell (kind, *params); kind names a CheckSet method."""
+    kind, *params = cell
+    getattr(cs, kind)(name, value, *params)
 
 
 def _reproduce_example1(cs: CheckSet, out: str, seed: Optional[int]) -> list[str]:
@@ -438,12 +434,8 @@ def _reproduce_example1(cs: CheckSet, out: str, seed: Optional[int]) -> list[str
         os.path.join(out, "example1-bounds.csv"), [(1, "ok", rep)],
         "reconstructed K0 = 180 (reported only as an initial matrix of 180)",
     )
-    cs.rel("example1.actual_gap", rep.actual_gap, _EXAMPLE1_TARGETS["gap"], 0.05)
-    cs.rel("example1.bound_contraction", rep.bound_contraction,
-           _EXAMPLE1_TARGETS["contraction"], 0.05)
-    cs.rel("example1.bound_monotone", rep.bound_monotone,
-           _EXAMPLE1_TARGETS["monotone"], 0.05)
-    cs.rel("example1.bound_newton", rep.bound_newton, _EXAMPLE1_TARGETS["newton"], 0.05)
+    for field, target in _EXAMPLE1_TARGETS.items():
+        cs.rel(f"example1.{field}", getattr(rep, field), target, 0.05)
     cs.runtime("example1.runtime", elapsed, 1.0)
     return ["example 1: scalar study with reconstructed K0 = 180"]
 
@@ -454,7 +446,7 @@ def _reproduce_table1(cs: CheckSet, out: str, seed: Optional[int]) -> list[str]:
     for name, ratio_target, dist_target in _TABLE1:
         sc = load_scenario(name)
         sys_ = sc.system
-        Kstar, _ = solve_dare(sys_)
+        Kstar, _ = sys_.optimal
         K = zeta_dare(sys_, sc.amplification())
         ratio = induced_two_norm(K) / induced_two_norm(Kstar)
         dist = induced_two_norm(K - Kstar)
@@ -488,49 +480,24 @@ def _reproduce_table2(cs: CheckSet, out: str, seed: Optional[int]) -> list[str]:
     with open(os.path.join(out, "table2.csv"), "w", encoding="utf-8") as f:
         f.write("scenario," + _BOUNDS_HEADER + "\n")
         for name, ell, rep in reports:
-            f.write(
-                ",".join(
-                    [name, str(ell), "ok"] + [
-                        _fmt(v) for v in (
-                            rep.actual_gap, rep.bound_contraction,
-                            rep.bound_monotone, rep.bound_newton,
-                            rep.alpha, rep.beta_ell, rep.rho, rep.c1, rep.c2,
-                            rep.gamma, rep.design_distance,
-                        )
-                    ]
-                ) + "\n"
-            )
+            f.write(f"{name},{ell},ok,{_bounds_fields(rep)}\n")
     cs.runtime("table2.runtime", elapsed, 10.0)
     return ["table 2: optimality gap and bounds across horizons"]
 
 
 def _reproduce_table3(cs: CheckSet, out: str, seed: Optional[int]) -> list[str]:
-    sc = load_scenario("di-2d")
-    if seed is not None:
-        sc = sc.with_overrides(seed=seed)
+    sc = _scenario("di-2d", seed)
     t0 = time.perf_counter()
-    prob = sc.constrained_problem()
-    base = TerminalDesign.for_optimal_cost(prob)
-    vol_base = volume(base.S, seed=sc.seed)
-    base.S.to_csv(os.path.join(out, "terminal-set-optimal.csv"))
-    rows = []
-    for z, target in _TABLE3:
-        design = TerminalDesign.for_amplified_cost(prob, z)
-        v = volume(design.S, seed=sc.seed)
-        ratio = v / vol_base
-        contained = all(
-            lp_solve(prob.Xhat.H[i], design.S).value <= prob.Xhat.h[i] + 1e-7
-            for i in range(prob.Xhat.nrows)
-        )
-        design.S.to_csv(os.path.join(out, f"terminal-set-zeta-{z:g}.csv"))
-        rows.append((z, v, ratio))
+    vol_base, rows = _terminal_sets(
+        sc.constrained_problem(), [z for z, _ in _TABLE3], sc.seed, out)
+    for (z, _, ratio, contained), (_, target) in zip(rows, _TABLE3):
         cs.abs(f"table3.zeta{z:g}.volume_ratio", ratio, target, 0.05)
         cs.flag(f"table3.zeta{z:g}.contained", contained, "terminal set inside state set")
     elapsed = time.perf_counter() - t0
     with open(os.path.join(out, "table3.csv"), "w", encoding="utf-8") as f:
         f.write("zeta,volume,ratio\n")
         f.write(f"1,{_fmt(vol_base)},1\n")
-        for z, v, ratio in rows:
+        for z, v, ratio, _ in rows:
             f.write(f"{_fmt(z)},{_fmt(v)},{_fmt(ratio)}\n")
     cs.info("table3.base_volume", vol_base, "terminal set volume for the optimal design")
     cs.runtime("table3.runtime", elapsed, 30.0)
@@ -539,9 +506,7 @@ def _reproduce_table3(cs: CheckSet, out: str, seed: Optional[int]) -> list[str]:
 
 def _reproduce_example3(cs: CheckSet, out: str, seed: Optional[int],
                         workers: Optional[int]) -> list[str]:
-    sc = load_scenario("di-2d")
-    if seed is not None:
-        sc = sc.with_overrides(seed=seed)
+    sc = _scenario("di-2d", seed)
     t0 = time.perf_counter()
     prob = sc.constrained_problem()
     amplified = _design(prob, sc, "scenario")
@@ -581,31 +546,19 @@ def _reproduce_example4(cs: CheckSet, out: str, seed: Optional[int]) -> list[str
     prob = sc.constrained_problem()
     design = _design(prob, sc, "scenario")
     ell = sc.horizon
-    ctl = MpcController(prob, design, ell)
-    opt = MpcController(prob, design, 100)
-    records = ctl.simulate_trajectory(sc.x0, max_steps=200)
+    records = _trajectory_costs(prob, design, ell, sc.x0, 200)
     feasible = bool(records) and all(r["feasible"] for r in records)
-    gaps, rel_at_x0, j_opt_x0 = [], math.nan, math.nan
-    rows = []
-    for rec in records:
-        if not rec["feasible"]:
-            break
-        jp = ctl.simulate_cost(rec["x"])
-        jo = opt.simulate_cost(rec["x"])
-        gaps.append(jp - jo)
-        if rec["k"] == 0 and jo > 0:
-            rel_at_x0 = (jp - jo) / jo
-            j_opt_x0 = jo
-        rows.append((rec["k"], rec["x"], rec["u"], rec["stage"], jp, jo))
+    steps = [r for r in records if r["feasible"]]  # all but an infeasible last one
+    gaps = [r["policy"] - r["optimal"] for r in steps]
+    rel_at_x0, j_opt_x0 = math.nan, math.nan
+    if steps and steps[0]["optimal"] > 0:
+        j_opt_x0 = steps[0]["optimal"]
+        rel_at_x0 = (steps[0]["policy"] - j_opt_x0) / j_opt_x0
     with open(os.path.join(out, "example4-trajectory.csv"), "w", encoding="utf-8") as f:
-        n, m = sc.system.n, sc.system.m
-        cols = (
-            ["k"] + [f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(m)]
-            + ["stage_cost", "policy_cost_to_go", "optimal_cost_to_go"]
-        )
-        f.write(",".join(cols) + "\n")
-        for k, x, u, stage, jp, jo in rows:
-            f.write(",".join(_fmt(v) for v in [k, *x, *u, stage, jp, jo]) + "\n")
+        f.write(_trajectory_header(sc.system, ["policy_cost_to_go", "optimal_cost_to_go"]))
+        for r in steps:
+            vals = [r["k"], *r["x"], *r["u"], r["stage"], r["policy"], r["optimal"]]
+            f.write(",".join(_fmt(v) for v in vals) + "\n")
     elapsed = time.perf_counter() - t0
     cs.flag("example4.recursive_feasibility", feasible,
             f"every step of the closed loop feasible ({len(records)} steps)")

@@ -29,7 +29,6 @@ from .riccati import (
     greedy_gain,
     in_region_of_decreasing,
     iterate_bellman,
-    solve_dare,
     zeta_dare,
 )
 
@@ -89,6 +88,13 @@ class ConstrainedProblem:
         lo, hi = self.box
         return float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
 
+    def state_set_contains(self, S: HPolytope) -> bool:
+        """True iff S lies in Xhat within 1e-7, by one support LP of S per
+        row of Xhat (stopping at the first violated row); an empty or
+        unbounded S fails."""
+        H, h = self.Xhat.H, self.Xhat.h
+        return all(lp_solve(H[i], S).value <= h[i] + 1e-7 for i in range(h.size))
+
 
 @dataclass(frozen=True)
 class TerminalDesign:
@@ -109,7 +115,7 @@ class TerminalDesign:
     @classmethod
     def for_optimal_cost(cls, prob: ConstrainedProblem) -> "TerminalDesign":
         """K = K* with S the maximal admissible invariant set of u = L*x."""
-        Kstar, Lstar = solve_dare(prob.sys)
+        Kstar, Lstar = prob.sys.optimal
         S = maximal_invariant_set(Lstar.closed_loop, prob.Xhat, prob.U, Lstar)
         return cls(K=Kstar, S=S, gain=Lstar, zeta=1.0)
 
@@ -131,10 +137,8 @@ class TerminalDesign:
         admissible inputs, K in the unconstrained region of decreasing."""
         from .polytope import sample_interior
 
-        for i in range(prob.Xhat.nrows):
-            r = lp_solve(prob.Xhat.H[i], self.S)
-            if r.status != "optimal" or r.value > prob.Xhat.h[i] + 1e-7:
-                raise ValueError("terminal set is not contained in the state constraints")
+        if not prob.state_set_contains(self.S):
+            raise ValueError("terminal set is not contained in the state constraints")
         if not in_region_of_decreasing(prob.sys, self.K):
             raise ValueError("terminal cost is outside the region of decreasing")
         D = self.gain.closed_loop
@@ -335,6 +339,18 @@ class MpcController:
         self._cert_a = np.vstack([self._cert_a, -(self._g_map.T @ y) / s])
         self._cert_b = np.append(self._cert_b, -(self._g_const @ y + slack) / s)
 
+    def _move(self, x, prev: Optional[MpcStep]) -> tuple[MpcStep, float, Optional[np.ndarray]]:
+        """One closed-loop move from x, warm-started from the previous step
+        shifted: (step, stage cost, successor state), or (step, inf, None)
+        when the step is infeasible."""
+        warm = self.shift_candidate(prev) if prev is not None else None
+        step = self.solve(x, z_warm=warm)
+        if not step.feasible:
+            return step, math.inf, None
+        sys = self.prob.sys
+        u = step.u0
+        return step, float(x @ sys.Q @ x + u @ sys.R @ u), sys.A @ x + sys.B @ u
+
     def simulate_cost(self, x0, ball_tol: Optional[float] = None) -> float:
         """Realized infinite-horizon closed-loop cost from x0 (inf if any
         step is infeasible).
@@ -343,7 +359,6 @@ class MpcController:
         is inside the terminal set with ||x|| below a small threshold, then
         adds the quadratic tail of the unconstrained receding-horizon gain.
         """
-        sys = self.prob.sys
         x = np.asarray(x0, dtype=float).ravel()
         if ball_tol is None:
             ball_tol = 1e-6 * self.prob.box_radius
@@ -352,14 +367,10 @@ class MpcController:
         for _ in range(_SIM_CAP):
             if contains(self.design.S, x) and float(np.linalg.norm(x)) <= ball_tol:
                 return total + float(x @ self.tail_cost @ x)
-            warm = self.shift_candidate(prev) if prev is not None else None
-            step = self.solve(x, z_warm=warm)
-            if not step.feasible:
+            prev, stage, x = self._move(x, prev)
+            if not prev.feasible:
                 return math.inf
-            u = step.u0
-            total += float(x @ sys.Q @ x + u @ sys.R @ u)
-            x = sys.A @ x + sys.B @ u
-            prev = step
+            total += stage
         raise ArithmeticError(
             f"closed loop did not reach the terminal ball in {_SIM_CAP} steps"
         )
@@ -367,25 +378,16 @@ class MpcController:
     def simulate_trajectory(self, x0, max_steps: int = 200) -> list[dict]:
         """Step records (k, x, u, stage cost, horizon value) for exactly
         max_steps steps, stopping early only on an infeasible step."""
-        sys = self.prob.sys
         x = np.asarray(x0, dtype=float).ravel()
         out = []
         prev: Optional[MpcStep] = None
         for k in range(max_steps):
-            warm = self.shift_candidate(prev) if prev is not None else None
-            step = self.solve(x, z_warm=warm)
+            step, stage, x_next = self._move(x, prev)
+            out.append({"k": k, "x": x.copy(), "u": step.u0, "stage": stage,
+                        "value": step.value, "feasible": step.feasible})
             if not step.feasible:
-                out.append({"k": k, "x": x.copy(), "u": None, "stage": math.inf,
-                            "value": math.inf, "feasible": False})
                 break
-            u = step.u0
-            out.append({
-                "k": k, "x": x.copy(), "u": u.copy(),
-                "stage": float(x @ sys.Q @ x + u @ sys.R @ u),
-                "value": step.value, "feasible": True,
-            })
-            x = sys.A @ x + sys.B @ u
-            prev = step
+            x, prev = x_next, step
         return out
 
 

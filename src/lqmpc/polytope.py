@@ -156,15 +156,15 @@ def maximal_invariant_set(
     U: HPolytope,
     L,
     cap: int = _INVSET_CAP,
-    prune: bool = True,
 ) -> HPolytope:
     """Maximal constraint-admissible positively invariant set of x+ = Dx.
 
     Returns S = {x | D^k x in Xhat and L D^k x in U for all k <= k_det}, where
     D = closed_loop and k_det is the first step at which every newly generated
     half-space is redundant with respect to the accumulated ones (each checked
-    by an LP).  Finiteness of k_det is guaranteed for stable D and compact
-    constraint sets containing the origin in their interior.
+    by an LP); the redundant rows of S are then removed.  Finiteness of k_det
+    is guaranteed for stable D and compact constraint sets containing the
+    origin in their interior.
     """
     D = np.atleast_2d(np.asarray(closed_loop, dtype=float))
     L = np.atleast_2d(np.asarray(getattr(L, "L", L), dtype=float))
@@ -197,7 +197,7 @@ def maximal_invariant_set(
                 redundant = False
                 break
         if redundant:
-            return remove_redundancy(cur) if prune else cur
+            return remove_redundancy(cur)
         Hs.append(candH)
         hs.append(candh)
         M = M @ D

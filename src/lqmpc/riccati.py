@@ -8,6 +8,7 @@ amplified-input-cost terminal design (the DARE with R replaced by zeta * R).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,20 @@ class LqSystem:
     @property
     def m(self) -> int:
         return self.B.shape[1]
+
+    @cached_property
+    def optimal(self) -> tuple[np.ndarray, "GainPolicy"]:
+        """The stabilizing Riccati pair (K*, L*), solved by `solve_dare` once per
+        instance and kept; its arrays are read-only, so every reader sees the
+        same pair."""
+        Kstar, Lstar = solve_dare(self)
+        for a in (Kstar, Lstar.L, Lstar.closed_loop):
+            a.setflags(write=False)
+        return Kstar, Lstar
+
+    def __getstate__(self):
+        # unpickled arrays are writable again, so the pair is solved afresh
+        return {k: v for k, v in self.__dict__.items() if k != "optimal"}
 
     def with_input_weight(self, R_new) -> "LqSystem":
         """Same dynamics and state cost, different input weight."""

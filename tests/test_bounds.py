@@ -1,6 +1,8 @@
 """Performance-bound layer: the alpha/beta constants, the three bounds,
 the exact gap, and the aggregated report."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,15 +11,21 @@ from lqmpc import (
     actual_gap,
     alpha_const,
     beta_const,
+    build_weighted_norm,
     contraction_bound,
     full_report,
+    gap_of_policy,
+    greedy_gain,
     induced_two_norm,
+    iterate_bellman,
+    load_scenario,
     monotone_bound,
     newton_bound,
     newton_gamma,
     solve_dare,
     zeta_dare,
 )
+from lqmpc import bounds, riccati
 from conftest import ZEFF_2D, ZEFF_4D
 from _checks import (
     check_bound_sandwich,
@@ -144,6 +152,27 @@ def test_newton_gamma_zero_dynamics():
     assert newton_gamma(sys, np.eye(2)) == 0.0
 
 
+def test_newton_gamma_nilpotent_loop_stops_early(monkeypatch):
+    # the zero power ends the series at once, not after _GAMMA_SERIES_CAP terms
+    calls = []
+
+    def counting_norm(M):
+        calls.append(1)
+        return induced_two_norm(M)
+
+    monkeypatch.setattr(bounds, "induced_two_norm", counting_norm)
+    sys = LqSystem(np.zeros((2, 2)), np.eye(2), np.eye(2), np.eye(2))
+    assert newton_gamma(sys, np.eye(2)) == 0.0
+    assert len(calls) <= 12
+
+
+def test_newton_gamma_series_cap_raises(di2d_sys, di2d_K_eff, monkeypatch):
+    # a truncated sum would understate gamma, so hitting the cap is an error
+    monkeypatch.setattr(bounds, "_GAMMA_SERIES_CAP", 5)
+    with pytest.raises(ArithmeticError, match="partial sum"):
+        newton_gamma(di2d_sys, di2d_K_eff)
+
+
 def test_newton_scalar(scalar_sys):
     assert newton_bound(scalar_sys, K_SCALAR, 1) == pytest.approx(42.992, rel=1e-4)
 
@@ -248,3 +277,64 @@ def test_newton_crossover(corpus):
             assert rep.bound_newton <= rep.bound_monotone * (1 + 1e-12)
             hit += 1
     assert hit >= 1  # the premise holds somewhere in the corpus
+
+
+# ---------------------------------------------------------------------------
+# one pipeline: the cached Riccati pair and the single-bound readers
+# ---------------------------------------------------------------------------
+
+def test_single_bounds_equal_report_fields(corpus):
+    """Each single-bound function equals its `full_report` field bit for bit,
+    and so does each bound as its own formula evaluates it, from a fresh
+    Riccati solve (the expression order of the per-bound code)."""
+    for sys, K, ell in corpus:
+        rep = full_report(sys, K, ell)
+        assert contraction_bound(sys, K, ell) == rep.bound_contraction
+        assert monotone_bound(sys, K, ell) == rep.bound_monotone
+        assert newton_bound(sys, K, ell) == rep.bound_newton
+        assert actual_gap(sys, K, ell) == rep.actual_gap
+
+        Kstar, Lstar = solve_dare(sys)
+        dist = induced_two_norm(np.asarray(K, dtype=float) - Kstar)
+        alpha, beta = alpha_const(sys, Lstar), beta_const(sys, Lstar, ell)
+        Kbar = iterate_bellman(sys, K, ell - 1)
+        Lt = greedy_gain(sys, Kbar)
+        wn = build_weighted_norm(Lt.closed_loop)
+        ratio = wn.c2 / wn.c1
+        pref = ratio / (1.0 - wn.rho) * (wn.rho + ratio * alpha)
+        assert rep.bound_contraction == pref * beta * dist
+        assert rep.bound_monotone == alpha * beta * dist
+        assert rep.bound_newton == newton_gamma(sys, Kbar) * beta**2 * dist**2
+        assert rep.actual_gap == gap_of_policy(sys, Lt)
+
+
+def test_riccati_pair_solved_once_per_system(monkeypatch):
+    sys = load_scenario("di-2d").system
+    K = zeta_dare(sys, ZEFF_2D)
+    calls = []
+
+    def counting_solve_dare(*args, **kwargs):
+        calls.append(1)
+        return solve_dare(*args, **kwargs)
+
+    monkeypatch.setattr(riccati, "solve_dare", counting_solve_dare)
+    first = full_report(sys, K, 3)
+    assert len(calls) == 1
+    second = full_report(sys, K, 3)
+    assert len(calls) == 1  # the second report reuses the cached pair
+    assert second == first
+    Kstar, Lstar = sys.optimal
+    for arr in (Kstar, Lstar.L, Lstar.closed_loop):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+    np.testing.assert_array_equal(Kstar, solve_dare(sys)[0])
+
+
+def test_riccati_pair_not_pickled():
+    # an unpickled array is writable, so a copy solves its own read-only pair
+    sys = load_scenario("di-2d").system
+    Kstar, _ = sys.optimal
+    copy = pickle.loads(pickle.dumps(sys))
+    assert "optimal" not in vars(copy)
+    assert not copy.optimal[0].flags.writeable
+    np.testing.assert_array_equal(copy.optimal[0], Kstar)

@@ -74,6 +74,19 @@ def test_box_radius_lps_run_once_per_problem(di2d_sys, di2d_design_eff, monkeypa
     assert len(calls) == n_setup
 
 
+def test_state_set_contains(di2d_prob, di2d_design_eff):
+    assert di2d_prob.state_set_contains(di2d_design_eff.S)
+    assert di2d_prob.state_set_contains(HPolytope.symmetric_box([5.0, 5.0]))
+    # within 1e-7 of a face counts as inside; 1e-6 past it does not
+    assert di2d_prob.state_set_contains(HPolytope.symmetric_box([5.0 + 5e-8, 1.0]))
+    assert not di2d_prob.state_set_contains(HPolytope.symmetric_box([5.0 + 1e-6, 1.0]))
+    # an empty or unbounded set has no finite support and is not contained
+    empty = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0]))
+    quadrant = HPolytope(np.array([[-1.0, 0.0], [0.0, -1.0]]), np.array([0.0, 0.0]))
+    assert not di2d_prob.state_set_contains(empty)
+    assert not di2d_prob.state_set_contains(quadrant)
+
+
 def test_problem_rejects_origin_on_boundary(di2d_sys):
     shifted = HPolytope(
         np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
@@ -654,3 +667,21 @@ def test_trajectory_records_fields(di2d_prob, di2d_design_eff):
     assert {"k", "x", "u", "stage", "value", "feasible"} <= set(rows[0])
     values = [r["value"] for r in rows]
     assert values == sorted(values, reverse=True)  # decreasing along the loop
+
+
+def test_simulate_cost_is_the_trajectory_cost_to_the_ball(di2d_prob, di2d_design_eff):
+    """Both closed loops run the same moves: the realized cost is the sum of
+    the trajectory's stage costs, in order, up to the first state in the
+    terminal ball, plus the tail cost there, bit for bit."""
+    ctl = MpcController(di2d_prob, di2d_design_eff, 3)
+    x0 = np.array([-4.0, 1.8])
+    rows = ctl.simulate_trajectory(x0, 200)
+    ball_tol = 1e-6 * di2d_prob.box_radius
+    k_ball = next(r["k"] for r in rows
+                  if contains(di2d_design_eff.S, r["x"]) and np.linalg.norm(r["x"]) <= ball_tol)
+    assert 0 < k_ball < len(rows) and all(r["feasible"] for r in rows)
+    total = 0.0
+    for r in rows[:k_ball]:
+        total += r["stage"]
+    x = rows[k_ball]["x"]
+    assert ctl.simulate_cost(x0) == total + float(x @ ctl.tail_cost @ x)
