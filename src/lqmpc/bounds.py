@@ -123,6 +123,11 @@ def newton_gamma(sys: LqSystem, Kbar) -> float:
     `_GAMMA_SERIES_CAP` terms raises, since its partial sum understates gamma.
     """
     Kbar = np.asarray(Kbar, dtype=float)
+    return _newton_gamma(sys, Kbar, greedy_gain(sys, Kbar).closed_loop)
+
+
+def _newton_gamma(sys: LqSystem, Kbar: np.ndarray, Dt: np.ndarray) -> float:
+    """`newton_gamma` with D~, the closed loop of the greedy gain at Kbar, given."""
     Kstar, _ = sys.optimal
     A, B, R = sys.A, sys.B, sys.R
     Mstar = B.T @ Kstar @ B + R
@@ -134,15 +139,14 @@ def newton_gamma(sys: LqSystem, Kbar) -> float:
         * induced_two_norm(np.linalg.inv(Mbar))
         * induced_two_norm(B.T @ Kbar @ A)
     )
-    Dt = greedy_gain(sys, Kbar).closed_loop
     if not is_stable(Dt):
         raise ValueError(
             f"greedy closed loop unstable (spectral radius "
             f"{spectral_radius(Dt):.6g}); Kbar is outside the region of decreasing"
         )
     total = 0.0
-    M = Dt.copy()
-    prev = induced_two_norm(M)
+    M = Dt
+    prev = 0.0  # read from the second term on
     for _ in range(_GAMMA_SERIES_CAP):
         term_norm = induced_two_norm(M)
         total += term_norm**2
@@ -210,7 +214,7 @@ def full_report(sys: LqSystem, K, ell: int) -> BoundsReport:
     Lt = greedy_gain(sys, Kbar)
     wn = build_weighted_norm(Lt.closed_loop)
     ratio = wn.c2 / wn.c1
-    gamma = newton_gamma(sys, Kbar)
+    gamma = _newton_gamma(sys, Kbar, Lt.closed_loop)
     return BoundsReport(
         ell=ell,
         alpha=alpha,

@@ -162,10 +162,18 @@ def _parse_list(text: str, cast, what: str) -> list:
     return items
 
 
+def _amplifications(zetas: list) -> list:
+    for z in zetas:
+        if not z >= 1.0:
+            raise ScenarioError(f"zeta must be >= 1, got {z:g}")
+    return zetas
+
+
 def _terminal_matrix(sc: Scenario, zeta_arg: Optional[float]) -> tuple[np.ndarray, str]:
     """Assessment/terminal matrix for bound reports, with a provenance label."""
     sys_ = sc.system
     if zeta_arg is not None:
+        _amplifications([zeta_arg])
         if sc.zeta_effective is not None and zeta_arg == sc.zeta:
             amp = sc.zeta_effective
             label = f"zeta={zeta_arg:g} (effective amplification {amp:g})"
@@ -196,10 +204,11 @@ def _mpc_setup(args):
 
 
 def _grid_spec(sc: Scenario, args) -> dict:
-    spec = sc.grid_spec()
+    if sc.system.n != 2:
+        raise ScenarioError(f"grid sweeps need a 2-D state; '{sc.name}' has {sc.system.n}")
     if args.grid is not None:
-        spec["resolution"] = args.grid
-    return spec
+        sc = sc.with_overrides(grid_resolution=args.grid)  # checks the minimum
+    return sc.grid_spec()
 
 
 def _write_grid(grid: CostMapGrid, stem: str, title: str, value_col: int) -> str:
@@ -317,7 +326,7 @@ def cmd_bounds(args) -> int:
 def cmd_terminal_set(args) -> int:
     sc = _load(args)
     out = _outdir(args)
-    zetas = _parse_list(args.zeta, float, "zeta")
+    zetas = _amplifications(_parse_list(args.zeta, float, "zeta"))
     vol_base, rows = _terminal_sets(sc.constrained_problem(), zetas, sc.seed, out)
     rows.insert(0, (1.0, vol_base, 1.0, True))
     csv_path = os.path.join(out, f"terminal-ratios-{sc.name}.csv")

@@ -29,7 +29,6 @@ from .riccati import (
     greedy_gain,
     in_region_of_decreasing,
     iterate_bellman,
-    zeta_dare,
 )
 
 __all__ = [
@@ -48,6 +47,8 @@ __all__ = [
 ]
 
 _SIM_CAP = 10_000
+_BALL_RTOL = 1e-6
+_BISECTIONS = 5
 _APPROX_OPT_HORIZON = 100
 # a stored infeasibility certificate answers a query only when its lower
 # bound on the Phase-1 optimum exceeds this, ten times HiGHS's primal
@@ -125,10 +126,7 @@ class TerminalDesign:
         under the gain that K is optimal for (the amplified problem's greedy
         gain), which keeps x'Kx a certified decrease function on S:
         D'KD + Q + L'RL = K - (zeta-1) L'RL <= K."""
-        sys = prob.sys
-        K = zeta_dare(sys, zeta)
-        amplified = sys.with_input_weight(zeta * sys.R)
-        gain = greedy_gain(amplified, K)
+        K, gain = prob.sys.amplified(zeta).optimal
         S = maximal_invariant_set(gain.closed_loop, prob.Xhat, prob.U, gain)
         return cls(K=K, S=S, gain=gain, zeta=float(zeta))
 
@@ -268,11 +266,6 @@ class MpcController:
         self._z_bound = np.tile(np.maximum(-lo, hi), ell)
 
     @property
-    def policy_gain(self) -> GainPolicy:
-        """Greedy gain at F^(ell-1)(K): the unconstrained receding-horizon law."""
-        return self._policy_gain
-
-    @property
     def tail_cost(self) -> np.ndarray:
         """Infinite-horizon cost matrix of the unconstrained policy gain."""
         if self._tail_cost is None:
@@ -351,17 +344,17 @@ class MpcController:
         u = step.u0
         return step, float(x @ sys.Q @ x + u @ sys.R @ u), sys.A @ x + sys.B @ u
 
-    def simulate_cost(self, x0, ball_tol: Optional[float] = None) -> float:
+    def simulate_cost(self, x0) -> float:
         """Realized infinite-horizon closed-loop cost from x0 (inf if any
         step is infeasible).
 
         Simulates x+ = Ax + B u(x) accumulating stage costs until the state
-        is inside the terminal set with ||x|| below a small threshold, then
-        adds the quadratic tail of the unconstrained receding-horizon gain.
+        is inside the terminal set with ||x|| at most `_BALL_RTOL` times the
+        state box radius, then adds the quadratic tail of the unconstrained
+        receding-horizon gain.
         """
         x = np.asarray(x0, dtype=float).ravel()
-        if ball_tol is None:
-            ball_tol = 1e-6 * self.prob.box_radius
+        ball_tol = _BALL_RTOL * self.prob.box_radius
         total = 0.0
         prev: Optional[MpcStep] = None
         for _ in range(_SIM_CAP):
@@ -586,9 +579,9 @@ def boundary_points(
     design: TerminalDesign,
     ell: int,
     grid: CostMapGrid,
-    bisections: int = 5,
 ) -> np.ndarray:
-    """Feasibility-boundary refinement along grid edges (bisection)."""
+    """Feasibility-boundary refinement along grid edges (`_BISECTIONS`
+    bisection steps per edge)."""
     ctl = _controller(prob, design, ell)
 
     def feas(pt) -> bool:
@@ -607,7 +600,7 @@ def boundary_points(
                 a = np.array([grid.xs[ix], grid.ys[iy]])
                 b = np.array([grid.xs[jx], grid.ys[jy]])
                 fa = F[iy, ix]
-                for _ in range(bisections):
+                for _ in range(_BISECTIONS):
                     mid = 0.5 * (a + b)
                     if feas(mid) == fa:
                         a = mid

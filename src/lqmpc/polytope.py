@@ -1,10 +1,12 @@
 """Half-space polytope algebra and maximal invariant set computation.
 
-A polytope is stored as ``{x | Hx <= h}``.  The module provides containment
-and LP support queries, the maximal constraint-admissible positively
-invariant set of a stable linear loop (determined in finitely many steps by
-redundancy checks), exact 2-D areas by vertex enumeration + shoelace, and
-seeded Monte Carlo volume for higher dimensions.
+A polytope is stored as ``{x | Hx <= h}``.  Row i is a facet exactly when
+its polar point H_i / (h_i - H_i c) about an interior point c is a vertex of
+the polar points' convex hull (Qhull).  That one test removes redundant rows,
+decides when the maximal admissible invariant set of a stable linear loop is
+determined, and gives the 2-D vertices for exact areas (shoelace).  LPs give
+support values, bounding boxes and the Chebyshev centre; volume above 2-D is
+seeded Monte Carlo.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
 
 __all__ = [
     "FEAS_TOL",
@@ -35,6 +38,8 @@ FEAS_TOL = 1e-9
 LP_TOL = 1e-9
 
 _INVSET_CAP = 500
+# hit-and-run steps discarded before the first sample
+_HIT_AND_RUN_BURN = 20
 
 
 @dataclass(frozen=True)
@@ -134,37 +139,71 @@ def _support(P: HPolytope, c) -> float:
     return r.value
 
 
-def remove_redundancy(P: HPolytope, tol: float = LP_TOL) -> HPolytope:
-    """Drop half-spaces implied by the remaining ones."""
-    keep = list(range(P.nrows))
-    i = 0
-    while i < len(keep):
-        rows = keep[:i] + keep[i + 1 :]
-        if not rows:
-            break
-        r = lp_solve(P.H[keep[i]], HPolytope(P.H[rows], P.h[rows]))
-        if r.status == "optimal" and r.value <= P.h[keep[i]] + tol:
-            keep.pop(i)
-        else:
-            i += 1
+def _chebyshev_centre(P: HPolytope) -> Optional[np.ndarray]:
+    """Centre of the largest ball inside P, by one LP, or None when P has an
+    empty interior."""
+    res = linprog(
+        np.r_[np.zeros(P.dim), -1.0],
+        A_ub=np.hstack([P.H, np.linalg.norm(P.H, axis=1)[:, None]]),
+        b_ub=P.h,
+        bounds=[(None, None)] * P.dim + [(0, None)],
+        method="highs",
+    )
+    if res.status == 3:
+        raise ValueError("polytope is unbounded")
+    return res.x[: P.dim] if res.status == 0 and res.x[-1] > 0 else None
+
+
+def _polar_points(P: HPolytope) -> Optional[np.ndarray]:
+    """Polar point H_i / (h_i - H_i c) of each row about an interior point c,
+    the origin when h > 0; None when P has an empty interior."""
+    c = np.zeros(P.dim) if P.origin_interior() else _chebyshev_centre(P)
+    return None if c is None else P.H / (P.h - P.H @ c)[:, None]
+
+
+def _hull_rows(G: np.ndarray) -> np.ndarray:
+    """Sorted indices of the rows of G that are vertices of their convex hull
+    (in 1-D: the two extreme points), counting the last of identical rows.
+
+    For the polar points of a polytope these are its facet rows.  Raises
+    ValueError unless the origin is inside the hull (the polytope bounded).
+    """
+    _, first_reversed = np.unique(G[::-1], axis=0, return_index=True)
+    idx = np.sort(G.shape[0] - 1 - first_reversed)
+    pts = G[idx]
+    if G.shape[1] == 1:
+        verts = [np.argmin(pts[:, 0]), np.argmax(pts[:, 0])]
+        offsets = pts[verts, 0] * [1.0, -1.0]
+    else:
+        try:
+            hull = ConvexHull(pts)
+        except QhullError:  # the points span no full-dimensional hull
+            raise ValueError("polytope is unbounded") from None
+        verts, offsets = hull.vertices, hull.equations[:, -1]
+    # facets a'y + b <= 0 with unit a: -b is the origin's distance to each
+    if np.any(offsets >= -LP_TOL * np.abs(pts).max()):
+        raise ValueError("polytope is unbounded (origin not inside the polar hull)")
+    return np.sort(idx[verts])
+
+
+def remove_redundancy(P: HPolytope) -> HPolytope:
+    """Drop half-spaces implied by the remaining ones (of identical rows the
+    last stays).  Raises ValueError for an unbounded P or an empty interior."""
+    G = _polar_points(P)
+    if G is None:
+        raise ValueError("polytope has empty interior")
+    keep = _hull_rows(G)
     return HPolytope(P.H[keep], P.h[keep])
 
 
-def maximal_invariant_set(
-    closed_loop,
-    Xhat: HPolytope,
-    U: HPolytope,
-    L,
-    cap: int = _INVSET_CAP,
-) -> HPolytope:
+def maximal_invariant_set(closed_loop, Xhat: HPolytope, U: HPolytope, L) -> HPolytope:
     """Maximal constraint-admissible positively invariant set of x+ = Dx.
 
-    Returns S = {x | D^k x in Xhat and L D^k x in U for all k <= k_det}, where
-    D = closed_loop and k_det is the first step at which every newly generated
-    half-space is redundant with respect to the accumulated ones (each checked
-    by an LP); the redundant rows of S are then removed.  Finiteness of k_det
-    is guaranteed for stable D and compact constraint sets containing the
-    origin in their interior.
+    Returns S = {x | D^k x in Xhat and L D^k x in U for all k <= k_det}
+    without redundant rows, where D = closed_loop and k_det is the first step
+    whose new rows are all redundant given the accumulated ones (read from the
+    polar hull, so no LP is solved).  The offsets of Xhat and U must be
+    positive; k_det is finite for stable D and compact constraint sets.
     """
     D = np.atleast_2d(np.asarray(closed_loop, dtype=float))
     L = np.atleast_2d(np.asarray(getattr(L, "L", L), dtype=float))
@@ -173,74 +212,47 @@ def maximal_invariant_set(
         raise ValueError(f"closed loop unstable (spectral radius {sr:.6g})")
     if L.shape[1] != D.shape[0] or L.shape[0] != U.dim or Xhat.dim != D.shape[0]:
         raise ValueError("dimension mismatch between loop, gain and constraint sets")
-
-    def _drop_vacuous(Hm, hv):
-        # rows H_i = 0 encode 0 <= h_i: always true for h_i >= 0 (the offsets
-        # come from origin-interior sets), so they carry no constraint
-        norms = np.linalg.norm(Hm, axis=1)
-        dead = norms <= 1e-12
-        if np.any(hv[dead] < -LP_TOL):
-            raise ValueError("contradictory zero half-space produced")
-        return Hm[~dead], hv[~dead]
-
     base_h = np.concatenate([Xhat.h, U.h])
-    H0, h0 = _drop_vacuous(np.vstack([Xhat.H, U.H @ L]), base_h)
-    Hs = [H0]
-    hs = [h0]
+    if not np.all(base_h > 0):
+        raise ValueError("constraint offsets must be positive (origin in the interior)")
+    m = base_h.size
+    H, h = np.vstack([Xhat.H, U.H @ L]), base_h
     M = D.copy()
-    for _ in range(1, cap + 1):
-        cur = HPolytope(np.vstack(Hs), np.concatenate(hs))
-        candH, candh = _drop_vacuous(np.vstack([Xhat.H @ M, U.H @ L @ M]), base_h)
-        redundant = True
-        for i in range(candH.shape[0]):
-            if _support(cur, candH[i]) > candh[i] + LP_TOL:
-                redundant = False
-                break
-        if redundant:
-            return remove_redundancy(cur)
-        Hs.append(candH)
-        hs.append(candh)
+    for _ in range(_INVSET_CAP):
+        candH = np.vstack([Xhat.H @ M, U.H @ L @ M])
+        # candidates first: of identical rows the accumulated one counts; a
+        # zero row has polar point 0, inside the hull, and is never a facet
+        keep = _hull_rows(np.vstack([candH / base_h[:, None], H / h[:, None]]))
+        if keep[0] >= m:
+            return HPolytope(H[keep - m], h[keep - m])
+        H, h = np.vstack([H, candH]), np.concatenate([h, base_h])
         M = M @ D
     raise ArithmeticError(
-        f"invariant set not finitely determined within {cap} steps "
+        f"invariant set not finitely determined within {_INVSET_CAP} steps "
         "(closed loop may be marginally stable)"
     )
 
 
-def vertices_2d(P: HPolytope, tol: float = FEAS_TOL) -> np.ndarray:
+def vertices_2d(P: HPolytope) -> np.ndarray:
     """Counterclockwise vertex array of a bounded 2-D polytope.
 
-    Vertices are intersections of constraint pairs that satisfy all other
-    constraints; duplicates within tol are merged.  Empty interior yields an
-    empty array.
+    Each vertex is solved from two facet rows adjacent on the polar hull, in
+    index order.  Empty interior yields an empty array; an unbounded P raises
+    ValueError.
     """
     if P.dim != 2:
         raise ValueError("vertex enumeration implemented for dim = 2 only")
-    pts = []
-    H, h = P.H, P.h
-    for i in range(P.nrows):
-        for j in range(i + 1, P.nrows):
-            Aij = np.array([H[i], H[j]])
-            det = Aij[0, 0] * Aij[1, 1] - Aij[0, 1] * Aij[1, 0]
-            scale = max(np.abs(Aij).max(), 1.0)
-            if abs(det) < 1e-12 * scale * scale:
-                continue
-            v = np.linalg.solve(Aij, np.array([h[i], h[j]]))
-            if np.all(H @ v <= h + max(tol, 1e-7 * max(1.0, np.abs(v).max()))):
-                pts.append(v)
-    if not pts:
+    G = _polar_points(P)
+    if G is None:
         return np.zeros((0, 2))
-    pts = np.array(pts)
-    center = pts.mean(axis=0)
-    order = np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]))
-    pts = pts[order]
-    dedup = [pts[0]]
-    for p in pts[1:]:
-        if np.linalg.norm(p - dedup[-1]) > 1e-9 * max(1.0, np.abs(p).max()):
-            dedup.append(p)
-    if len(dedup) > 1 and np.linalg.norm(dedup[0] - dedup[-1]) <= 1e-9:
-        dedup.pop()
-    return np.array(dedup)
+    rows = _hull_rows(G)
+    # facets in polar-angle order; neighbours meet at a vertex
+    rows = rows[np.argsort(np.arctan2(G[rows, 1], G[rows, 0]))]
+    pairs = sorted(tuple(sorted(p)) for p in zip(rows, np.roll(rows, -1)))
+    V = np.array([np.linalg.solve(P.H[[i, j]], P.h[[i, j]]) for i, j in pairs])
+    # ordered by angle about the vertex mean, the mean summed in pair order
+    center = V.mean(axis=0)
+    return V[np.argsort(np.arctan2(V[:, 1] - center[1], V[:, 0] - center[0]))]
 
 
 def bounding_box(P: HPolytope) -> tuple[np.ndarray, np.ndarray]:
@@ -248,13 +260,8 @@ def bounding_box(P: HPolytope) -> tuple[np.ndarray, np.ndarray]:
 
     Raises ValueError when the polytope is unbounded or empty.
     """
-    lo = np.empty(P.dim)
-    hi = np.empty(P.dim)
-    for k in range(P.dim):
-        e = np.zeros(P.dim)
-        e[k] = 1.0
-        hi[k] = _support(P, e)
-        lo[k] = -_support(P, -e)
+    lo = np.array([-_support(P, -e) for e in np.eye(P.dim)])
+    hi = np.array([_support(P, e) for e in np.eye(P.dim)])
     return lo, hi
 
 
@@ -294,50 +301,35 @@ def volume(P: HPolytope, n_samples: int = 1_000_000, seed: int = 0) -> float:
     if P.dim == 1:
         return float(max(hi[0] - lo[0], 0.0))
     if P.dim == 2:
-        V = vertices_2d(P)
-        if len(V) < 3:
-            return 0.0
+        V = vertices_2d(P)  # empty for an empty interior: area 0
         x, y = V[:, 0], V[:, 1]
         return float(0.5 * abs(np.dot(x, np.roll(y, 1)) - np.dot(np.roll(x, 1), y)))
     return _volume_mc_in_box(P, lo, hi, n_samples, seed)[0]
 
 
-def sample_interior(P: HPolytope, n: int, seed: int = 0, burn: int = 20) -> np.ndarray:
-    """Hit-and-run samples from a bounded polytope (deterministic per seed)."""
+def sample_interior(P: HPolytope, n: int, seed: int = 0) -> np.ndarray:
+    """Hit-and-run samples from a bounded polytope (deterministic per seed),
+    started at its Chebyshev centre."""
     bounding_box(P)  # rejects an unbounded or empty P
     rng = np.random.default_rng(seed)
-    # Chebyshev-ish start: analytic center surrogate via LP on slack.
-    H, h = P.H, P.h
-    norms = np.linalg.norm(H, axis=1)
-    res = linprog(
-        np.r_[np.zeros(P.dim), -1.0],
-        A_ub=np.hstack([H, norms[:, None]]),
-        b_ub=h,
-        bounds=[(None, None)] * P.dim + [(0, None)],
-        method="highs",
-    )
-    if res.status != 0 or res.x[-1] <= 0:
+    x = _chebyshev_centre(P)
+    if x is None:
         raise ValueError("polytope has empty interior")
-    x = res.x[: P.dim]
+    H, h = P.H, P.h
     out = np.empty((n, P.dim))
-    total = burn + n
-    for it in range(total):
+    for it in range(_HIT_AND_RUN_BURN + n):
         d = rng.normal(size=P.dim)
         d /= np.linalg.norm(d)
         Hd = H @ d
         slack = h - H @ x
-        tmax = np.inf
-        tmin = -np.inf
         pos = Hd > 1e-14
         neg = Hd < -1e-14
-        if np.any(pos):
-            tmax = np.min(slack[pos] / Hd[pos])
-        if np.any(neg):
-            tmin = np.max(slack[neg] / Hd[neg])
+        tmax = np.min(slack[pos] / Hd[pos], initial=np.inf)
+        tmin = np.max(slack[neg] / Hd[neg], initial=-np.inf)
         if not (np.isfinite(tmax) and np.isfinite(tmin)):
             raise ValueError("polytope unbounded along sampled direction")
         t = rng.uniform(tmin, tmax)
         x = x + t * d
-        if it >= burn:
-            out[it - burn] = x
+        if it >= _HIT_AND_RUN_BURN:
+            out[it - _HIT_AND_RUN_BURN] = x
     return out

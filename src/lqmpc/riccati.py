@@ -100,9 +100,11 @@ class LqSystem:
         # unpickled arrays are writable again, so the pair is solved afresh
         return {k: v for k, v in self.__dict__.items() if k != "optimal"}
 
-    def with_input_weight(self, R_new) -> "LqSystem":
-        """Same dynamics and state cost, different input weight."""
-        return LqSystem(self.A, self.B, self.Q, R_new)
+    def amplified(self, zeta: float) -> "LqSystem":
+        """The same system with input weight zeta * R, for zeta >= 1."""
+        if zeta < 1.0:
+            raise ValueError(f"zeta must be >= 1, got {zeta}")
+        return LqSystem(self.A, self.B, self.Q, zeta * self.R)
 
 
 @dataclass(frozen=True)
@@ -223,9 +225,7 @@ def zeta_dare(sys: LqSystem, zeta: float) -> np.ndarray:
     yields a larger cost matrix whose greedy control is weaker.  The result
     lies in the region of decreasing of the original system.
     """
-    if zeta < 1.0:
-        raise ValueError(f"zeta must be >= 1, got {zeta}")
-    K, _ = solve_dare(sys.with_input_weight(zeta * sys.R))
+    K, _ = solve_dare(sys.amplified(zeta))
     return K
 
 

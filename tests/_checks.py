@@ -23,7 +23,9 @@ from lqmpc import (
     induced_two_norm,
     in_region_of_decreasing,
     iterate_bellman,
+    lp_solve,
     GainPolicy,
+    HPolytope,
     MpcController,
     monotone_bound,
     mpc_policy,
@@ -279,3 +281,80 @@ def lp_verdicts(args):
     prob, design, ell, points = args
     ctl = MpcController(prob, design, ell)
     return [solve_qp(ctl.qp_at(x0)).status != "infeasible" for x0 in points]
+
+
+# ---------------------------------------------------------------------------
+# LP references for the polytope layer: one LP per row, the algorithms the
+# polar-hull code replaced
+# ---------------------------------------------------------------------------
+
+LP_TOL = 1e-9
+
+
+def lp_remove_redundancy(P, tol=LP_TOL):
+    """Drop, in index order, each row whose support over the remaining rows
+    is at most its offset + tol (so of identical rows the last stays)."""
+    keep = list(range(P.nrows))
+    i = 0
+    while i < len(keep):
+        rows = keep[:i] + keep[i + 1:]
+        if not rows:
+            break
+        r = lp_solve(P.H[keep[i]], HPolytope(P.H[rows], P.h[rows]))
+        if r.status == "optimal" and r.value <= P.h[keep[i]] + tol:
+            keep.pop(i)
+        else:
+            i += 1
+    return HPolytope(P.H[keep], P.h[keep])
+
+
+def lp_maximal_invariant_set(D, Xhat, U, L, cap=500):
+    """O-infinity with k_det found by one support LP per new row: the first
+    step whose rows all have support over the accumulated set within LP_TOL
+    of their offsets; returns the accumulated set after lp_remove_redundancy."""
+    base_h = np.concatenate([Xhat.h, U.h])
+
+    def live(Hm):
+        keep = np.linalg.norm(Hm, axis=1) > 1e-12
+        return Hm[keep], base_h[keep]
+
+    H, h = live(np.vstack([Xhat.H, U.H @ L]))
+    M = D.copy()
+    for _ in range(cap):
+        cur = HPolytope(H, h)
+        candH, candh = live(np.vstack([Xhat.H @ M, U.H @ L @ M]))
+        if all(lp_solve(candH[i], cur).value <= candh[i] + LP_TOL
+               for i in range(candh.size)):
+            return lp_remove_redundancy(cur)
+        H, h = np.vstack([H, candH]), np.concatenate([h, candh])
+        M = M @ D
+    raise ArithmeticError(f"not determined within {cap} steps")
+
+
+def pairwise_vertices_2d(P, tol=1e-9):
+    """Vertices of a bounded 2-D polytope from every pair of rows: the pair's
+    intersection when it satisfies all rows, sorted by angle about the mean
+    of those points, with near-duplicates merged."""
+    pts = []
+    H, h = P.H, P.h
+    for i, j in itertools.combinations(range(P.nrows), 2):
+        Aij = np.array([H[i], H[j]])
+        det = Aij[0, 0] * Aij[1, 1] - Aij[0, 1] * Aij[1, 0]
+        scale = max(np.abs(Aij).max(), 1.0)
+        if abs(det) < 1e-12 * scale * scale:
+            continue
+        v = np.linalg.solve(Aij, np.array([h[i], h[j]]))
+        if np.all(H @ v <= h + max(tol, 1e-7 * max(1.0, np.abs(v).max()))):
+            pts.append(v)
+    if not pts:
+        return np.zeros((0, 2))
+    pts = np.array(pts)
+    center = pts.mean(axis=0)
+    pts = pts[np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]))]
+    dedup = [pts[0]]
+    for p in pts[1:]:
+        if np.linalg.norm(p - dedup[-1]) > 1e-9 * max(1.0, np.abs(p).max()):
+            dedup.append(p)
+    if len(dedup) > 1 and np.linalg.norm(dedup[0] - dedup[-1]) <= 1e-9:
+        dedup.pop()
+    return np.array(dedup)

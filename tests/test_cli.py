@@ -224,6 +224,18 @@ def test_usage_error_exit_code():
     assert main(["bounds", "--scenario", "no-such-scenario"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--scenario", "di-2d", "--zeta", "0.5"], "zeta must be >= 1, got 0.5"),
+    (["terminal-set", "--scenario", "di-2d", "--zeta", "5,0.5"], "zeta must be >= 1, got 0.5"),
+    (["region", "--scenario", "ac-4d", "--grid", "3"], "grid sweeps need a 2-D state"),
+    (["region", "--scenario", "di-2d", "--grid", "0"], "grid resolution must be at least 2"),
+    (["submap", "--scenario", "di-2d", "--grid", "1"], "grid resolution must be at least 2"),
+])
+def test_input_errors_exit_2_with_an_error_line(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bounds"])  # missing required --scenario

@@ -3,6 +3,8 @@ volumes, and the maximal constraint-admissible invariant set."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqmpc import (
     HPolytope,
@@ -20,7 +22,12 @@ from lqmpc import (
     zeta_dare,
 )
 from conftest import ZEFF_2D
-from _checks import check_terminal_invariance
+from _checks import (
+    check_terminal_invariance,
+    lp_maximal_invariant_set,
+    lp_remove_redundancy,
+    pairwise_vertices_2d,
+)
 
 BOX5 = HPolytope.symmetric_box([5.0, 5.0])
 UNIT_SQUARE = HPolytope.box(np.zeros(2), np.ones(2))
@@ -297,6 +304,137 @@ def test_invariant_set_subset_of_state_box(di2d_design_eff, di2d_sets):
     Xhat, _ = di2d_sets
     for v in vertices_2d(di2d_design_eff.S):
         assert contains(Xhat, v)
+
+
+# ---------------------------------------------------------------------------
+# polar-hull path against the LP and pair-loop references
+# ---------------------------------------------------------------------------
+
+def _assert_same_rows(P, Q):
+    assert P.H.shape == Q.H.shape
+    assert np.array_equal(P.H, Q.H) and np.array_equal(P.h, Q.h)
+
+
+def _assert_invariant_set_matches_lp(prob, zeta):
+    gain = _zeta_design_gain(prob.sys, zeta)
+    S = maximal_invariant_set(gain.closed_loop, prob.Xhat, prob.U, gain.L)
+    _assert_same_rows(S, lp_maximal_invariant_set(gain.closed_loop, prob.Xhat, prob.U, gain.L))
+    return S
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(1.0, 60.0))
+def test_invariant_set_matches_lp_reference_di2d(di2d_prob, zeta):
+    S = _assert_invariant_set_matches_lp(di2d_prob, zeta)
+    V = vertices_2d(S)
+    W = pairwise_vertices_2d(S)
+    assert V.shape == W.shape and np.array_equal(V, W)
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.floats(1.0, 14.0))
+def test_invariant_set_matches_lp_reference_ac4d(ac4d_prob, zeta):
+    _assert_invariant_set_matches_lp(ac4d_prob, zeta)
+
+
+def test_invariant_set_1d_matches_lp_reference():
+    # x+ = -0.9 x flips the sign, so the lower state bound produces a new
+    # facet at step 1 (x <= 1/0.9) and k_det is 2
+    Xhat = HPolytope.box([-1.0], [3.0])
+    U = HPolytope.symmetric_box([2.0])
+    D, L = np.array([[-0.9]]), np.array([[-0.5]])
+    S = maximal_invariant_set(D, Xhat, U, L)
+    _assert_same_rows(S, lp_maximal_invariant_set(D, Xhat, U, L))
+    np.testing.assert_allclose(S.h / np.abs(S.H[:, 0]), [1.0, 1.0 / 0.9])  # -1 <= x <= 1/0.9
+
+
+def test_invariant_set_candidate_identical_to_accumulated_row():
+    # the shift x+ = (x2, 0) maps the box rows onto box rows: step 1 adds
+    # nothing, and the rows keep the box's order
+    D = np.array([[0.0, 1.0], [0.0, 0.0]])
+    S = maximal_invariant_set(D, BOX5, HPolytope.symmetric_box([1.0]), np.zeros((1, 2)))
+    _assert_same_rows(S, BOX5)
+
+
+def test_duplicate_row_keeps_the_later_copy():
+    # the last row is the first one scaled by 2: the same polar point
+    P = HPolytope(np.vstack([BOX5.H, [[2.0, 0.0]]]), np.r_[BOX5.h, 10.0])
+    kept = remove_redundancy(P)
+    _assert_same_rows(kept, HPolytope(P.H[1:], P.h[1:]))
+    _assert_same_rows(kept, lp_remove_redundancy(P))
+
+
+def test_invariant_set_solves_no_lp(monkeypatch, di2d_prob, ac4d_prob):
+    from lqmpc import polytope
+
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(polytope, "lp_solve", counting(polytope.lp_solve))
+    monkeypatch.setattr(polytope, "linprog", counting(polytope.linprog))
+    for prob, zeta in ((di2d_prob, ZEFF_2D), (ac4d_prob, 8.0)):
+        maximal_invariant_set(*_design_args(prob.sys, zeta, prob.Xhat, prob.U))
+    assert calls == []
+
+
+def test_origin_outside_uses_one_lp(monkeypatch):
+    from lqmpc import polytope
+
+    # [10, 12] x [3, 4] with a redundant cut x1 + x2 <= 20 in the middle
+    P = HPolytope(
+        np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+        np.array([12.0, 4.0, 20.0, -10.0, -3.0]),
+    )
+    reference = lp_remove_redundancy(P)
+    calls = []
+    linprog = polytope.linprog
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "linprog", counting_linprog)
+    kept = remove_redundancy(P)
+    V = vertices_2d(P)
+    assert len(calls) == 2  # one Chebyshev centre each
+    _assert_same_rows(kept, reference)
+    _assert_same_rows(kept, HPolytope(P.H[[0, 1, 3, 4]], P.h[[0, 1, 3, 4]]))
+    np.testing.assert_array_equal(V, pairwise_vertices_2d(P))
+    np.testing.assert_allclose(V, [[10.0, 3.0], [12.0, 3.0], [12.0, 4.0], [10.0, 4.0]])
+
+
+STRIP = HPolytope(np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]]), np.array([1.0, 1.0, 1.0]))
+SEGMENT = HPolytope(
+    np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.array([1.0, 1.0, 0.0, 0.0])
+)
+
+
+@pytest.mark.parametrize("P", [
+    STRIP,  # origin interior, unbounded to the left
+    HPolytope(np.array([[1.0, 0.0]]), np.array([-1.0])),  # half-plane off the origin
+    HPolytope(np.array([[1.0]]), np.array([1.0])),  # 1-D half-line
+    SEGMENT,  # empty interior
+    HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0])),  # empty
+], ids=["strip", "half-plane", "half-line", "segment", "empty"])
+def test_remove_redundancy_rejects_unbounded_or_flat(P):
+    with pytest.raises(ValueError):
+        remove_redundancy(P)
+
+
+def test_unbounded_inputs_raise_elsewhere(di2d_sets):
+    _, U = di2d_sets
+    with pytest.raises(ValueError):
+        vertices_2d(STRIP)
+    with pytest.raises(ValueError):  # state set unbounded
+        maximal_invariant_set(0.5 * np.eye(2), STRIP, U, np.zeros((1, 2)))
+    with pytest.raises(ValueError):  # origin on the boundary
+        maximal_invariant_set(0.5 * np.eye(2), SEGMENT, U, np.zeros((1, 2)))
+    assert len(vertices_2d(SEGMENT)) == 0
 
 
 # ---------------------------------------------------------------------------
