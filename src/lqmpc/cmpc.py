@@ -21,7 +21,7 @@ import numpy as np
 
 from .matcore import symmetrize
 from .polytope import HPolytope, bounding_box, contains, lp_solve, maximal_invariant_set
-from .qp import QpProblem, QpSolution, solve_qp
+from .qp import QP_COMP_TOL, QP_DUAL_TOL, QP_FEAS_TOL, QpProblem, QpSolution, solve_qp
 from .riccati import (
     GainPolicy,
     LqSystem,
@@ -153,8 +153,6 @@ class MpcStep:
     feasible: bool
     u0: Optional[np.ndarray]
     value: float
-    z: Optional[np.ndarray] = field(default=None, repr=False)
-    x_terminal: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 class MpcController:
@@ -169,7 +167,10 @@ class MpcController:
     empty active set in explicit MPC).  A query inside that polytope (with
     slack 1e-10) is answered by Z x0 directly, since it is then the QP
     optimum by strict convexity, which makes closed-loop tails cheap.  Any
-    other query derives its QP from the template by its affine parts alone.
+    other query derives its QP from the template by its affine parts alone
+    (reusing the template's factor of P), and the QP's dual active-set
+    method starts from the same point, -P^-1 q = Z x0.  A QP result that
+    misses the KKT gate raises ArithmeticError naming the residual.
 
     The controller also keeps the infeasibility certificates of its own
     earlier solves.  G does not depend on x0 and g(x0) = g_const + g_map x0,
@@ -234,8 +235,6 @@ class MpcController:
         G = np.vstack(G_rows)
         self._g_map = np.vstack(gmap_rows)  # g = g_const + g_map @ x0
         self._g_const = np.concatenate(gconst_rows)
-        self._Gamma = Gamma
-        self._Phi = Phi
         self._qp = QpProblem(P=P, q=np.zeros(ell * m), G=G, g=self._g_const)
 
         # unconstrained finite-horizon solution: the gain ladder (greedy at
@@ -272,18 +271,6 @@ class MpcController:
             self._tail_cost = closed_loop_cost(self.prob.sys, self._policy_gain)
         return self._tail_cost
 
-    def shift_candidate(self, step: MpcStep) -> Optional[np.ndarray]:
-        """Horizon-shifted feasible candidate for the successor state: drop
-        the first control, append the terminal gain's move (feasible because
-        the terminal set is invariant under that gain)."""
-        if step.z is None or step.x_terminal is None:
-            return None
-        m = self.prob.sys.m
-        out = np.empty_like(step.z)
-        out[:-m] = step.z[m:]
-        out[-m:] = self.design.gain.L @ step.x_terminal
-        return out
-
     def qp_at(self, x0) -> QpProblem:
         x0 = np.asarray(x0, dtype=float).ravel()
         return self._qp.with_linear_terms(
@@ -292,31 +279,29 @@ class MpcController:
             objective_offset=float(x0 @ self._off_map @ x0),
         )
 
-    def solve(self, x0, z_warm: Optional[np.ndarray] = None) -> MpcStep:
+    def solve(self, x0) -> MpcStep:
         x0 = np.asarray(x0, dtype=float).ravel()
         if np.all(self._H_u @ x0 <= self._h_u):
             # the first move as the policy gain rounds it; (Z x0)[:m] is the
             # same move, rounded by a longer product
-            u0 = self._policy_gain.L @ x0
-            z_unc = self._Z @ x0
-            z_unc[: u0.size] = u0
             value = float(x0 @ self._value_matrix @ x0)
-            return MpcStep(True, u0, value, z_unc, self._T @ x0)
+            return MpcStep(True, self._policy_gain.L @ x0, value)
         if self._cert_b.size and np.max(self._cert_a @ x0 + self._cert_b) > _CERT_MARGIN:
-            return MpcStep(False, None, math.inf, None)
-        sol: QpSolution = solve_qp(self.qp_at(x0), z0=z_warm)
+            return MpcStep(False, None, math.inf)
+        sol: QpSolution = solve_qp(self.qp_at(x0))
         if sol.status == "infeasible":
             self._keep_certificate(sol.farkas)
-            return MpcStep(False, None, math.inf, None)
+            return MpcStep(False, None, math.inf)
         if sol.status != "optimal":
+            over = [f"{name} residual {val:.2e} > {tol:.0e}" for name, val, tol in (
+                ("primal", sol.primal_residual, QP_FEAS_TOL),
+                ("dual", sol.dual_residual, QP_DUAL_TOL),
+                ("complementarity", sol.comp_residual, QP_COMP_TOL)) if not val <= tol]
             raise ArithmeticError(
-                f"QP did not converge (status {sol.status}, "
-                f"primal {sol.primal_residual:.2e}, dual {sol.dual_residual:.2e})"
+                f"QP at x0 = {x0.tolist()} is not solved (status {sol.status}"
+                f"{': ' if over else ''}{', '.join(over)}, after {sol.iterations} iterations)"
             )
-        n, m = self.prob.sys.n, self.prob.sys.m
-        sl = slice(self.ell * n, (self.ell + 1) * n)
-        x_term = self._Phi[sl] @ x0 + self._Gamma[sl] @ sol.z
-        return MpcStep(True, sol.z[:m].copy(), sol.objective, sol.z, x_term)
+        return MpcStep(True, sol.z[: self.prob.sys.m].copy(), sol.objective)
 
     def _keep_certificate(self, y: np.ndarray) -> None:
         """Store the verified Farkas vector y of an infeasible QP as one row.
@@ -332,12 +317,10 @@ class MpcController:
         self._cert_a = np.vstack([self._cert_a, -(self._g_map.T @ y) / s])
         self._cert_b = np.append(self._cert_b, -(self._g_const @ y + slack) / s)
 
-    def _move(self, x, prev: Optional[MpcStep]) -> tuple[MpcStep, float, Optional[np.ndarray]]:
-        """One closed-loop move from x, warm-started from the previous step
-        shifted: (step, stage cost, successor state), or (step, inf, None)
-        when the step is infeasible."""
-        warm = self.shift_candidate(prev) if prev is not None else None
-        step = self.solve(x, z_warm=warm)
+    def _move(self, x) -> tuple[MpcStep, float, Optional[np.ndarray]]:
+        """One closed-loop move from x: (step, stage cost, successor state),
+        or (step, inf, None) when the step is infeasible."""
+        step = self.solve(x)
         if not step.feasible:
             return step, math.inf, None
         sys = self.prob.sys
@@ -356,12 +339,11 @@ class MpcController:
         x = np.asarray(x0, dtype=float).ravel()
         ball_tol = _BALL_RTOL * self.prob.box_radius
         total = 0.0
-        prev: Optional[MpcStep] = None
         for _ in range(_SIM_CAP):
             if contains(self.design.S, x) and float(np.linalg.norm(x)) <= ball_tol:
                 return total + float(x @ self.tail_cost @ x)
-            prev, stage, x = self._move(x, prev)
-            if not prev.feasible:
+            step, stage, x = self._move(x)
+            if not step.feasible:
                 return math.inf
             total += stage
         raise ArithmeticError(
@@ -373,14 +355,13 @@ class MpcController:
         max_steps steps, stopping early only on an infeasible step."""
         x = np.asarray(x0, dtype=float).ravel()
         out = []
-        prev: Optional[MpcStep] = None
         for k in range(max_steps):
-            step, stage, x_next = self._move(x, prev)
+            step, stage, x_next = self._move(x)
             out.append({"k": k, "x": x.copy(), "u": step.u0, "stage": stage,
                         "value": step.value, "feasible": step.feasible})
             if not step.feasible:
                 break
-            x, prev = x_next, step
+            x = x_next
         return out
 
 

@@ -293,17 +293,21 @@ def volume_mc(P: HPolytope, n_samples: int = 1_000_000, seed: int = 0) -> tuple[
 def volume(P: HPolytope, n_samples: int = 1_000_000, seed: int = 0) -> float:
     """Volume of a bounded polytope.
 
-    dim = 2: exact area (vertex enumeration + shoelace).
-    dim >= 3: Monte Carlo over the bounding box (use `volume_mc` to get the
-    standard error as well).  dim = 1: interval length.
+    dim = 2: exact area (vertex enumeration + shoelace), with no LP when the
+    origin is interior.  dim >= 3: Monte Carlo over the bounding box (use
+    `volume_mc` to get the standard error as well).  dim = 1: interval
+    length.  Raises ValueError for an unbounded or empty P.
     """
+    if P.dim == 2:
+        V = vertices_2d(P)  # rejects an unbounded P with an interior
+        if V.size == 0:
+            bounding_box(P)  # no interior: rejects an unbounded or empty P
+            return 0.0
+        x, y = V[:, 0], V[:, 1]
+        return float(0.5 * abs(np.dot(x, np.roll(y, 1)) - np.dot(np.roll(x, 1), y)))
     lo, hi = bounding_box(P)  # also rejects an unbounded or empty P
     if P.dim == 1:
         return float(max(hi[0] - lo[0], 0.0))
-    if P.dim == 2:
-        V = vertices_2d(P)  # empty for an empty interior: area 0
-        x, y = V[:, 0], V[:, 1]
-        return float(0.5 * abs(np.dot(x, np.roll(y, 1)) - np.dot(np.roll(x, 1), y)))
     return _volume_mc_in_box(P, lo, hi, n_samples, seed)[0]
 
 

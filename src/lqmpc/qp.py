@@ -1,48 +1,54 @@
-"""Dense convex quadratic programming.
+"""Dense strictly convex quadratic programming.
 
 minimize    0.5 z'Pz + q'z         (+ a fixed offset, for reporting)
 subject to  G z <= g,   E z = e
 
-The solver is a primal active-set method for (strictly) convex dense
-problems: a Phase-1 LP supplies a feasible start (or a Farkas certificate of
-infeasibility), then equality-constrained subproblems are solved on a working
-set until all multipliers are nonnegative.  Optimal returns carry certified
-KKT residuals; infeasible returns carry a Farkas vector that is verified
-before it is returned.
+The solver is the dual active-set method of Goldfarb and Idnani (Math.
+Programming 27, 1983).  It starts at the unconstrained minimiser -P^-1 q
+(for a condensed MPC query, the unconstrained MPC solution Z x0), adds E's
+rows, which never leave, then the most violated row of G, one at a time; a
+row whose multiplier would turn negative leaves.  Every iterate is dual
+feasible, so the first that violates no row is optimal: no feasible start
+is needed.  A violated row that no dual step can add proves infeasibility,
+which a Phase-1 LP confirms with a verified Farkas vector (if that LP finds
+a feasible point instead, the solver raises ArithmeticError).  An optimal
+return passes a KKT gate: primal, dual and complementarity residuals,
+relative to max(1, |q|_inf, |g|_inf), within QP_FEAS_TOL, QP_DUAL_TOL and
+QP_COMP_TOL; a solution that misses it has the status "inaccurate".
 
-A `QpProblem` validates its Hessian (positive semidefinite) once, at
-construction.  Problems that share P, G and E with a validated one, such as
-the per-state QPs of one MPC controller, are derived from it by
-`QpProblem.with_linear_terms` without repeating that check.
+A `QpProblem` validates and factors its Hessian once, at construction.
+Problems that share P, G and E with it, such as the per-state QPs of one
+MPC controller, are derived by `QpProblem.with_linear_terms`, which reuses
+the check and the factor.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import qr as scipy_qr
+from scipy.linalg import solve_triangular
 from scipy.optimize import linprog
 
 from .matcore import symmetrize
 
-__all__ = [
-    "QP_FEAS_TOL",
-    "QP_DUAL_TOL",
-    "QP_COMP_TOL",
-    "QpProblem",
-    "QpSolution",
-    "solve_qp",
-]
+__all__ = ["QP_FEAS_TOL", "QP_DUAL_TOL", "QP_COMP_TOL", "QpProblem", "QpSolution",
+           "solve_qp"]
 
 QP_FEAS_TOL = 1e-8
 QP_DUAL_TOL = 1e-8
 QP_COMP_TOL = 1e-8
 
 _TIKHONOV = 1e-10
-_ACT_TOL = 1e-9
+# a row counts as violated when it exceeds its offset by more than this,
+# relative to max(1, |q|_inf, |g|_inf)
+_VIOL_TOL = 1e-12
+# a row lies in the span of the active rows when the part of J'n outside
+# their span is at most this fraction of |J'n|
+_SPAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,9 +62,12 @@ class QpProblem:
     E: np.ndarray = field(default=None)  # type: ignore[assignment]
     e: np.ndarray = field(default=None)  # type: ignore[assignment]
     objective_offset: float = 0.0
-    # smallest eigenvalue of P and the 2-norms of G's rows, computed once
+    # computed once: the smallest eigenvalue of P, the 2-norms of G's rows,
+    # and J = L^-T for the Cholesky factor L of P (of P + _TIKHONOV I when P
+    # is nearly singular), so that J'PJ = I and JJ' = P^-1
     min_eig: float = field(init=False, repr=False, compare=False)
     row_scale: np.ndarray = field(init=False, repr=False, compare=False)
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         P = symmetrize(self.P)
@@ -82,9 +91,18 @@ class QpProblem:
         lam = np.linalg.eigvalsh(P) if n else np.zeros(1)
         if lam[0] < -1e-9 * max(1.0, abs(lam[0]), abs(lam[-1])):
             raise ValueError("P must be positive semidefinite")
+        P_reg = P + _TIKHONOV * np.eye(n) if lam[0] < _TIKHONOV else P
+        try:
+            L = np.linalg.cholesky(P_reg)
+            J = solve_triangular(L, np.eye(n), lower=True, check_finite=False).T
+        except np.linalg.LinAlgError:
+            # too ill-conditioned for Cholesky (a long horizon of an unstable
+            # system): eigenvalues clipped at _TIKHONOV; the KKT gate judges
+            w, V = np.linalg.eigh(P_reg)
+            J = V / np.sqrt(np.maximum(w, _TIKHONOV))
         for name, val in (("P", P), ("q", q), ("G", G), ("g", g), ("E", E), ("e", e),
                           ("min_eig", float(lam[0])),
-                          ("row_scale", np.linalg.norm(G, axis=1))):
+                          ("row_scale", np.linalg.norm(G, axis=1)), ("factor", J)):
             object.__setattr__(self, name, val)
 
     @property
@@ -94,8 +112,8 @@ class QpProblem:
     def with_linear_terms(self, q, g, objective_offset: float = 0.0) -> "QpProblem":
         """The same P, G, E and e with a new q, g and offset.
 
-        P was validated when this problem was built, so the derived problem
-        skips that check along with the rest of the set-up.
+        P was validated and factored when this problem was built, so the
+        derived problem skips that along with the rest of the set-up.
         """
         q = np.asarray(q, dtype=float).ravel()
         g = np.asarray(g, dtype=float).ravel()
@@ -109,11 +127,12 @@ class QpProblem:
 
 @dataclass(frozen=True)
 class QpSolution:
-    status: str  # "optimal" | "infeasible" | "max_iter"
+    status: str  # "optimal" | "infeasible" | "inaccurate" | "max_iter"
     z: Optional[np.ndarray]
     duals_ineq: Optional[np.ndarray]
     duals_eq: Optional[np.ndarray]
     objective: float
+    # KKT residuals relative to max(1, |q|_inf, |g|_inf)
     primal_residual: float
     dual_residual: float
     comp_residual: float
@@ -185,194 +204,172 @@ def _farkas_residuals(p: QpProblem, farkas: np.ndarray) -> tuple[float, float]:
 
 
 def _kkt_residuals(p: QpProblem, z, mu, nu) -> tuple[float, float, float]:
-    r_prim = 0.0
-    if p.g.size:
-        r_prim = max(r_prim, float(np.max(p.G @ z - p.g)))
-    if p.e.size:
-        r_prim = max(r_prim, float(np.max(np.abs(p.E @ z - p.e))))
-    grad = p.P @ z + p.q
-    if p.g.size:
-        grad = grad + p.G.T @ mu
-    if p.e.size:
-        grad = grad + p.E.T @ nu
-    r_dual = float(np.linalg.norm(grad, np.inf)) if grad.size else 0.0
-    r_comp = 0.0
-    if p.g.size:
-        r_comp = float(np.max(np.abs(mu * (p.G @ z - p.g))))
-    return max(r_prim, 0.0), r_dual, r_comp
+    """Primal, dual and complementarity residuals of (z, mu, nu), relative
+    to max(1, |q|_inf, |g|_inf)."""
+    slack = p.G @ z - p.g
+    r_prim = max(float(np.max(slack, initial=0.0)),
+                 float(np.max(np.abs(p.E @ z - p.e), initial=0.0)))
+    grad = p.P @ z + p.q + p.G.T @ mu + p.E.T @ nu
+    r_dual = float(np.max(np.abs(grad), initial=0.0))
+    r_comp = float(np.max(np.abs(mu * slack), initial=0.0))
+    scale = _kkt_scale(p)
+    return r_prim / scale, r_dual / scale, r_comp / scale
 
 
-def _independent_rows(M: np.ndarray) -> list[int]:
-    """Indices of a maximal linearly independent subset of M's rows
-    (pivoted QR on the transpose)."""
-    if M.shape[0] == 0:
-        return []
-    _, R, piv = scipy_qr(M.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] <= 0.0:
-        return []
-    rank = int(np.sum(diag > max(M.shape) * np.finfo(float).eps * diag[0]))
-    return sorted(int(i) for i in piv[:rank])
+def _kkt_scale(p: QpProblem) -> float:
+    return max(1.0, float(np.max(np.abs(p.q), initial=0.0)),
+               float(np.max(np.abs(p.g), initial=0.0)))
 
 
-def _null_space_step(P, grad, C, n):
-    """Minimizing step restricted to {s : Cs = 0}.
+def _dual_active_set(p: QpProblem):
+    """Goldfarb-Idnani iterations from the unconstrained minimiser.
 
-    Computed through a complete QR of C', so the returned step satisfies
-    C @ step = 0 to machine precision (raw KKT solves drift off the working
-    set when it is large and ill-conditioned, which stalls the outer loop).
+    Returns (z, mu, nu, iterations, blocked): blocked is None when z is
+    optimal, "cap" (with zero multipliers) when the iteration cap is
+    reached, and otherwise the index in [G; E] of a violated row that no
+    dual step can add, which proves the problem infeasible.
+
+    The active rows N, each oriented as an upper bound, are kept with
+    J'PJ = I, J1'N = R upper triangular and J2'N = 0 for J = [J1 J2], J1
+    with one column per active row.  A candidate row c then moves z along
+    -J2 J2'c and the active multipliers along -R^-1 J1'c.
     """
-    k = C.shape[0]
-    if k == 0:
-        Z = np.eye(n)
-    else:
-        Qf, _ = np.linalg.qr(C.T, mode="complete")
-        Z = Qf[:, k:]
-    if Z.shape[1] == 0:
-        return np.zeros(n)
-    H = Z.T @ P @ Z
-    rhs = -(Z.T @ grad)
-    try:
-        y = np.linalg.solve(H, rhs)
-        # one round of iterative refinement; the reduced Hessian of a long
-        # condensed horizon can be very ill-conditioned
-        y += np.linalg.solve(H, rhs - H @ y)
-    except np.linalg.LinAlgError:
-        y, *_ = np.linalg.lstsq(H, rhs, rcond=None)
-    return Z @ y
+    n, mi, me = p.n, p.g.size, p.e.size
+    J = p.factor.copy()
+    R = np.zeros((n, n))
+    u = np.zeros(n)  # multipliers of the oriented active rows
+    rows: list[int] = []  # their indices in [G; E]
+    signs: list[float] = []  # -1 for an E row taken as -E_i z <= -e_i
+    z = -(J @ (J.T @ p.q))
+    tol = _VIOL_TOL * _kkt_scale(p)
+    n_eq = 0  # E rows come first among the active rows and never leave
+    iters, cap = 0, 50 + 10 * (mi + me + n)
 
+    def drop(l: int) -> None:
+        # delete column l of R and rotate R back to triangular, applying the
+        # same rotations to J's columns
+        k = len(rows)
+        R[:k, l:k - 1] = R[:k, l + 1:k]
+        R[:k, k - 1] = 0.0
+        for i in range(l, k - 1):
+            a, c = R[i, i], R[i + 1, i]
+            h = math.hypot(a, c)
+            if h > 0.0:
+                rot = np.array([[a / h, c / h], [-c / h, a / h]])
+                R[i:i + 2, i:k - 1] = rot @ R[i:i + 2, i:k - 1]
+                J[:, i:i + 2] = J[:, i:i + 2] @ rot.T
+        u[l:k - 1] = u[l + 1:k]
+        u[k - 1] = 0.0
+        del rows[l], signs[l]
 
-def solve_qp(p: QpProblem, z0: Optional[np.ndarray] = None, max_iter: int = 0) -> QpSolution:
-    """Solve the QP by a primal active-set method.
-
-    `z0` may supply a feasible warm start (verified; ignored when violated).
-    Returns status "optimal" with certified KKT residuals, "infeasible" with
-    a verified Farkas certificate, or "max_iter" with the last iterate's
-    residuals.
-    """
-    n = p.n
-    P = p.P
-    regularized = False
-    if n and p.min_eig < _TIKHONOV:
-        P = P + _TIKHONOV * np.eye(n)
-        regularized = True
-    mi, me = p.g.size, p.e.size
-    if max_iter <= 0:
-        max_iter = 50 + 10 * (mi + me + n)
-
-    if z0 is not None:
-        z0 = np.asarray(z0, dtype=float).ravel()
-        ok = z0.size == n
-        if ok and mi:
-            Gz0 = p.G @ z0
-            ok = bool(np.all(Gz0 <= p.g + QP_FEAS_TOL))
-        if ok and me:
-            ok = bool(np.max(np.abs(p.E @ z0 - p.e)) <= QP_FEAS_TOL)
-        if not ok:
-            z0 = None
-    warm = z0 is not None
-    if z0 is None:
-        z0, farkas = _phase1(p)
-        if z0 is None:
-            return QpSolution(
-                status="infeasible", z=None, duals_ineq=None, duals_eq=None,
-                objective=float("inf"), primal_residual=float("inf"),
-                dual_residual=float("inf"), comp_residual=float("inf"),
-                farkas=farkas, regularized=regularized,
-            )
-
-    z = z0.astype(float)
-    # Independent equality rows (duplicates are redundant once feasibility
-    # is established).
-    eq_keep = _independent_rows(p.E) if me else []
-    E = p.E[eq_keep] if me else p.E
-    # Working-set initialization: a verified warm start is usually near the
-    # optimum, so its active rows are a good guess.  A Phase-1 point is an
-    # LP vertex with up to n spurious tight rows; starting empty and letting
-    # the ratio test build the set is far cheaper than unwinding those.
-    work: list[int] = []
-    if warm and mi:
-        active = np.flatnonzero(Gz0 >= p.g - _ACT_TOL)
-        if active.size:
-            GA = p.G[active]
-            if E.shape[0]:
-                # independence relative to E: test rows projected onto E's
-                # null space
-                Qe, _ = np.linalg.qr(E.T, mode="complete")
-                Ze = Qe[:, E.shape[0]:]
-                keep = _independent_rows(GA @ Ze)
-            else:
-                keep = _independent_rows(GA)
-            work = [int(active[k]) for k in keep]
-
-    mu_full = np.zeros(mi)
-    nu_full = np.zeros(me)
-    iters = 0
-    while iters < max_iter:
-        iters += 1
-        C = np.vstack([E, p.G[work]]) if (E.shape[0] or work) else np.zeros((0, n))
-        grad = P @ z + p.q
-        step = _null_space_step(P, grad, C, n)
-
-        at_minimizer = (
-            np.linalg.norm(step, np.inf) <= 1e-11 * max(1.0, np.linalg.norm(z, np.inf))
-        )
-        if not at_minimizer:
-            # Ratio test over rows outside the working set.  The null-space
-            # step keeps working rows at equality, so any blocking row is
-            # linearly independent of the working set and appended directly.
-            alpha, blocker = 1.0, -1
-            if mi:
-                in_work = np.zeros(mi, dtype=bool)
-                if work:
-                    in_work[work] = True
-                Gs = p.G @ step
-                thresh = 1e-13 * np.maximum(1.0, p.row_scale * np.linalg.norm(step))
-                viable = np.flatnonzero(~in_work & (Gs > thresh))
-                if viable.size:
-                    room = np.maximum(p.g[viable] - p.G[viable] @ z, 0.0)
-                    ratios = room / Gs[viable]
-                    j = int(np.argmin(ratios))
-                    if ratios[j] < 1.0:
-                        alpha, blocker = float(ratios[j]), int(viable[j])
-            z = z + alpha * step
-            if blocker >= 0:
-                work.append(blocker)
+    def add(row: int, sign: float) -> str:
+        """Step until the row is active: "added", "redundant" (an E row in
+        the span of earlier ones, already met), "blocked" or "cap"."""
+        nonlocal z, iters
+        normal, offset = (sign * p.G[row], sign * p.g[row]) if row < mi else \
+            (sign * p.E[row - mi], sign * p.e[row - mi])
+        up = 0.0
+        while iters < cap:
+            iters += 1
+            k = len(rows)
+            d = J.T @ normal
+            d2 = d[k:]
+            d2n = float(d2 @ d2)
+            r = solve_triangular(R[:k, :k], d[:k], check_finite=False) if k else d[:0]
+            s = float(normal @ z) - offset
+            t2 = s / d2n if d2n > _SPAN_TOL**2 * float(d @ d) else math.inf
+            if row >= mi and t2 == math.inf:
+                return "redundant" if abs(s) <= tol else "blocked"
+            t1, l = math.inf, -1
+            free = np.flatnonzero(r[n_eq:] > 0.0) + n_eq
+            if free.size:
+                ratios = u[free] / r[free]
+                j = int(np.argmin(ratios))
+                t1, l = float(ratios[j]), int(free[j])
+            t = min(t1, t2)
+            if t == math.inf:
+                return "blocked"
+            if t2 < math.inf:
+                z = z - t * (J[:, k:] @ d2)
+            u[:k] -= t * r
+            up += t
+            if t2 > t1:
+                drop(l)
                 continue
-            # A full (unblocked) step lands on the subproblem minimizer for
-            # this working set; fall through to the multiplier check rather
-            # than re-deriving stationarity numerically, which can stall on
-            # ill-conditioned reduced Hessians.
-            grad = P @ z + p.q
+            # a Householder reflection of J2 maps d2 onto its first axis
+            beta = float(d2[0])
+            if d2.size > 1:
+                beta = -math.copysign(math.sqrt(d2n), beta)
+                v = d2.copy()
+                v[0] -= beta
+                J[:, k:] -= np.outer(J[:, k:] @ v, v * (2.0 / float(v @ v)))
+            R[:k, k] = d[:k]
+            R[k, k] = beta
+            u[k] = up
+            rows.append(row)
+            signs.append(sign)
+            return "added"
+        return "cap"
 
-        if C.shape[0]:
-            lam, *_ = np.linalg.lstsq(C.T, -grad, rcond=None)
+    mu, nu = np.zeros(mi), np.zeros(me)
+    for i in range(me):
+        out = add(mi + i, -1.0 if p.E[i] @ z < p.e[i] else 1.0)
+        if out == "added":
+            n_eq += 1
+        elif out != "redundant":
+            return z, mu, nu, iters, mi + i if out == "blocked" else out
+    while True:
+        viol = p.G @ z - p.g
+        i = int(np.argmax(viol)) if mi else -1
+        if i < 0 or viol[i] <= tol:
+            break
+        out = add(i, 1.0)
+        if out != "added":
+            return z, mu, nu, iters, i if out == "blocked" else out
+    for row, sign, ui in zip(rows, signs, u):
+        if row < mi:
+            mu[row] = max(ui, 0.0)
         else:
-            lam = np.zeros(0)
-        lam_w = lam[E.shape[0]:]
-        if lam_w.size == 0 or np.min(lam_w) >= -QP_DUAL_TOL:
-            mu_full[:] = 0.0
-            for idx, li in zip(work, lam_w):
-                mu_full[idx] = max(li, 0.0)
-            nu_full[:] = 0.0
-            for idx, li in zip(eq_keep, lam[: E.shape[0]]):
-                nu_full[idx] = li
-            rp, rd, rc = _kkt_residuals(p, z, mu_full, nu_full)
-            obj = float(0.5 * z @ p.P @ z + p.q @ z + p.objective_offset)
-            return QpSolution(
-                status="optimal", z=z, duals_ineq=mu_full, duals_eq=nu_full,
-                objective=obj, primal_residual=rp, dual_residual=rd,
-                comp_residual=rc, regularized=regularized, iterations=iters,
-            )
-        work.pop(int(np.argmin(lam_w)))
+            nu[row - mi] = sign * ui
+    return z, mu, nu, iters, None
 
-    mu_full[:] = 0.0
-    nu_full[:] = 0.0
-    rp, rd, rc = _kkt_residuals(p, z, mu_full, nu_full)
+
+def solve_qp(p: QpProblem) -> QpSolution:
+    """Solve the QP by the dual active-set method from -P^-1 q.
+
+    Returns status "optimal" when the solution passes the KKT gate,
+    "inaccurate" when it does not, "infeasible" with a verified Farkas
+    certificate, or "max_iter" with the last iterate.  Raises
+    ArithmeticError when the dual method finds the problem infeasible but
+    the Phase-1 LP finds a feasible point.
+    """
+    regularized = bool(p.n) and p.min_eig < _TIKHONOV
+    z, mu, nu, iters, blocked = _dual_active_set(p)
+    if isinstance(blocked, int):
+        z_lp, farkas = _phase1(p)
+        if farkas is None:
+            margin = max(float(np.max(p.G @ z_lp - p.g, initial=0.0)),
+                         float(np.max(np.abs(p.E @ z_lp - p.e), initial=0.0)))
+            raise ArithmeticError(
+                f"dual active set found no step for row {blocked} of [G; E], "
+                f"but the Phase-1 LP found a point within {margin:.2e} of every row"
+            )
+        inf = float("inf")
+        return QpSolution(
+            status="infeasible", z=None, duals_ineq=None, duals_eq=None,
+            objective=inf, primal_residual=inf, dual_residual=inf, comp_residual=inf,
+            farkas=farkas, regularized=regularized, iterations=iters,
+        )
+    rp, rd, rc = _kkt_residuals(p, z, mu, nu)
+    if blocked == "cap":
+        status = "max_iter"
+    elif rp <= QP_FEAS_TOL and rd <= QP_DUAL_TOL and rc <= QP_COMP_TOL:
+        status = "optimal"
+    else:
+        status = "inaccurate"
     return QpSolution(
-        status="max_iter", z=z, duals_ineq=mu_full, duals_eq=nu_full,
+        status=status, z=z, duals_ineq=mu, duals_eq=nu,
         objective=float(0.5 * z @ p.P @ z + p.q @ z + p.objective_offset),
         primal_residual=rp, dual_residual=rd, comp_residual=rc,
         regularized=regularized, iterations=iters,
     )
-

@@ -8,6 +8,7 @@ and returns a short human-readable stats string on success.
 import itertools
 
 import numpy as np
+from scipy.linalg import qr as scipy_qr
 
 from lqmpc import (
     actual_gap,
@@ -39,6 +40,7 @@ from lqmpc import (
     solve_qp,
     zeta_dare,
 )
+from lqmpc.qp import QP_DUAL_TOL, _TIKHONOV, _phase1
 
 
 def _random_psd(rng, n, scale=1.0):
@@ -236,6 +238,93 @@ def check_qp_oracle(n_instances=200, seed=23, tol=1e-7):
     return f"{solved} optimal + {infeasible} infeasible instances agree"
 
 
+# ---------------------------------------------------------------------------
+# Reference QP solver: Phase-1 LP, then a primal active-set method on a
+# working set (the solver the dual active-set method of `lqmpc.qp` replaced)
+# ---------------------------------------------------------------------------
+
+def _independent_rows(M):
+    """Indices of a maximal linearly independent subset of M's rows
+    (pivoted QR on the transpose)."""
+    if M.shape[0] == 0:
+        return []
+    _, R, piv = scipy_qr(M.T, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    if diag.size == 0 or diag[0] <= 0.0:
+        return []
+    rank = int(np.sum(diag > max(M.shape) * np.finfo(float).eps * diag[0]))
+    return sorted(int(i) for i in piv[:rank])
+
+
+def _null_space_step(P, grad, C, n):
+    """Minimizing step restricted to {s : Cs = 0}, through a complete QR
+    of C' (so C @ step = 0 to machine precision)."""
+    k = C.shape[0]
+    if k == 0:
+        Z = np.eye(n)
+    else:
+        Qf, _ = np.linalg.qr(C.T, mode="complete")
+        Z = Qf[:, k:]
+    if Z.shape[1] == 0:
+        return np.zeros(n)
+    H = Z.T @ P @ Z
+    rhs = -(Z.T @ grad)
+    try:
+        y = np.linalg.solve(H, rhs)
+        y += np.linalg.solve(H, rhs - H @ y)
+    except np.linalg.LinAlgError:
+        y, *_ = np.linalg.lstsq(H, rhs, rcond=None)
+    return Z @ y
+
+
+def reference_solve_qp(p):
+    """(status, z, objective) of the QP p: "infeasible" when the Phase-1 LP
+    returns a verified Farkas vector, else the primal active-set optimum
+    started from the LP's point ("max_iter" if it does not settle)."""
+    n = p.n
+    P = p.P
+    if n and p.min_eig < _TIKHONOV:
+        P = P + _TIKHONOV * np.eye(n)
+    mi, me = p.g.size, p.e.size
+    max_iter = 50 + 10 * (mi + me + n)
+    z, _ = _phase1(p)
+    if z is None:
+        return "infeasible", None, float("inf")
+    z = z.astype(float)
+    eq_keep = _independent_rows(p.E) if me else []
+    E = p.E[eq_keep] if me else p.E
+    work = []
+    for _ in range(max_iter):
+        C = np.vstack([E, p.G[work]]) if (E.shape[0] or work) else np.zeros((0, n))
+        grad = P @ z + p.q
+        step = _null_space_step(P, grad, C, n)
+        if np.linalg.norm(step, np.inf) > 1e-11 * max(1.0, np.linalg.norm(z, np.inf)):
+            alpha, blocker = 1.0, -1
+            if mi:
+                in_work = np.zeros(mi, dtype=bool)
+                in_work[work] = True
+                Gs = p.G @ step
+                thresh = 1e-13 * np.maximum(1.0, p.row_scale * np.linalg.norm(step))
+                viable = np.flatnonzero(~in_work & (Gs > thresh))
+                if viable.size:
+                    room = np.maximum(p.g[viable] - p.G[viable] @ z, 0.0)
+                    ratios = room / Gs[viable]
+                    j = int(np.argmin(ratios))
+                    if ratios[j] < 1.0:
+                        alpha, blocker = float(ratios[j]), int(viable[j])
+            z = z + alpha * step
+            if blocker >= 0:
+                work.append(blocker)
+                continue
+            grad = P @ z + p.q
+        lam = np.linalg.lstsq(C.T, -grad, rcond=None)[0] if C.shape[0] else np.zeros(0)
+        lam_w = lam[E.shape[0]:]
+        if lam_w.size == 0 or np.min(lam_w) >= -QP_DUAL_TOL:
+            return "optimal", z, float(0.5 * z @ p.P @ z + p.q @ z + p.objective_offset)
+        work.pop(int(np.argmin(lam_w)))
+    return "max_iter", z, float(0.5 * z @ p.P @ z + p.q @ z + p.objective_offset)
+
+
 def check_terminal_invariance(instances, n_samples=1000, seed=3):
     """x in S implies (A+BL)x in S, Lx in U, x in Xhat, on sampled interiors."""
     total = 0
@@ -280,7 +369,16 @@ def lp_verdicts(args):
     (prob, design, ell, points) tuple, so that a process pool can map it."""
     prob, design, ell, points = args
     ctl = MpcController(prob, design, ell)
-    return [solve_qp(ctl.qp_at(x0)).status != "infeasible" for x0 in points]
+    return [_phase1(ctl.qp_at(x0))[1] is None for x0 in points]
+
+
+def reference_results(args):
+    """(status, objective) of `reference_solve_qp` on the ell-step QP at
+    each point.  Takes one (prob, design, ell, points) tuple, so that a
+    process pool can map it."""
+    prob, design, ell, points = args
+    ctl = MpcController(prob, design, ell)
+    return [reference_solve_qp(ctl.qp_at(x0))[::2] for x0 in points]
 
 
 # ---------------------------------------------------------------------------

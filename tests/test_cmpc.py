@@ -6,6 +6,8 @@ import math
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -36,7 +38,7 @@ from lqmpc import (
 )
 from lqmpc import cmpc, polytope, qp
 from conftest import ZEFF_2D
-from _checks import check_policy_cost_below_value, lp_verdicts
+from _checks import check_policy_cost_below_value, lp_verdicts, reference_results
 
 
 SMALL_GRID = {"resolution": 21}
@@ -500,6 +502,46 @@ def test_wrapper_controllers_follow_the_problem(di2d_sys, di2d_prob):
     assert design._controllers[3].prob is other
 
 
+def _perturbed(name, p, z, mu):
+    """A copy of the dual method's solution that breaks one KKT condition:
+    z moved out along an active row (primal, and dual with it), that row's
+    multiplier raised (dual), or both multipliers of a pair of opposite rows
+    raised, one of them slack (complementarity)."""
+    active = int(np.argmax(mu))
+    if name == "primal":
+        return z + 1e-5 * p.G[active] / p.row_scale[active], mu
+    mu = mu.copy()
+    if name == "dual":
+        mu[active] += 1e-5
+        return z, mu
+    i, j = next((i, j) for i in range(p.g.size) for j in range(i)
+                if p.row_scale[i] > 0 and np.array_equal(p.G[i], -p.G[j]))
+    mu[[i, j]] += 1e-4
+    return z, mu
+
+
+@pytest.mark.parametrize("name", ["primal", "dual", "complementarity"])
+def test_controller_names_the_residual_over_its_tolerance(di2d_prob, di2d_design_eff,
+                                                         monkeypatch, name):
+    ctl = MpcController(di2d_prob, di2d_design_eff, 3)
+    x0 = np.array([-3.0, 2.5])  # two input bounds active
+    exact = solve_qp(ctl.qp_at(x0))
+    assert exact.status == "optimal" and exact.duals_ineq.max() > 0.0
+    dual_active_set = qp._dual_active_set
+
+    def perturbed(p):
+        z, mu, nu, iters, blocked = dual_active_set(p)
+        return (*_perturbed(name, p, z, mu), nu, iters, blocked)
+
+    monkeypatch.setattr(qp, "_dual_active_set", perturbed)
+    sol = solve_qp(ctl.qp_at(x0))
+    value = {"primal": sol.primal_residual, "dual": sol.dual_residual,
+             "complementarity": sol.comp_residual}[name]
+    assert sol.status == "inaccurate" and value > 1e-8
+    with pytest.raises(ArithmeticError, match=f"{name} residual {value:.2e} > 1e-08"):
+        ctl.solve(x0)
+
+
 # ---------------------------------------------------------------------------
 # infeasibility certificates kept by the controller
 # ---------------------------------------------------------------------------
@@ -555,15 +597,16 @@ def test_certificate_margin_at_the_boundary(di2d_prob, di2d_design_eff, monkeypa
     assert a @ far + b > 0.5
     assert not ctl.solve(far).feasible
     assert calls == []
-    # on or just outside the facet, inside the margin: the LP decides, as it
-    # does for a controller that has stored nothing
+    # on or just outside the facet, inside the margin: the QP decides, as it
+    # does for a controller that has stored nothing, and runs its LP exactly
+    # when it finds the query infeasible
     for excess in (0.0, 2e-7, 9e-7):
         x0 = np.array([0.0, (excess - b) / a[1]])
         ctl = one_row_controller()
         assert 0.0 <= ctl._cert_a[0] @ x0 + ctl._cert_b[0] <= cmpc._CERT_MARGIN
         n = len(calls)
         step = ctl.solve(x0)
-        assert len(calls) == n + 1
+        assert len(calls) == n + (not step.feasible)
         assert _same_step(step, MpcController(di2d_prob, di2d_design_eff, 3).solve(x0))
 
 
@@ -642,6 +685,67 @@ def test_certificates_match_lp_on_every_grid_cell(di2d_prob, request, which, ell
     chunks = [(di2d_prob, design, ell, c) for c in np.array_split(points, 2)]
     verdicts = np.concatenate(lp_pool.map(lp_verdicts, chunks))
     assert not verdicts.any(), points[verdicts]
+
+
+@pytest.mark.parametrize("which", ["eff", "opt"])
+@pytest.mark.parametrize("ell", [3, 10])
+def test_dual_qp_matches_reference_on_every_grid_cell(di2d_prob, request, which, ell,
+                                                      lp_pool):
+    """The example-3 grid (101x101) against the Phase-1 LP and primal
+    active-set solver that the dual method replaced: the controller's verdict
+    on every cell, and on every feasible cell both the controller's value
+    and the dual method's own objective (no shortcut), within 1e-12 of the
+    reference's, relative to max(1, |reference|)."""
+    design = request.getfixturevalue(f"di2d_design_{which}")
+    xs, ys = cmpc._grid_axes(di2d_prob, load_scenario("di-2d").grid_spec())
+    points = np.array([(x, y) for y in ys for x in xs])
+    assert len(points) == 101 * 101
+    chunks = [(di2d_prob, design, ell, c) for c in np.array_split(points, 2)]
+    reference = [r for part in lp_pool.map(reference_results, chunks) for r in part]
+    ctl = MpcController(di2d_prob, design, ell)
+    n_feasible = 0
+    for x0, (status, objective) in zip(points, reference):
+        assert status in ("optimal", "infeasible"), (x0, status)
+        step = ctl.solve(x0)
+        assert step.feasible == (status == "optimal"), x0
+        if step.feasible:
+            n_feasible += 1
+            tol = 1e-12 * max(1.0, abs(objective))
+            assert abs(step.value - objective) <= tol, x0
+            sol = solve_qp(ctl.qp_at(x0))
+            assert sol.status == "optimal" and abs(sol.objective - objective) <= tol, x0
+    assert 3000 < n_feasible < 101 * 101 - 3000
+
+
+_BITS_CODE = """\
+import numpy as np
+from lqmpc import TerminalDesign, approx_optimal_cost, cmpc, load_scenario
+qps = []
+solve_qp = cmpc.solve_qp
+cmpc.solve_qp = lambda p: qps.append(1) or solve_qp(p)
+sc = load_scenario("di-2d")
+prob = sc.constrained_problem()
+design = TerminalDesign.for_amplified_cost(prob, sc.amplification())
+costs = [approx_optimal_cost(prob, design, np.array(x0)) for x0 in ([-4.5, 2.9], [-2.0, 3.0])]
+print(len(qps), np.array(costs).tobytes().hex())
+"""
+
+
+def test_horizon_100_costs_do_not_depend_on_blas_threads():
+    """The ell = 100 closed loops of two di-2d states, with horizon-100 QPs on
+    their way, give the same bits under one- and two-thread BLAS, each in a
+    fresh interpreter (the thread count is read when BLAS loads)."""
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(cmpc.__file__))}
+        proc = subprocess.run([sys.executable, "-c", _BITS_CODE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.split())
+    assert int(out[0][0]) > 0
+    assert out[0] == out[1]
 
 
 # ---------------------------------------------------------------------------

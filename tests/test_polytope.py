@@ -209,6 +209,45 @@ def test_volume_4d_one_bounding_box(monkeypatch):
     assert volume_mc(P, n_samples=200_000, seed=3)[0] == v
 
 
+def test_volume_2d_solves_no_lp(monkeypatch, di2d_design_eff):
+    from lqmpc import polytope
+
+    S = di2d_design_eff.S
+    expected = float(polytope.volume(S))
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(polytope, "lp_solve", counting(polytope.lp_solve))
+    monkeypatch.setattr(polytope, "linprog", counting(polytope.linprog))
+    # the shoelace area of the hull vertices, bit for bit, without an LP
+    for P in (S, BOX5, HPolytope.box(np.array([-1.0, -2.0]), np.array([3.0, 1.0]))):
+        V = vertices_2d(P)
+        x, y = V[:, 0], V[:, 1]
+        area = float(0.5 * abs(np.dot(x, np.roll(y, 1)) - np.dot(np.roll(x, 1), y)))
+        assert volume(P) == area
+    assert volume(S) == expected
+    assert calls == []
+
+
+def test_volume_2d_rejects_empty_and_unbounded():
+    empty = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                      np.array([-1.0, -1.0, 1.0, 1.0]))
+    strip = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 1.0]))
+    line = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, 0.0]))
+    for P in (empty, strip, line):
+        with pytest.raises(ValueError):
+            volume(P)
+    # a segment is bounded and nonempty, with area 0
+    segment = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                        np.array([0.0, 0.0, 1.0, 1.0]))
+    assert volume(segment) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # maximal_invariant_set
 # ---------------------------------------------------------------------------

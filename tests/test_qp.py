@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqmpc import (
     ConstrainedProblem,
@@ -14,8 +16,9 @@ from lqmpc import (
     solve_qp,
     zeta_dare,
 )
+from lqmpc import qp
 from conftest import ZEFF_2D
-from _checks import check_qp_oracle
+from _checks import check_qp_oracle, reference_solve_qp
 
 
 def _qp(P, q, G=None, g=None, E=None, e=None):
@@ -130,25 +133,110 @@ def test_phase1_failure_without_certificate_raises(monkeypatch):
         solve_qp(_qp(np.eye(1), [0.0], G=[[1.0], [-1.0]], g=[-2.0, -2.0]))
 
 
-def test_warm_start_agrees():
-    rng = np.random.default_rng(14)
-    M = rng.standard_normal((4, 4))
-    P = M @ M.T + 0.3 * np.eye(4)
-    q = rng.standard_normal(4)
-    G = np.vstack([np.eye(4), -np.eye(4)])
-    g = np.ones(8)
-    prob = _qp(P, q, G=G, g=g)
-    cold = solve_qp(prob)
-    warm = solve_qp(prob, z0=cold.z)
-    assert warm.status == "optimal"
-    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-    assert warm.iterations <= cold.iterations
-
-
 def test_qp_oracle_equivalence():
     """200 random small QPs against exhaustive active-set enumeration."""
     msg = check_qp_oracle(n_instances=200)
     assert "agree" in msg
+
+
+# min z^2/2 s.t. -1 <= z <= 1 and z = 0: z = 0 with zero multipliers.  Each
+# perturbed solution below breaks exactly one KKT condition by 1e-6.
+_GATE_CASES = {
+    "primal": ([1e-6], [0.0, 0.0], [-1e-6]),  # z off the equality, nu balancing it
+    "dual": ([0.0], [0.0, 0.0], [1e-6]),  # an unbalanced equality multiplier
+    "comp": ([0.0], [1e-6, 1e-6], [0.0]),  # multipliers on two slack rows
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GATE_CASES))
+def test_kkt_gate_rejects_each_residual(name, monkeypatch):
+    p = _qp([[1.0]], [0.0], G=[[1.0], [-1.0]], g=[1.0, 1.0], E=[[1.0]], e=[0.0])
+    exact = solve_qp(p)
+    assert exact.status == "optimal" and exact.z[0] == 0.0
+    z, mu, nu = (np.array(v) for v in _GATE_CASES[name])
+    monkeypatch.setattr(qp, "_dual_active_set", lambda p: (z, mu, nu, 1, None))
+    sol = solve_qp(p)
+    assert sol.status == "inaccurate"
+    residuals = {"primal": sol.primal_residual, "dual": sol.dual_residual,
+                 "comp": sol.comp_residual}
+    assert residuals.pop(name) == pytest.approx(1e-6, rel=1e-12)
+    assert max(residuals.values()) <= 1e-12
+
+
+def test_blocked_row_on_a_feasible_qp_raises(monkeypatch):
+    # a dual method that wrongly finds no step for row 0 of a feasible QP:
+    # the Phase-1 LP finds a point, and the solver refuses to call it
+    # infeasible
+    p = _qp(np.eye(1), [0.0], G=[[1.0], [-1.0]], g=[1.0, 1.0])
+    monkeypatch.setattr(qp, "_dual_active_set",
+                        lambda p: (np.zeros(1), np.zeros(2), np.zeros(0), 1, 0))
+    with pytest.raises(ArithmeticError, match="no step for row 0 .* within 0.00e"):
+        solve_qp(p)
+
+
+def test_derived_qps_reuse_the_template_factor(monkeypatch):
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((4, 4))
+    template = _qp(M @ M.T + np.eye(4), np.zeros(4),
+                   G=np.vstack([np.eye(4), -np.eye(4)]), g=np.ones(8))
+    np.testing.assert_allclose(template.factor.T @ template.P @ template.factor,
+                               np.eye(4), atol=1e-12)
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting_cholesky(a):
+        calls.append(1)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    for _ in range(20):
+        q = 5.0 * rng.standard_normal(4)
+        derived = template.with_linear_terms(q, np.ones(8))
+        assert derived.factor is template.factor
+        sol = solve_qp(derived)
+        assert sol.status == "optimal" and sol.iterations >= 1
+    assert calls == []
+
+
+@st.composite
+def _random_qps(draw):
+    """Strictly convex QPs with box rows, general rows and equality rows,
+    some duplicated, some inconsistent, some with a contradictory pair of
+    rows."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.standard_normal((n, n))
+    P = M @ M.T + draw(st.sampled_from([1e-3, 0.1, 1.0])) * np.eye(n)
+    q = rng.standard_normal(n) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    radius = rng.uniform(0.2, 3.0, size=n)
+    n_gen = draw(st.integers(0, 4))
+    G = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((n_gen, n))])
+    g = np.concatenate([radius, radius, rng.uniform(-1.0, 2.0, size=n_gen)])
+    if draw(st.integers(0, 3)) == 0:  # a pair a'z <= -c, -a'z <= -c, c > 0
+        a = rng.standard_normal(n)
+        G = np.vstack([G, a, -a])
+        g = np.r_[g, -rng.uniform(0.01, 1.0, size=2)]
+    n_eq = draw(st.integers(0, n - 1))
+    E = rng.standard_normal((n_eq, n))
+    e = 0.1 * rng.standard_normal(n_eq)
+    if n_eq and draw(st.booleans()):  # a scaled copy of an equality row
+        k = draw(st.sampled_from([1.0, -2.0, 3.5]))
+        E, e = np.vstack([E, k * E[0]]), np.r_[e, k * e[0]]
+    if n_eq and draw(st.integers(0, 2)) == 0:  # the same row, another offset
+        E, e = np.vstack([E, E[-1]]), np.r_[e, e[-1] + draw(st.sampled_from([0.5, -1.0]))]
+    return QpProblem(P=P, q=q, G=G, g=g, E=E.reshape(-1, n), e=e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_random_qps())
+def test_dual_active_set_matches_reference(p):
+    sol = solve_qp(p)
+    status, _, objective = reference_solve_qp(p)
+    assert sol.status == status
+    if status == "optimal":
+        assert abs(sol.objective - objective) <= 1e-10 * max(1.0, abs(objective))
+    else:
+        assert sol.farkas is not None
 
 
 def test_psd_validation():
