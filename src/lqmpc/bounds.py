@@ -51,6 +51,7 @@ __all__ = [
 
 _GAMMA_SERIES_RTOL = 1e-12
 _GAMMA_SERIES_CAP = 200_000
+_GAMMA_SERIES_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,18 @@ def newton_gamma(sys: LqSystem, Kbar) -> float:
     return _newton_gamma(sys, Kbar, greedy_gain(sys, Kbar).closed_loop)
 
 
+def _power_norms(D: np.ndarray, count: int):
+    """Yield ||D^i|| for i = 1, ..., count, forming the powers D^(i+1) = D^i D
+    in blocks of `_GAMMA_SERIES_BLOCK` whose norms take one LAPACK call."""
+    M = D
+    for start in range(0, count, _GAMMA_SERIES_BLOCK):
+        block = []
+        for _ in range(min(_GAMMA_SERIES_BLOCK, count - start)):
+            block.append(M)
+            M = M @ D
+        yield from induced_two_norm(np.stack(block)).tolist()
+
+
 def _newton_gamma(sys: LqSystem, Kbar: np.ndarray, Dt: np.ndarray) -> float:
     """`newton_gamma` with D~, the closed loop of the greedy gain at Kbar, given."""
     Kstar, _ = sys.optimal
@@ -145,10 +158,8 @@ def _newton_gamma(sys: LqSystem, Kbar: np.ndarray, Dt: np.ndarray) -> float:
             f"{spectral_radius(Dt):.6g}); Kbar is outside the region of decreasing"
         )
     total = 0.0
-    M = Dt
     prev = 0.0  # read from the second term on
-    for _ in range(_GAMMA_SERIES_CAP):
-        term_norm = induced_two_norm(M)
+    for term_norm in _power_norms(Dt, _GAMMA_SERIES_CAP):
         total += term_norm**2
         if term_norm == 0.0:
             break
@@ -158,7 +169,6 @@ def _newton_gamma(sys: LqSystem, Kbar: np.ndarray, Dt: np.ndarray) -> float:
             total += term_norm**2 * r * r / (1.0 - r * r)
             break
         prev = term_norm
-        M = M @ Dt
     else:
         raise ArithmeticError(
             f"gamma series not converged in {_GAMMA_SERIES_CAP} terms: last term "

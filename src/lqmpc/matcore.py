@@ -51,20 +51,25 @@ def symmetrize(M) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def induced_two_norm(M) -> float:
+def induced_two_norm(M):
     """Largest singular value of M (induced 2-norm).
 
-    Zero exactly for the zero matrix; raises on non-square or non-finite
-    input.
+    M is a matrix, giving a float, or a stack of matrices (shape
+    (..., rows, cols)), giving an array of their norms from one LAPACK call.
+    Each value is the one `np.linalg.norm(M, 2)` gives, bit for bit, and zero
+    exactly for a zero matrix.  Raises on a non-finite entry or on fewer than
+    two dimensions.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
+    if M.ndim < 2:
         raise ValueError(f"expected a matrix, got ndim={M.ndim}")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix contains non-finite entries")
+    if M.ndim > 2:
+        return np.linalg.svd(M, compute_uv=False)[..., 0]
     if not np.any(M):
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 def spectral_radius(M) -> float:

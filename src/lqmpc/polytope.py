@@ -40,6 +40,8 @@ LP_TOL = 1e-9
 _INVSET_CAP = 500
 # hit-and-run steps discarded before the first sample
 _HIT_AND_RUN_BURN = 20
+# Monte Carlo samples tested per matrix product
+_MC_CHUNK = 20_000
 
 
 @dataclass(frozen=True)
@@ -266,18 +268,27 @@ def bounding_box(P: HPolytope) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _volume_mc_in_box(P: HPolytope, lo, hi, n_samples: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo volume of P with its standard error, from n_samples
+    uniform points of the box [lo, hi] drawn by `default_rng(seed)`.
+
+    The points are drawn in chunks of `_MC_CHUNK`, small enough that a
+    chunk's rows-by-samples slack test stays in cache.  The generator's
+    stream does not depend on the chunk size, and lo + (hi - lo) u is the
+    value `rng.uniform(lo, hi)` gives, so the samples and the hit count are
+    the same for any chunk size.
+    """
     box_vol = float(np.prod(hi - lo))
     if box_vol == 0.0:
         return 0.0, 0.0
     rng = np.random.default_rng(seed)
+    width = hi - lo
+    bound = (P.h + FEAS_TOL)[:, None]
     hits = 0
-    chunk = 100_000
-    remaining = n_samples
-    while remaining > 0:
-        m = min(chunk, remaining)
-        X = rng.uniform(lo, hi, size=(m, P.dim))
-        hits += int(np.sum(np.all(X @ P.H.T <= P.h + FEAS_TOL, axis=1)))
-        remaining -= m
+    for start in range(0, n_samples, _MC_CHUNK):
+        X = rng.random((min(_MC_CHUNK, n_samples - start), P.dim))
+        X *= width
+        X += lo
+        hits += int(np.count_nonzero(np.logical_and.reduce(P.H @ X.T <= bound, axis=0)))
     frac = hits / n_samples
     vol = box_vol * frac
     se = box_vol * float(np.sqrt(max(frac * (1.0 - frac), 0.0) / n_samples))

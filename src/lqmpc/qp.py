@@ -10,8 +10,10 @@ rows, which never leave, then the most violated row of G, one at a time; a
 row whose multiplier would turn negative leaves.  Every iterate is dual
 feasible, so the first that violates no row is optimal: no feasible start
 is needed.  A violated row that no dual step can add proves infeasibility,
-which a Phase-1 LP confirms with a verified Farkas vector (if that LP finds
-a feasible point instead, the solver raises ArithmeticError).  An optimal
+which a Phase-1 LP confirms with a verified Farkas vector.  If that LP
+finds a point within HiGHS's tolerance instead, the Farkas vector the dual
+method read off the blocked row is verified in its place, and the solver
+raises ArithmeticError only when that check fails too.  An optimal
 return passes a KKT gate: primal, dual and complementarity residuals,
 relative to max(1, |q|_inf, |g|_inf), within QP_FEAS_TOL, QP_DUAL_TOL and
 QP_COMP_TOL; a solution that misses it has the status "inaccurate".
@@ -49,6 +51,10 @@ _VIOL_TOL = 1e-12
 # a row lies in the span of the active rows when the part of J'n outside
 # their span is at most this fraction of |J'n|
 _SPAN_TOL = 1e-12
+# a Farkas vector y is verified when its relative residuals (see
+# `_farkas_residuals`) have |M'y| at most the first and b'y below minus the second
+_FARKAS_STAT_TOL = 1e-9
+_FARKAS_GAP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -175,7 +181,7 @@ def _phase1(p: QpProblem) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
             w = p.E @ np.linalg.lstsq(p.E, p.e, rcond=None)[0] - p.e
     farkas = np.r_[y, w]
     stat, gap = _farkas_residuals(p, farkas)
-    if not (stat <= 1e-9 and gap < -1e-12):
+    if not (stat <= _FARKAS_STAT_TOL and gap < -_FARKAS_GAP_TOL):
         raise ArithmeticError(
             "Phase-1 LP gave no verified infeasibility certificate "
             f"(HiGHS status {res.status}: {res.message}; "
@@ -226,8 +232,11 @@ def _dual_active_set(p: QpProblem):
 
     Returns (z, mu, nu, iterations, blocked): blocked is None when z is
     optimal, "cap" (with zero multipliers) when the iteration cap is
-    reached, and otherwise the index in [G; E] of a violated row that no
-    dual step can add, which proves the problem infeasible.
+    reached, and otherwise the index p in [G; E] of a violated row that no
+    dual step can add, which proves the problem infeasible.  Such a row is
+    r'N for the active rows N with r <= 0 on the rows that may leave, so
+    (mu, nu) is then the Farkas vector 1 on row p, -r on the active rows
+    (each taken back to its row of [G; E]).
 
     The active rows N, each oriented as an upper bound, are kept with
     J'PJ = I, J1'N = R upper triangular and J2'N = 0 for J = [J1 J2], J1
@@ -244,6 +253,7 @@ def _dual_active_set(p: QpProblem):
     tol = _VIOL_TOL * _kkt_scale(p)
     n_eq = 0  # E rows come first among the active rows and never leave
     iters, cap = 0, 50 + 10 * (mi + me + n)
+    mu, nu = np.zeros(mi), np.zeros(me)
 
     def drop(l: int) -> None:
         # delete column l of R and rotate R back to triangular, applying the
@@ -262,6 +272,14 @@ def _dual_active_set(p: QpProblem):
         u[k - 1] = 0.0
         del rows[l], signs[l]
 
+    def blocked(row: int, sign: float, r: np.ndarray) -> str:
+        # the row is r'N: 1 on it and -r on the active rows is a Farkas vector
+        y = np.zeros(mi + me)
+        y[row] = sign
+        y[rows] -= r * np.array(signs)
+        mu[:], nu[:] = y[:mi], y[mi:]
+        return "blocked"
+
     def add(row: int, sign: float) -> str:
         """Step until the row is active: "added", "redundant" (an E row in
         the span of earlier ones, already met), "blocked" or "cap"."""
@@ -279,7 +297,7 @@ def _dual_active_set(p: QpProblem):
             s = float(normal @ z) - offset
             t2 = s / d2n if d2n > _SPAN_TOL**2 * float(d @ d) else math.inf
             if row >= mi and t2 == math.inf:
-                return "redundant" if abs(s) <= tol else "blocked"
+                return "redundant" if abs(s) <= tol else blocked(row, sign, r)
             t1, l = math.inf, -1
             free = np.flatnonzero(r[n_eq:] > 0.0) + n_eq
             if free.size:
@@ -288,7 +306,7 @@ def _dual_active_set(p: QpProblem):
                 t1, l = float(ratios[j]), int(free[j])
             t = min(t1, t2)
             if t == math.inf:
-                return "blocked"
+                return blocked(row, sign, r)
             if t2 < math.inf:
                 z = z - t * (J[:, k:] @ d2)
             u[:k] -= t * r
@@ -311,7 +329,6 @@ def _dual_active_set(p: QpProblem):
             return "added"
         return "cap"
 
-    mu, nu = np.zeros(mi), np.zeros(me)
     for i in range(me):
         out = add(mi + i, -1.0 if p.E[i] @ z < p.e[i] else 1.0)
         if out == "added":
@@ -341,19 +358,28 @@ def solve_qp(p: QpProblem) -> QpSolution:
     "inaccurate" when it does not, "infeasible" with a verified Farkas
     certificate, or "max_iter" with the last iterate.  Raises
     ArithmeticError when the dual method finds the problem infeasible but
-    the Phase-1 LP finds a feasible point.
+    the Phase-1 LP finds a feasible point and the dual method's own Farkas
+    vector fails its check.
     """
     regularized = bool(p.n) and p.min_eig < _TIKHONOV
     z, mu, nu, iters, blocked = _dual_active_set(p)
     if isinstance(blocked, int):
         z_lp, farkas = _phase1(p)
         if farkas is None:
-            margin = max(float(np.max(p.G @ z_lp - p.g, initial=0.0)),
-                         float(np.max(np.abs(p.E @ z_lp - p.e), initial=0.0)))
-            raise ArithmeticError(
-                f"dual active set found no step for row {blocked} of [G; E], "
-                f"but the Phase-1 LP found a point within {margin:.2e} of every row"
-            )
+            # HiGHS accepts a point within its own 1e-7 tolerance, so a query
+            # a few 1e-8 outside the feasible set gets t = 0; the dual
+            # method's own vector then decides
+            farkas = np.r_[mu, nu]
+            stat, gap = _farkas_residuals(p, farkas)
+            if not (stat <= _FARKAS_STAT_TOL and gap < -_FARKAS_GAP_TOL):
+                margin = max(float(np.max(p.G @ z_lp - p.g, initial=0.0)),
+                             float(np.max(np.abs(p.E @ z_lp - p.e), initial=0.0)))
+                raise ArithmeticError(
+                    f"dual active set found no step for row {blocked} of [G; E], "
+                    f"but the Phase-1 LP found a point within {margin:.2e} of every "
+                    f"row and the dual Farkas vector fails its check (relative "
+                    f"|M'y| {stat:.2e}, relative b'y {gap:.2e})"
+                )
         inf = float("inf")
         return QpSolution(
             status="infeasible", z=None, duals_ineq=None, duals_eq=None,

@@ -98,13 +98,24 @@ class LqSystem:
 
     def __getstate__(self):
         # unpickled arrays are writable again, so the pair is solved afresh
-        return {k: v for k, v in self.__dict__.items() if k != "optimal"}
+        # (and the kept amplified system with it)
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("optimal", "_amplified")}
 
     def amplified(self, zeta: float) -> "LqSystem":
-        """The same system with input weight zeta * R, for zeta >= 1."""
+        """The same system with input weight zeta * R, for zeta >= 1.
+
+        The last result is kept (not pickled): a call with the same zeta
+        returns the same instance, whose `optimal` pair is then solved once
+        for `zeta_dare` and the terminal design at that zeta together.
+        """
         if zeta < 1.0:
             raise ValueError(f"zeta must be >= 1, got {zeta}")
-        return LqSystem(self.A, self.B, self.Q, zeta * self.R)
+        last = self.__dict__.get("_amplified")
+        if last is None or last[0] != zeta:
+            last = (zeta, LqSystem(self.A, self.B, self.Q, zeta * self.R))
+            object.__setattr__(self, "_amplified", last)
+        return last[1]
 
 
 @dataclass(frozen=True)
@@ -223,10 +234,10 @@ def zeta_dare(sys: LqSystem, zeta: float) -> np.ndarray:
     The fixed point of the Bellman operator with input weight inflated to
     zeta * R.  zeta = 1 recovers the ordinary Riccati solution; larger zeta
     yields a larger cost matrix whose greedy control is weaker.  The result
-    lies in the region of decreasing of the original system.
+    lies in the region of decreasing of the original system.  The matrix is
+    the read-only K of `sys.amplified(zeta).optimal`.
     """
-    K, _ = solve_dare(sys.amplified(zeta))
-    return K
+    return sys.amplified(zeta).optimal[0]
 
 
 def iterate_bellman(sys: LqSystem, K, steps: int) -> np.ndarray:

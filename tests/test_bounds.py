@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqmpc import (
     LqSystem,
@@ -32,6 +34,7 @@ from _checks import (
     check_inequality_chain,
     check_design_step_quadratic,
     check_monotone_le_contraction,
+    reference_newton_gamma,
 )
 
 K_SCALAR = np.array([[180.0]])
@@ -171,6 +174,63 @@ def test_newton_gamma_series_cap_raises(di2d_sys, di2d_K_eff, monkeypatch):
     monkeypatch.setattr(bounds, "_GAMMA_SERIES_CAP", 5)
     with pytest.raises(ArithmeticError, match="partial sum"):
         newton_gamma(di2d_sys, di2d_K_eff)
+
+
+@st.composite
+def _stable_loops(draw):
+    """Dense loops scaled to a spectral radius up to 0.999 (series of up to
+    about 10 000 terms, many blocks long), and nilpotent ones (a permuted
+    strictly triangular matrix, whose powers reach exact zero)."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 4)) == 0:
+        perm = rng.permutation(n)
+        return np.triu(rng.standard_normal((n, n)), 1)[np.ix_(perm, perm)]
+    M = rng.standard_normal((n, n))
+    radius = draw(st.one_of(st.floats(0.01, 0.999), st.just(0.999)))
+    return M * (radius / max(np.max(np.abs(np.linalg.eigvals(M))), 1e-300))
+
+
+@settings(max_examples=40, deadline=None)
+@given(Dt=_stable_loops())
+def test_newton_gamma_matches_term_by_term_reference(di2d_sys, di2d_K_eff, Dt):
+    # the series depends on the loop D~ alone, which _newton_gamma takes as given
+    assert bounds._newton_gamma(di2d_sys, di2d_K_eff, Dt) == reference_newton_gamma(
+        di2d_sys, di2d_K_eff, Dt)
+
+
+@pytest.mark.parametrize("cap", [1, 5, 63, 64, 65, 100, 130])
+def test_newton_gamma_cap_raises_as_reference(di2d_sys, di2d_K_eff, monkeypatch, cap):
+    # a series longer than the cap, which falls mid-block or on a block edge
+    Dt = np.array([[0.999, 0.5], [0.0, 0.9]])
+    formed = []
+
+    def counting_norm(M):
+        formed.append(len(M) if np.ndim(M) == 3 else 0)
+        return induced_two_norm(M)
+
+    monkeypatch.setattr(bounds, "_GAMMA_SERIES_CAP", cap)
+    monkeypatch.setattr(bounds, "induced_two_norm", counting_norm)
+    with pytest.raises(ArithmeticError) as new:
+        bounds._newton_gamma(di2d_sys, di2d_K_eff, Dt)
+    with pytest.raises(ArithmeticError) as ref:
+        reference_newton_gamma(di2d_sys, di2d_K_eff, Dt, cap=cap)
+    assert str(new.value) == str(ref.value)
+    assert sum(formed) == cap  # no power past the cap is formed
+
+
+@pytest.mark.parametrize("name,zetas", [
+    ("di-2d", (1.5, 4.0, 12.0, 50.0)),
+    ("ac-4d", (1.5, 3.0, 6.5, 12.0)),
+])
+def test_newton_gamma_of_design_reports_matches_reference(name, zetas):
+    sys = load_scenario(name).system
+    for zeta in zetas:
+        K = zeta_dare(sys, zeta)
+        for ell in (1, 3, 10, 20):
+            Kbar = iterate_bellman(sys, K, ell - 1)
+            Dt = greedy_gain(sys, Kbar).closed_loop
+            assert full_report(sys, K, ell).gamma == reference_newton_gamma(sys, Kbar, Dt)
 
 
 def test_newton_scalar(scalar_sys):

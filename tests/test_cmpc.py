@@ -610,6 +610,69 @@ def test_certificate_margin_at_the_boundary(di2d_prob, di2d_design_eff, monkeypa
         assert _same_step(step, MpcController(di2d_prob, di2d_design_eff, 3).solve(x0))
 
 
+# a state a few 1e-8 outside the feasible set of the amplified di-2d design
+# at ell = 1: the dual method blocks a row, while the Phase-1 LP, within
+# HiGHS's 1e-7 primal tolerance, returns t = 0
+_NEAR_BOUNDARY = np.array([-0.9128409584918091, 1.9966121760177573])
+
+
+def _violation(ctl, x) -> float:
+    """Largest row violation of the QP solution at a feasible state x (the
+    dual method accepts up to 1e-12 relative)."""
+    p = ctl.qp_at(x)
+    return max(float(np.max(p.G @ solve_qp(p).z - p.g)), 0.0)
+
+
+def _stored_row_is_sound(ctl, x_infeasible, feasible_points):
+    """The last stored row is a lower bound on the least violation: above 0
+    at the infeasible query that stored it, and not above the violation of
+    the solution at any state found feasible."""
+    a, b = ctl._cert_a[-1], ctl._cert_b[-1]
+    assert a @ x_infeasible + b > 0.0
+    for x in feasible_points:
+        assert a @ x + b <= _violation(ctl, x) + 1e-13, x
+
+
+def test_near_boundary_query_is_certified_infeasible(di2d_prob, di2d_design_eff):
+    ctl = MpcController(di2d_prob, di2d_design_eff, 1)
+    p = ctl.qp_at(_NEAR_BOUNDARY)
+    assert qp._phase1(p)[1] is None  # the LP alone would call it feasible
+    sol = solve_qp(p)
+    assert sol.status == "infeasible"
+    stat, gap = qp._farkas_residuals(p, sol.farkas)
+    assert stat <= qp._FARKAS_STAT_TOL and gap < -qp._FARKAS_GAP_TOL
+    assert not ctl.solve(_NEAR_BOUNDARY).feasible
+    assert ctl._cert_b.size == 1
+    _stored_row_is_sound(ctl, _NEAR_BOUNDARY, [np.zeros(2), 0.999 * _NEAR_BOUNDARY])
+    # under the store's margin at its own query, so a QP answers its neighbours
+    assert ctl._cert_a[0] @ _NEAR_BOUNDARY + ctl._cert_b[0] <= cmpc._CERT_MARGIN
+
+
+@pytest.mark.parametrize("angle", [None, 0.3, 1.4, 2.2, 3.5, 5.0])
+def test_bisection_onto_the_boundary_never_raises(di2d_prob, di2d_design_eff, angle):
+    # 40 halvings from the origin (feasible) toward an infeasible state along
+    # one ray; each row stored on the way must stay sound at every state
+    # found feasible
+    d = _NEAR_BOUNDARY if angle is None else 6.0 * np.array([np.cos(angle), np.sin(angle)])
+    ctl = MpcController(di2d_prob, di2d_design_eff, 1)
+    lo, hi = 0.0, 1.25
+    assert not ctl.solve(hi * d).feasible
+    feasible = [np.zeros(2)]
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        n = ctl._cert_b.size
+        if ctl.solve(mid * d).feasible:
+            lo = mid
+            feasible.append(mid * d)
+        else:
+            hi = mid
+            if ctl._cert_b.size > n:
+                _stored_row_is_sound(ctl, mid * d, feasible)
+    assert hi - lo <= 1.25 * 2.0**-40
+    for x in feasible:
+        assert np.max(ctl._cert_a @ x + ctl._cert_b) <= _violation(ctl, x) + 1e-13, x
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     which=st.sampled_from(["eff", "opt"]),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lqmpc import (
     HPolytope,
     LqSystem,
+    TerminalDesign,
     bounding_box,
     contains,
     greedy_gain,
@@ -27,6 +28,7 @@ from _checks import (
     lp_maximal_invariant_set,
     lp_remove_redundancy,
     pairwise_vertices_2d,
+    reference_volume_mc_in_box,
 )
 
 BOX5 = HPolytope.symmetric_box([5.0, 5.0])
@@ -207,6 +209,45 @@ def test_volume_4d_one_bounding_box(monkeypatch):
     # the same samples in the same box as before the box was shared
     assert v == 17.34864
     assert volume_mc(P, n_samples=200_000, seed=3)[0] == v
+
+
+@st.composite
+def _random_polytopes(draw):
+    """3-D and 4-D polytopes: a box cut by up to 12 random half-spaces, all
+    with the origin inside."""
+    dim = draw(st.sampled_from([3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(0, 12))
+    H = np.vstack([np.eye(dim), -np.eye(dim), rng.standard_normal((k, dim))])
+    h = np.concatenate([rng.uniform(0.5, 3.0, 2 * dim), rng.uniform(0.1, 2.0, k)])
+    return HPolytope(H, h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    P=_random_polytopes(),
+    n_samples=st.one_of(st.integers(1, 130_000),
+                        st.sampled_from([19_999, 20_000, 20_001, 100_000, 100_001])),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_volume_mc_matches_reference(P, n_samples, seed):
+    # the same samples and hit count as the 100 000-sample rng.uniform loop
+    from lqmpc import polytope
+
+    lo, hi = bounding_box(P)
+    assert polytope._volume_mc_in_box(P, lo, hi, n_samples, seed) == \
+        reference_volume_mc_in_box(P, lo, hi, n_samples, seed)
+
+
+# the ac-4d amplifications and the Monte Carlo seed of the benchmark's
+# `design` workload at seed 1
+@pytest.mark.parametrize("zeta", [1.7639823060253186, 3.143686464145352,
+                                  6.523921605646444, 8.826624675786405])
+def test_volume_of_ac4d_terminal_sets_matches_reference(ac4d_prob, zeta):
+    S = TerminalDesign.for_amplified_cost(ac4d_prob, zeta).S
+    lo, hi = bounding_box(S)
+    expected = reference_volume_mc_in_box(S, lo, hi, 1_000_000, 1382612245)
+    assert volume_mc(S, n_samples=1_000_000, seed=1382612245) == expected
 
 
 def test_volume_2d_solves_no_lp(monkeypatch, di2d_design_eff):

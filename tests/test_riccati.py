@@ -194,6 +194,47 @@ def test_zeta_satisfies_amplified_equation(di2d_sys):
     assert resid <= 1e-10 * max(1.0, induced_two_norm(K))
 
 
+def test_zeta_dare_and_amplified_design_solve_once(di2d_prob, monkeypatch):
+    # zeta_dare and the terminal design at the same zeta share one solve
+    from lqmpc import ConstrainedProblem, TerminalDesign, riccati
+
+    calls = []
+
+    def counting_solve_dare(*args, **kwargs):
+        calls.append(1)
+        return solve_dare(*args, **kwargs)
+
+    expected = solve_dare(LqSystem(di2d_prob.sys.A, di2d_prob.sys.B, di2d_prob.sys.Q,
+                                   ZEFF_2D * di2d_prob.sys.R))[0]
+    prob = ConstrainedProblem(LqSystem(di2d_prob.sys.A, di2d_prob.sys.B,
+                                       di2d_prob.sys.Q, di2d_prob.sys.R),
+                              di2d_prob.Xhat, di2d_prob.U)
+    monkeypatch.setattr(riccati, "solve_dare", counting_solve_dare)
+    K = zeta_dare(prob.sys, ZEFF_2D)
+    design = TerminalDesign.for_amplified_cost(prob, ZEFF_2D)
+    assert len(calls) == 1
+    assert design.K is K
+    assert K.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        K[0, 0] = 1.0
+    # another zeta replaces the kept system; coming back solves afresh
+    zeta_dare(prob.sys, 50.0)
+    assert zeta_dare(prob.sys, ZEFF_2D).tobytes() == expected.tobytes()
+    assert len(calls) == 3
+
+
+def test_amplified_system_not_pickled(di2d_sys):
+    import pickle
+
+    sys = LqSystem(di2d_sys.A, di2d_sys.B, di2d_sys.Q, di2d_sys.R)
+    amp = sys.amplified(2.0)
+    assert sys.amplified(2.0) is amp
+    copy = pickle.loads(pickle.dumps(sys))
+    assert "_amplified" not in vars(copy)
+    assert copy.amplified(2.0) is not amp
+    np.testing.assert_array_equal(copy.amplified(2.0).R, amp.R)
+
+
 # ---------------------------------------------------------------------------
 # iterate_bellman / in_region_of_decreasing
 # ---------------------------------------------------------------------------
