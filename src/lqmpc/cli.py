@@ -343,7 +343,7 @@ def cmd_terminal_set(args) -> int:
 
 def cmd_region(args) -> int:
     sc, out, prob, design, ell = _mpc_setup(args)
-    grid = feasible_region_grid(prob, design, ell, _grid_spec(sc, args), workers=args.workers)
+    grid = feasible_region_grid(prob, design, ell, _grid_spec(sc, args))
     tag = f"{sc.name}-ell{ell}-{args.terminal}"
     csv_path = _write_grid(grid, os.path.join(out, f"region-{tag}"),
                            f"feasible region (ell={ell})", 3)
@@ -361,7 +361,7 @@ def cmd_region(args) -> int:
 
 def cmd_submap(args) -> int:
     sc, out, prob, design, ell = _mpc_setup(args)
-    grid = suboptimality_map(prob, design, ell, _grid_spec(sc, args), workers=args.workers)
+    grid = suboptimality_map(prob, design, ell, _grid_spec(sc, args))
     tag = f"{sc.name}-ell{ell}-{args.terminal}"
     csv_path = _write_grid(grid, os.path.join(out, f"submap-{tag}"),
                            f"relative suboptimality (ell={ell})", 5)
@@ -513,8 +513,7 @@ def _reproduce_table3(cs: CheckSet, out: str, seed: Optional[int]) -> list[str]:
     return ["table 3: terminal set volume ratios (2-D volumes computed exactly)"]
 
 
-def _reproduce_example3(cs: CheckSet, out: str, seed: Optional[int],
-                        workers: Optional[int]) -> list[str]:
+def _reproduce_example3(cs: CheckSet, out: str, seed: Optional[int]) -> list[str]:
     sc = _scenario("di-2d", seed)
     t0 = time.perf_counter()
     prob = sc.constrained_problem()
@@ -524,8 +523,8 @@ def _reproduce_example3(cs: CheckSet, out: str, seed: Optional[int],
     optimal.S.to_csv(os.path.join(out, "example3-terminal-optimal.csv"))
     spec = sc.grid_spec()
     ell = sc.horizon
-    grid_amp = feasible_region_grid(prob, amplified, ell, spec, workers=workers)
-    grid_opt = feasible_region_grid(prob, optimal, ell, spec, workers=workers)
+    grid_amp = feasible_region_grid(prob, amplified, ell, spec)
+    grid_opt = feasible_region_grid(prob, optimal, ell, spec)
     grid_amp.to_csv(os.path.join(out, "example3-region-amplified.csv"))
     grid_opt.to_csv(os.path.join(out, "example3-region-optimal.csv"))
     missing = int(np.sum(grid_opt.feasible & ~grid_amp.feasible))
@@ -539,7 +538,7 @@ def _reproduce_example3(cs: CheckSet, out: str, seed: Optional[int],
             "feasible cells with the amplified design")
     cs.info("example3.feasible_cells_optimal", float(grid_opt.feasible.sum()),
             "feasible cells with the optimal design")
-    submap = suboptimality_map(prob, amplified, ell, spec, workers=workers)
+    submap = suboptimality_map(prob, amplified, ell, spec)
     submap.to_csv(os.path.join(out, "example3-submap.csv"))
     finite = submap.rel_gap[np.isfinite(submap.rel_gap)]
     max_gap = float(finite.max()) if finite.size else math.nan
@@ -597,7 +596,7 @@ def cmd_reproduce(args) -> int:
         notes += _reproduce_table2(cs, out, args.seed)
         notes.insert(0, "example 2: unconstrained studies (tables 1 and 2)")
     elif args.example == "3":
-        notes = _reproduce_example3(cs, out, args.seed, args.workers)
+        notes = _reproduce_example3(cs, out, args.seed)
     elif args.example == "4":
         notes = _reproduce_example4(cs, out, args.seed)
     elif args.example == "table1":
@@ -667,8 +666,6 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--grid", type=int, default=None, help="grid resolution per axis")
         q.add_argument("--terminal", choices=("scenario", "optimal"), default="scenario",
                        help="terminal design: scenario recipe or the optimal cost")
-        q.add_argument("--workers", type=int, default=None,
-                       help="process count for the grid sweep (default: CPU count)")
         q.set_defaults(func=fn)
 
     q = sub.add_parser("simulate", help="closed-loop trajectory from x0", parents=[common])
@@ -683,8 +680,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--example", required=True,
                    choices=("1", "2", "3", "4", "table1", "table2", "table3"))
     q.add_argument("--out", default="lqmpc-out", help="output directory")
-    q.add_argument("--workers", type=int, default=None,
-                   help="process count for grid sweeps (default: CPU count)")
     q.set_defaults(func=cmd_reproduce)
     return p
 

@@ -12,8 +12,6 @@ of the state constraint set).
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -340,7 +338,7 @@ class MpcController:
         ball_tol = _BALL_RTOL * self.prob.box_radius
         total = 0.0
         for _ in range(_SIM_CAP):
-            if contains(self.design.S, x) and float(np.linalg.norm(x)) <= ball_tol:
+            if float(np.linalg.norm(x)) <= ball_tol and contains(self.design.S, x):
                 return total + float(x @ self.tail_cost @ x)
             step, stage, x = self._move(x)
             if not step.feasible:
@@ -408,7 +406,7 @@ class CostMapGrid:
     ys: np.ndarray
     feasible: np.ndarray  # bool (len(ys), len(xs))
     cost: np.ndarray  # float, +inf where infeasible
-    rel_gap: np.ndarray  # float, NaN where not computed
+    rel_gap: np.ndarray  # float, NaN where not computed (read-only for a region)
     meta: dict
 
     def to_csv(self, path) -> None:
@@ -440,91 +438,38 @@ def _grid_axes(prob: ConstrainedProblem, grid_spec) -> tuple[np.ndarray, np.ndar
     return xs, ys
 
 
-# Grid sweeps run as a map over rows on a process pool; each row is
-# independent (pure QP solves).  The workers are spawned interpreters that
-# load BLAS with a one-thread limit, for every worker count: a BLAS thread
-# pool per worker would oversubscribe the cores the workers already fill, and
-# a threaded LU (100x100 and up, as at horizon 100) rounds differently from a
-# serial one, so one-thread BLAS everywhere keeps the output identical for
-# any worker count and any core count.
-_ROW_STATE: dict = {}
-_WORKER_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-
-
-def _init_row_state(prob, design, ell, xs, ys, kind) -> None:
-    _ROW_STATE["ctl"] = MpcController(prob, design, ell)
-    _ROW_STATE["ctl_opt"] = (
-        MpcController(prob, design, _APPROX_OPT_HORIZON) if kind == "submap" else None
-    )
-    _ROW_STATE["xs"] = xs
-    _ROW_STATE["ys"] = ys
-    _ROW_STATE["kind"] = kind
-
-
-def _sweep_row(iy: int):
-    ctl: MpcController = _ROW_STATE["ctl"]
-    xs = _ROW_STATE["xs"]
-    y = _ROW_STATE["ys"][iy]
-    feas = np.zeros(xs.size, dtype=bool)
-    cost = np.full(xs.size, math.inf)
-    rel = np.full(xs.size, math.nan)
-    if _ROW_STATE["kind"] == "region":
-        for ix, x in enumerate(xs):
-            step = ctl.solve(np.array([x, y]))
-            feas[ix] = step.feasible
-            if step.feasible:
-                cost[ix] = step.value
-        return iy, feas, cost, rel
-    ctl_opt: MpcController = _ROW_STATE["ctl_opt"]
-    for ix, x in enumerate(xs):
-        pt = np.array([x, y])
-        J = ctl.simulate_cost(pt)
-        feas[ix] = math.isfinite(J)
-        cost[ix] = J
-        if not math.isfinite(J) or (x == 0.0 and y == 0.0):
-            continue
-        Jopt = ctl_opt.simulate_cost(pt)
-        if Jopt > 0 and math.isfinite(Jopt):
-            rel[ix] = abs(J - Jopt) / Jopt
-    return iy, feas, cost, rel
-
-
-def _resolve_workers(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("LQMPC_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def _run_sweep(prob, design, ell, grid_spec, kind, workers) -> CostMapGrid:
+def _run_sweep(prob, design, ell, grid_spec, kind) -> CostMapGrid:
+    """One pass over the grid, row by row, on fresh controllers, so a sweep's
+    results do not depend on earlier calls."""
     xs, ys = _grid_axes(prob, grid_spec or {})
-    nw = min(_resolve_workers(workers), ys.size)
-    # children read BLAS limits from the environment at start-up; the
-    # parent's own environment is restored once they are started
-    saved = {k: os.environ.get(k) for k in _WORKER_ENV}
-    os.environ.update(_WORKER_ENV)
-    try:
-        pool = multiprocessing.get_context("spawn").Pool(
-            nw, initializer=_init_row_state,
-            initargs=(prob, design, ell, xs, ys, kind),
-        )
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                del os.environ[k]
-            else:
-                os.environ[k] = v
-    with pool:
-        rows = pool.map(_sweep_row, range(ys.size), chunksize=1)
-    nf = np.zeros((ys.size, xs.size), dtype=bool)
+    ctl = MpcController(prob, design, ell)
+    feas = np.zeros((ys.size, xs.size), dtype=bool)
     cost = np.full((ys.size, xs.size), math.inf)
-    rel = np.full((ys.size, xs.size), math.nan)
-    for iy, f, c, r in rows:
-        nf[iy], cost[iy], rel[iy] = f, c, r
+    if kind == "region":
+        # no gap is computed: one read-only NaN stands for every cell
+        rel = np.broadcast_to(math.nan, feas.shape)
+        for iy, y in enumerate(ys):
+            for ix, x in enumerate(xs):
+                step = ctl.solve(np.array([x, y]))
+                feas[iy, ix] = step.feasible
+                if step.feasible:
+                    cost[iy, ix] = step.value
+    else:
+        rel = np.full(feas.shape, math.nan)
+        ctl_opt = MpcController(prob, design, _APPROX_OPT_HORIZON)
+        for iy, y in enumerate(ys):
+            for ix, x in enumerate(xs):
+                pt = np.array([x, y])
+                J = ctl.simulate_cost(pt)
+                feas[iy, ix] = math.isfinite(J)
+                cost[iy, ix] = J
+                if not math.isfinite(J) or (x == 0.0 and y == 0.0):
+                    continue
+                Jopt = ctl_opt.simulate_cost(pt)
+                if Jopt > 0 and math.isfinite(Jopt):
+                    rel[iy, ix] = abs(J - Jopt) / Jopt
     return CostMapGrid(
-        xs=xs, ys=ys, feasible=nf, cost=cost, rel_gap=rel,
+        xs=xs, ys=ys, feasible=feas, cost=cost, rel_gap=rel,
         meta={"kind": kind, "ell": ell, "zeta": design.zeta, "resolution": xs.size},
     )
 
@@ -535,11 +480,10 @@ def feasible_region_grid(
 ) -> CostMapGrid:
     """Feasibility verdict (and QP value) of the ell-step problem per grid point.
 
-    Rows run on a pool of `workers` spawned processes (default: the
-    LQMPC_WORKERS environment variable, else the CPU count), so a script
-    that calls a sweep needs an ``if __name__ == "__main__":`` guard.
+    The sweep runs in the calling process.  `workers` is accepted and
+    ignored, for callers that still pass it; it selects nothing.
     """
-    return _run_sweep(prob, design, ell, grid_spec, "region", workers)
+    return _run_sweep(prob, design, ell, grid_spec, "region")
 
 
 def suboptimality_map(
@@ -550,9 +494,10 @@ def suboptimality_map(
 
     J_pol is the realized ell-step receding-horizon cost; J_opt the ell=100
     approximation of the optimal cost.  The origin cell is excluded (0/0).
-    Runs on the same process pool as `feasible_region_grid`.
+    The sweep runs in the calling process.  `workers` is accepted and
+    ignored, for callers that still pass it; it selects nothing.
     """
-    return _run_sweep(prob, design, ell, grid_spec, "submap", workers)
+    return _run_sweep(prob, design, ell, grid_spec, "submap")
 
 
 def boundary_points(

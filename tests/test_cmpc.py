@@ -365,27 +365,44 @@ def test_grid_csv_round_trip(di2d_prob, di2d_design_eff, tmp_path):
     assert lines[2].startswith("-5,-5,")
 
 
-def test_grid_parallel_matches_serial(di2d_prob, di2d_design_eff):
-    a = feasible_region_grid(
-        di2d_prob, di2d_design_eff, 3, grid_spec={"resolution": 11}, workers=1
-    )
-    b = feasible_region_grid(
-        di2d_prob, di2d_design_eff, 3, grid_spec={"resolution": 11}, workers=2
-    )
-    np.testing.assert_array_equal(a.feasible, b.feasible)
-    np.testing.assert_array_equal(a.cost, b.cost)
+def test_sweeps_match_a_fresh_replay_in_this_process(di2d_prob, di2d_design_eff, monkeypatch):
+    """Both sweeps equal, bit for bit, a replay of each cell on controllers
+    built for that cell alone (`solve` for the region; `simulate_cost` at ell
+    and at ell = 100 for the map, the origin excluded), start no process and
+    leave the environment as it was."""
 
+    def no_process(*args, **kwargs):
+        raise AssertionError("a grid sweep started a process")
 
-def test_submap_parallel_matches_serial(di2d_prob, di2d_design_eff):
-    spec = {"resolution": 7}
-    a = suboptimality_map(di2d_prob, di2d_design_eff, 3, grid_spec=spec, workers=1)
+    monkeypatch.setattr(multiprocessing, "get_context", no_process)
+    monkeypatch.setattr(multiprocessing, "Pool", no_process)
     env_before = dict(os.environ)
-    b = suboptimality_map(di2d_prob, di2d_design_eff, 3, grid_spec=spec, workers=2)
-    # worker start-up must not leak its BLAS thread limits into the parent
+    spec = {"resolution": 7}
+    region = feasible_region_grid(di2d_prob, di2d_design_eff, 3, grid_spec=spec)
+    submap = suboptimality_map(di2d_prob, di2d_design_eff, 3, grid_spec=spec)
     assert dict(os.environ) == env_before
-    np.testing.assert_array_equal(a.feasible, b.feasible)
-    np.testing.assert_array_equal(a.cost, b.cost)
-    np.testing.assert_array_equal(a.rel_gap, b.rel_gap)
+
+    shape = (7, 7)
+    feas, cost = np.zeros(shape, dtype=bool), np.full(shape, math.inf)
+    J_pol, rel = np.full(shape, math.inf), np.full(shape, math.nan)
+    for iy, y in enumerate(region.ys):
+        for ix, x in enumerate(region.xs):
+            pt = np.array([x, y])
+            step = MpcController(di2d_prob, di2d_design_eff, 3).solve(pt)
+            feas[iy, ix], cost[iy, ix] = step.feasible, step.value
+            J = MpcController(di2d_prob, di2d_design_eff, 3).simulate_cost(pt)
+            J_pol[iy, ix] = J
+            if math.isfinite(J) and not (x == 0.0 and y == 0.0):
+                ctl_opt = MpcController(di2d_prob, di2d_design_eff, cmpc._APPROX_OPT_HORIZON)
+                Jopt = ctl_opt.simulate_cost(pt)
+                if Jopt > 0 and math.isfinite(Jopt):
+                    rel[iy, ix] = abs(J - Jopt) / Jopt
+    assert feas.any() and not feas.all()
+    assert region.feasible.tobytes() == feas.tobytes()
+    assert region.cost.tobytes() == cost.tobytes()
+    assert submap.feasible.tobytes() == np.isfinite(J_pol).tobytes()
+    assert submap.cost.tobytes() == J_pol.tobytes()
+    assert submap.rel_gap.tobytes() == rel.tobytes()
 
 
 def test_grid_requires_2d(ac4d_prob, ac4d_design_eff):
@@ -738,8 +755,7 @@ def test_certificates_match_lp_on_every_grid_cell(di2d_prob, request, which, ell
     Phase-1 LP of its own.
     """
     design = request.getfixturevalue(f"di2d_design_{which}")
-    grid = feasible_region_grid(di2d_prob, design, ell, load_scenario("di-2d").grid_spec(),
-                                workers=2)
+    grid = feasible_region_grid(di2d_prob, design, ell, load_scenario("di-2d").grid_spec())
     assert grid.feasible.shape == (101, 101)
     iy, ix = np.nonzero(~grid.feasible)
     assert iy.size > 5000
@@ -781,8 +797,9 @@ def test_dual_qp_matches_reference_on_every_grid_cell(di2d_prob, request, which,
 
 
 _BITS_CODE = """\
+import sys
 import numpy as np
-from lqmpc import TerminalDesign, approx_optimal_cost, cmpc, load_scenario
+from lqmpc import TerminalDesign, approx_optimal_cost, cmpc, load_scenario, suboptimality_map
 qps = []
 solve_qp = cmpc.solve_qp
 cmpc.solve_qp = lambda p: qps.append(1) or solve_qp(p)
@@ -791,24 +808,30 @@ prob = sc.constrained_problem()
 design = TerminalDesign.for_amplified_cost(prob, sc.amplification())
 costs = [approx_optimal_cost(prob, design, np.array(x0)) for x0 in ([-4.5, 2.9], [-2.0, 3.0])]
 print(len(qps), np.array(costs).tobytes().hex())
+suboptimality_map(prob, design, 3, {"resolution": 9}).to_csv(sys.argv[1])
 """
 
 
-def test_horizon_100_costs_do_not_depend_on_blas_threads():
+def test_horizon_100_costs_do_not_depend_on_blas_threads(tmp_path):
     """The ell = 100 closed loops of two di-2d states, with horizon-100 QPs on
-    their way, give the same bits under one- and two-thread BLAS, each in a
+    their way, and a 9x9 di-2d suboptimality map (ell = 3, with its ell = 100
+    loops) give the same bits under one- and two-thread BLAS, each in a
     fresh interpreter (the thread count is read when BLAS loads)."""
-    out = []
+    out, csvs = [], []
     for threads in ("1", "2"):
         env = {**os.environ, "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads,
                "MKL_NUM_THREADS": threads,
                "PYTHONPATH": os.path.dirname(os.path.dirname(cmpc.__file__))}
-        proc = subprocess.run([sys.executable, "-c", _BITS_CODE], env=env,
+        csv = tmp_path / f"submap-{threads}.csv"
+        proc = subprocess.run([sys.executable, "-c", _BITS_CODE, str(csv)], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout.split())
+        csvs.append(csv.read_bytes())
     assert int(out[0][0]) > 0
     assert out[0] == out[1]
+    assert csvs[0].count(b"\n") == 2 + 9 * 9
+    assert csvs[0] == csvs[1]
 
 
 # ---------------------------------------------------------------------------
