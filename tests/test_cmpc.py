@@ -365,31 +365,52 @@ def test_grid_csv_round_trip(di2d_prob, di2d_design_eff, tmp_path):
     assert lines[2].startswith("-5,-5,")
 
 
-def test_sweeps_match_a_fresh_replay_in_this_process(di2d_prob, di2d_design_eff, monkeypatch):
-    """Both sweeps equal, bit for bit, a replay of each cell on controllers
-    built for that cell alone (`solve` for the region; `simulate_cost` at ell
-    and at ell = 100 for the map, the origin excluded), start no process and
-    leave the environment as it was."""
+def _no_process(*args, **kwargs):
+    raise AssertionError("a grid sweep started a process")
 
-    def no_process(*args, **kwargs):
-        raise AssertionError("a grid sweep started a process")
 
-    monkeypatch.setattr(multiprocessing, "get_context", no_process)
-    monkeypatch.setattr(multiprocessing, "Pool", no_process)
-    env_before = dict(os.environ)
+def test_grid_parallel_matches_serial(di2d_prob, di2d_design_eff, monkeypatch):
+    """The region sweep gives the same bits for any `workers` value, starts no
+    process, and equals a replay of `solve` on a controller built for each
+    cell alone."""
+    monkeypatch.setattr(multiprocessing, "get_context", _no_process)
+    monkeypatch.setattr(multiprocessing, "Pool", _no_process)
     spec = {"resolution": 7}
-    region = feasible_region_grid(di2d_prob, di2d_design_eff, 3, grid_spec=spec)
-    submap = suboptimality_map(di2d_prob, di2d_design_eff, 3, grid_spec=spec)
-    assert dict(os.environ) == env_before
+    a = feasible_region_grid(di2d_prob, di2d_design_eff, 3, grid_spec=spec, workers=1)
+    b = feasible_region_grid(di2d_prob, di2d_design_eff, 3, grid_spec=spec, workers=2)
+    assert a.feasible.tobytes() == b.feasible.tobytes()
+    assert a.cost.tobytes() == b.cost.tobytes()
 
-    shape = (7, 7)
-    feas, cost = np.zeros(shape, dtype=bool), np.full(shape, math.inf)
-    J_pol, rel = np.full(shape, math.inf), np.full(shape, math.nan)
-    for iy, y in enumerate(region.ys):
-        for ix, x in enumerate(region.xs):
-            pt = np.array([x, y])
-            step = MpcController(di2d_prob, di2d_design_eff, 3).solve(pt)
+    feas, cost = np.zeros((7, 7), dtype=bool), np.full((7, 7), math.inf)
+    for iy, y in enumerate(a.ys):
+        for ix, x in enumerate(a.xs):
+            step = MpcController(di2d_prob, di2d_design_eff, 3).solve(np.array([x, y]))
             feas[iy, ix], cost[iy, ix] = step.feasible, step.value
+    assert feas.any() and not feas.all()
+    assert a.feasible.tobytes() == feas.tobytes()
+    assert a.cost.tobytes() == cost.tobytes()
+
+
+def test_submap_parallel_matches_serial(di2d_prob, di2d_design_eff, monkeypatch):
+    """The suboptimality map gives the same bits for any `workers` value,
+    starts no process, leaves the environment as it was, and equals a replay
+    of `simulate_cost` at ell and at ell = 100 (origin excluded) on
+    controllers built for each cell alone."""
+    monkeypatch.setattr(multiprocessing, "get_context", _no_process)
+    monkeypatch.setattr(multiprocessing, "Pool", _no_process)
+    spec = {"resolution": 7}
+    a = suboptimality_map(di2d_prob, di2d_design_eff, 3, grid_spec=spec, workers=1)
+    env_before = dict(os.environ)
+    b = suboptimality_map(di2d_prob, di2d_design_eff, 3, grid_spec=spec, workers=2)
+    assert dict(os.environ) == env_before
+    assert a.feasible.tobytes() == b.feasible.tobytes()
+    assert a.cost.tobytes() == b.cost.tobytes()
+    assert a.rel_gap.tobytes() == b.rel_gap.tobytes()
+
+    J_pol, rel = np.full((7, 7), math.inf), np.full((7, 7), math.nan)
+    for iy, y in enumerate(a.ys):
+        for ix, x in enumerate(a.xs):
+            pt = np.array([x, y])
             J = MpcController(di2d_prob, di2d_design_eff, 3).simulate_cost(pt)
             J_pol[iy, ix] = J
             if math.isfinite(J) and not (x == 0.0 and y == 0.0):
@@ -397,12 +418,10 @@ def test_sweeps_match_a_fresh_replay_in_this_process(di2d_prob, di2d_design_eff,
                 Jopt = ctl_opt.simulate_cost(pt)
                 if Jopt > 0 and math.isfinite(Jopt):
                     rel[iy, ix] = abs(J - Jopt) / Jopt
-    assert feas.any() and not feas.all()
-    assert region.feasible.tobytes() == feas.tobytes()
-    assert region.cost.tobytes() == cost.tobytes()
-    assert submap.feasible.tobytes() == np.isfinite(J_pol).tobytes()
-    assert submap.cost.tobytes() == J_pol.tobytes()
-    assert submap.rel_gap.tobytes() == rel.tobytes()
+    assert np.isfinite(J_pol).any() and not np.isfinite(J_pol).all()
+    assert a.feasible.tobytes() == np.isfinite(J_pol).tobytes()
+    assert a.cost.tobytes() == J_pol.tobytes()
+    assert a.rel_gap.tobytes() == rel.tobytes()
 
 
 def test_grid_requires_2d(ac4d_prob, ac4d_design_eff):
