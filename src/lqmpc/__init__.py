@@ -51,7 +51,6 @@ from .polytope import (
     sample_interior,
     vertices_2d,
     volume,
-    volume_mc,
 )
 from .qp import QpProblem, QpSolution, solve_qp
 from .cmpc import (

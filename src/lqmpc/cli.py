@@ -143,15 +143,6 @@ def _outdir(args) -> str:
     return args.out
 
 
-def _scenario(name: str, seed: Optional[int]) -> Scenario:
-    sc = load_scenario(name)
-    return sc if seed is None else sc.with_overrides(seed=seed)
-
-
-def _load(args) -> Scenario:
-    return _scenario(args.scenario, getattr(args, "seed", None))
-
-
 def _parse_list(text: str, cast, what: str) -> list:
     try:
         items = [cast(tok) for tok in text.split(",") if tok.strip()]
@@ -196,7 +187,7 @@ def _design(prob: ConstrainedProblem, sc: Scenario, terminal: str) -> TerminalDe
 
 def _mpc_setup(args):
     """Scenario, output directory, problem, terminal design and horizon."""
-    sc = _load(args)
+    sc = load_scenario(args.scenario)
     out = _outdir(args)
     prob = sc.constrained_problem()
     ell = args.ell if args.ell is not None else sc.horizon
@@ -260,17 +251,17 @@ def _write_bounds_csv(path: str, rows: list[tuple], note: str) -> None:
                 f.write(f"{ell},{status},{_bounds_fields(rep)}\n")
 
 
-def _terminal_sets(prob: ConstrainedProblem, zetas, seed: int, out: str) -> tuple[float, list]:
+def _terminal_sets(prob: ConstrainedProblem, zetas, out: str) -> tuple[float, list]:
     """The optimal terminal set and one amplified set per zeta (zeta = 1 is
     the optimal one), each written to `out` as CSV.  Returns the optimal
     set's volume and (zeta, volume, volume ratio, contained in Xhat) rows."""
     base = TerminalDesign.for_optimal_cost(prob)
-    vol_base = volume(base.S, seed=seed)
+    vol_base = volume(base.S)
     base.S.to_csv(os.path.join(out, "terminal-set-optimal.csv"))
     rows = []
     for z in zetas:
         design = base if z == 1.0 else TerminalDesign.for_amplified_cost(prob, z)
-        v = volume(design.S, seed=seed)
+        v = volume(design.S)
         design.S.to_csv(os.path.join(out, f"terminal-set-zeta-{z:g}.csv"))
         rows.append((z, v, v / vol_base, prob.state_set_contains(design.S)))
     return vol_base, rows
@@ -302,7 +293,7 @@ def _trajectory_costs(prob: ConstrainedProblem, design: TerminalDesign, ell: int
 # --------------------------------------------------------------------------
 
 def cmd_bounds(args) -> int:
-    sc = _load(args)
+    sc = load_scenario(args.scenario)
     out = _outdir(args)
     ells = _parse_list(args.ell, int, "horizon")
     K, note = _terminal_matrix(sc, args.zeta)
@@ -324,10 +315,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_terminal_set(args) -> int:
-    sc = _load(args)
+    sc = load_scenario(args.scenario)
     out = _outdir(args)
     zetas = _amplifications(_parse_list(args.zeta, float, "zeta"))
-    vol_base, rows = _terminal_sets(sc.constrained_problem(), zetas, sc.seed, out)
+    vol_base, rows = _terminal_sets(sc.constrained_problem(), zetas, out)
     rows.insert(0, (1.0, vol_base, 1.0, True))
     csv_path = os.path.join(out, f"terminal-ratios-{sc.name}.csv")
     with open(csv_path, "w", encoding="utf-8") as f:
@@ -434,7 +425,7 @@ def _apply_cell(cs: CheckSet, name: str, value: float, cell: tuple) -> None:
     getattr(cs, kind)(name, value, *params)
 
 
-def _reproduce_example1(cs: CheckSet, out: str, seed: Optional[int]) -> list[str]:
+def _reproduce_example1(cs: CheckSet, out: str) -> list[str]:
     sc = load_scenario("lqr-scalar")
     t0 = time.perf_counter()
     rep = full_report(sc.system, sc.K0, 1)
@@ -449,7 +440,7 @@ def _reproduce_example1(cs: CheckSet, out: str, seed: Optional[int]) -> list[str
     return ["example 1: scalar study with reconstructed K0 = 180"]
 
 
-def _reproduce_table1(cs: CheckSet, out: str, seed: Optional[int]) -> list[str]:
+def _reproduce_table1(cs: CheckSet, out: str) -> list[str]:
     t0 = time.perf_counter()
     rows = []
     for name, ratio_target, dist_target in _TABLE1:
@@ -471,7 +462,7 @@ def _reproduce_table1(cs: CheckSet, out: str, seed: Optional[int]) -> list[str]:
     return ["table 1: terminal matrix ratio/distance at the calibrated amplification"]
 
 
-def _reproduce_table2(cs: CheckSet, out: str, seed: Optional[int]) -> list[str]:
+def _reproduce_table2(cs: CheckSet, out: str) -> list[str]:
     t0 = time.perf_counter()
     reports, cache = [], {}
     for name, ell, g_c, c_c, m_c, n_c in _TABLE2:
@@ -494,11 +485,10 @@ def _reproduce_table2(cs: CheckSet, out: str, seed: Optional[int]) -> list[str]:
     return ["table 2: optimality gap and bounds across horizons"]
 
 
-def _reproduce_table3(cs: CheckSet, out: str, seed: Optional[int]) -> list[str]:
-    sc = _scenario("di-2d", seed)
+def _reproduce_table3(cs: CheckSet, out: str) -> list[str]:
+    sc = load_scenario("di-2d")
     t0 = time.perf_counter()
-    vol_base, rows = _terminal_sets(
-        sc.constrained_problem(), [z for z, _ in _TABLE3], sc.seed, out)
+    vol_base, rows = _terminal_sets(sc.constrained_problem(), [z for z, _ in _TABLE3], out)
     for (z, _, ratio, contained), (_, target) in zip(rows, _TABLE3):
         cs.abs(f"table3.zeta{z:g}.volume_ratio", ratio, target, 0.05)
         cs.flag(f"table3.zeta{z:g}.contained", contained, "terminal set inside state set")
@@ -513,8 +503,8 @@ def _reproduce_table3(cs: CheckSet, out: str, seed: Optional[int]) -> list[str]:
     return ["table 3: terminal set volume ratios (2-D volumes computed exactly)"]
 
 
-def _reproduce_example3(cs: CheckSet, out: str, seed: Optional[int]) -> list[str]:
-    sc = _scenario("di-2d", seed)
+def _reproduce_example3(cs: CheckSet, out: str) -> list[str]:
+    sc = load_scenario("di-2d")
     t0 = time.perf_counter()
     prob = sc.constrained_problem()
     amplified = _design(prob, sc, "scenario")
@@ -548,7 +538,7 @@ def _reproduce_example3(cs: CheckSet, out: str, seed: Optional[int]) -> list[str
     return ["example 3: feasible-region containment and suboptimality sweep"]
 
 
-def _reproduce_example4(cs: CheckSet, out: str, seed: Optional[int]) -> list[str]:
+def _reproduce_example4(cs: CheckSet, out: str) -> list[str]:
     sc = load_scenario("ac-4d")
     t0 = time.perf_counter()
     prob = sc.constrained_problem()
@@ -590,21 +580,21 @@ def cmd_reproduce(args) -> int:
     cs = CheckSet(tol_scale=args.tol_scale)
     notes: list[str]
     if args.example == "1":
-        notes = _reproduce_example1(cs, out, args.seed)
+        notes = _reproduce_example1(cs, out)
     elif args.example == "2":
-        notes = _reproduce_table1(cs, out, args.seed)
-        notes += _reproduce_table2(cs, out, args.seed)
+        notes = _reproduce_table1(cs, out)
+        notes += _reproduce_table2(cs, out)
         notes.insert(0, "example 2: unconstrained studies (tables 1 and 2)")
     elif args.example == "3":
-        notes = _reproduce_example3(cs, out, args.seed)
+        notes = _reproduce_example3(cs, out)
     elif args.example == "4":
-        notes = _reproduce_example4(cs, out, args.seed)
+        notes = _reproduce_example4(cs, out)
     elif args.example == "table1":
-        notes = _reproduce_table1(cs, out, args.seed)
+        notes = _reproduce_table1(cs, out)
     elif args.example == "table2":
-        notes = _reproduce_table2(cs, out, args.seed)
+        notes = _reproduce_table2(cs, out)
     elif args.example == "table3":
-        notes = _reproduce_table3(cs, out, args.seed)
+        notes = _reproduce_table3(cs, out)
     else:  # pragma: no cover - argparse restricts choices
         raise ScenarioError(f"unknown example id {args.example!r}")
     if args.tol_scale != 1.0:
@@ -626,14 +616,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         epilog=f"Built-in scenarios: {', '.join(builtin_names())}.",
     )
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the scenario seed (sampling / Monte Carlo)")
     p.add_argument("--tol-scale", type=float, default=1.0,
                    help="scale factor applied to ± tolerances in reproduction checks")
-    # accept the global flags after the subcommand too
+    # accept the global flag after the subcommand too
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help=argparse.SUPPRESS)
     common.add_argument("--tol-scale", type=float, default=argparse.SUPPRESS,
                         help=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)

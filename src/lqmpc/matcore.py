@@ -102,7 +102,8 @@ def solve_dlyap(D, Q, tol: float = DLYAP_TOL) -> np.ndarray:
 
     which converges quadratically for spectral_radius(D) < 1.  Both the
     stopping test and the residual check are relative to ||P||, so the
-    solution is accurate for any scale of Q (P is linear in Q).
+    solution is accurate for any scale of Q (P is linear in Q).  Each test
+    takes its two norms in one `induced_two_norm` call on a stack.
     """
     D = check_square(D, "D")
     Q = symmetrize(Q)
@@ -117,10 +118,11 @@ def solve_dlyap(D, Q, tol: float = DLYAP_TOL) -> np.ndarray:
     for _ in range(_DLYAP_MAX_DOUBLINGS):
         incr = Dk.T @ P @ Dk
         P_next = P + incr
-        if induced_two_norm(incr) <= 0.5 * tol * induced_two_norm(P_next):
+        incr_norm, P_next_norm = induced_two_norm(np.stack([incr, P_next]))
+        if incr_norm <= 0.5 * tol * P_next_norm:
             P = 0.5 * (P_next + P_next.T)
-            resid = induced_two_norm(P - D.T @ P @ D - Q)
-            if resid <= tol * induced_two_norm(P):
+            resid, P_norm = induced_two_norm(np.stack([P - D.T @ P @ D - Q, P]))
+            if resid <= tol * P_norm:
                 return P
         P = P_next
         Dk = Dk @ Dk

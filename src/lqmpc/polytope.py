@@ -4,9 +4,10 @@ A polytope is stored as ``{x | Hx <= h}``.  Row i is a facet exactly when
 its polar point H_i / (h_i - H_i c) about an interior point c is a vertex of
 the polar points' convex hull (Qhull).  That one test removes redundant rows,
 decides when the maximal admissible invariant set of a stable linear loop is
-determined, and gives the 2-D vertices for exact areas (shoelace).  LPs give
-support values, bounding boxes and the Chebyshev centre; volume above 2-D is
-seeded Monte Carlo.
+determined, and gives the vertices for exact volumes: in 2-D from adjacent
+facet rows (shoelace area), above 2-D from the polar hull's facets, each a
+vertex of the polytope, whose hull Qhull measures.  LPs give support values,
+bounding boxes and the Chebyshev centre.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "remove_redundancy",
     "vertices_2d",
     "volume",
-    "volume_mc",
     "bounding_box",
     "sample_interior",
 ]
@@ -40,8 +40,6 @@ LP_TOL = 1e-9
 _INVSET_CAP = 500
 # hit-and-run steps discarded before the first sample
 _HIT_AND_RUN_BURN = 20
-# Monte Carlo samples tested per matrix product
-_MC_CHUNK = 20_000
 
 
 @dataclass(frozen=True)
@@ -267,48 +265,20 @@ def bounding_box(P: HPolytope) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _volume_mc_in_box(P: HPolytope, lo, hi, n_samples: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo volume of P with its standard error, from n_samples
-    uniform points of the box [lo, hi] drawn by `default_rng(seed)`.
+def volume(P: HPolytope, n_samples: Optional[int] = None, seed: Optional[int] = None) -> float:
+    """Exact volume of a bounded polytope; 0.0 when its interior is empty.
 
-    The points are drawn in chunks of `_MC_CHUNK`, small enough that a
-    chunk's rows-by-samples slack test stays in cache.  The generator's
-    stream does not depend on the chunk size, and lo + (hi - lo) u is the
-    value `rng.uniform(lo, hi)` gives, so the samples and the hit count are
-    the same for any chunk size.
+    dim = 1: interval length.  dim = 2: shoelace area of `vertices_2d`.
+    dim >= 3: each facet a'y + b = 0 of the polar hull about an interior
+    point c is the vertex c - a/b of P, and Qhull gives the volume of their
+    hull (taken about c, which does not change it).  Above 1-D no LP is
+    solved when the origin is interior.  `n_samples` and `seed` are accepted
+    and ignored; they select nothing.  Raises ValueError for an unbounded or
+    empty P.
     """
-    box_vol = float(np.prod(hi - lo))
-    if box_vol == 0.0:
-        return 0.0, 0.0
-    rng = np.random.default_rng(seed)
-    width = hi - lo
-    bound = (P.h + FEAS_TOL)[:, None]
-    hits = 0
-    for start in range(0, n_samples, _MC_CHUNK):
-        X = rng.random((min(_MC_CHUNK, n_samples - start), P.dim))
-        X *= width
-        X += lo
-        hits += int(np.count_nonzero(np.logical_and.reduce(P.H @ X.T <= bound, axis=0)))
-    frac = hits / n_samples
-    vol = box_vol * frac
-    se = box_vol * float(np.sqrt(max(frac * (1.0 - frac), 0.0) / n_samples))
-    return vol, se
-
-
-def volume_mc(P: HPolytope, n_samples: int = 1_000_000, seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo volume estimate with its standard error (seeded)."""
-    lo, hi = bounding_box(P)
-    return _volume_mc_in_box(P, lo, hi, n_samples, seed)
-
-
-def volume(P: HPolytope, n_samples: int = 1_000_000, seed: int = 0) -> float:
-    """Volume of a bounded polytope.
-
-    dim = 2: exact area (vertex enumeration + shoelace), with no LP when the
-    origin is interior.  dim >= 3: Monte Carlo over the bounding box (use
-    `volume_mc` to get the standard error as well).  dim = 1: interval
-    length.  Raises ValueError for an unbounded or empty P.
-    """
+    if P.dim == 1:
+        lo, hi = bounding_box(P)  # also rejects an unbounded or empty P
+        return float(max(hi[0] - lo[0], 0.0))
     if P.dim == 2:
         V = vertices_2d(P)  # rejects an unbounded P with an interior
         if V.size == 0:
@@ -316,10 +286,12 @@ def volume(P: HPolytope, n_samples: int = 1_000_000, seed: int = 0) -> float:
             return 0.0
         x, y = V[:, 0], V[:, 1]
         return float(0.5 * abs(np.dot(x, np.roll(y, 1)) - np.dot(np.roll(x, 1), y)))
-    lo, hi = bounding_box(P)  # also rejects an unbounded or empty P
-    if P.dim == 1:
-        return float(max(hi[0] - lo[0], 0.0))
-    return _volume_mc_in_box(P, lo, hi, n_samples, seed)[0]
+    G = _polar_points(P)
+    if G is None:
+        bounding_box(P)  # no interior: rejects an unbounded or empty P
+        return 0.0
+    facets = ConvexHull(G[_hull_rows(G)]).equations  # _hull_rows rejects unbounded P
+    return float(ConvexHull(-facets[:, :-1] / facets[:, -1:]).volume)
 
 
 def sample_interior(P: HPolytope, n: int, seed: int = 0) -> np.ndarray:

@@ -44,7 +44,7 @@ class Scenario:
     grid_resolution: int = 101
     grid_bounds: Optional[tuple] = None
     x0: Optional[np.ndarray] = None
-    seed: int = 0
+    seed: int = 0  # still parsed, so older scenario files load; nothing reads it
     K0: Optional[np.ndarray] = None  # explicit assessment matrix override
 
     def __post_init__(self):

@@ -459,9 +459,9 @@ def pairwise_vertices_2d(P, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# References for the batched gamma series and the chunked Monte Carlo volume:
-# the loops they replaced, one norm per term and 100 000 `rng.uniform`
-# samples per product
+# References for the batched gamma series and Lyapunov doubling norms (the
+# loops they replaced, one norm per matrix), and an independent Monte Carlo
+# volume (100 000 `rng.uniform` samples per product)
 # ---------------------------------------------------------------------------
 
 def _norm2(M):
@@ -503,6 +503,24 @@ def reference_newton_gamma(sys, Kbar, Dt, cap=200_000, rtol=1e-12):
             f"||D~^i||^2 = {term_norm**2:.3e}, partial sum {total:.6e}"
         )
     return eta**2 * _norm2(Mstar) * total
+
+
+def reference_solve_dlyap(D, Q, tol=1e-11, max_doublings=200):
+    """P = D'PD + Q by doubling, one 2-norm per matrix, for stable D."""
+    Q = 0.5 * (Q + Q.T)
+    P = Q.copy()
+    Dk = D.copy()
+    for _ in range(max_doublings):
+        incr = Dk.T @ P @ Dk
+        P_next = P + incr
+        if _norm2(incr) <= 0.5 * tol * _norm2(P_next):
+            P = 0.5 * (P_next + P_next.T)
+            resid = _norm2(P - D.T @ P @ D - Q)
+            if resid <= tol * _norm2(P):
+                return P
+        P = P_next
+        Dk = Dk @ Dk
+    raise ArithmeticError("Lyapunov doubling did not converge")
 
 
 def reference_volume_mc_in_box(P, lo, hi, n_samples, seed, feas_tol=1e-9):

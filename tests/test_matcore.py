@@ -11,15 +11,18 @@ from hypothesis import strategies as st
 from lqmpc import (
     actual_gap,
     build_weighted_norm,
+    greedy_gain,
     induced_two_norm,
     is_stable,
+    load_scenario,
     min_eigenvalue,
     psd_order_holds,
     solve_dlyap,
     spectral_radius,
     symmetrize,
+    zeta_dare,
 )
-from _checks import check_norm_sandwich
+from _checks import check_norm_sandwich, reference_solve_dlyap
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +153,35 @@ def test_dlyap_scale_invariant_for_tiny_q(di2d_dare):
     big = solve_dlyap(D, W)
     tiny = solve_dlyap(D, s * W)
     assert induced_two_norm(tiny - s * big) <= 1e-9 * induced_two_norm(s * big)
+
+
+def _dlyap_cases():
+    """Random stable D (n = 1-6, spectral radius up to 0.99), a nilpotent D
+    whose increment reaches the zero matrix, and the closed loops the bounds
+    and designs of the built-in scenarios solve for."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for _ in range(30):
+        n = int(rng.integers(1, 7))
+        M = rng.standard_normal((n, n))
+        D = rng.uniform(0.01, 0.99) * M / max(spectral_radius(M), 1e-6)
+        W = rng.standard_normal((n, n))
+        cases.append((D, W @ W.T))
+    cases.append((np.triu(rng.standard_normal((4, 4)), 1), np.eye(4)))
+    for name in ("lqr-scalar", "di-2d", "ac-4d"):
+        sys = load_scenario(name).system
+        for zeta in (1.0, 5.0):
+            L = greedy_gain(sys, zeta_dare(sys, zeta)).L
+            cases.append((sys.A + sys.B @ L, sys.Q + L.T @ sys.R @ L))
+    return cases
+
+
+# tolerances spread so that some stopping test lands within a factor of two
+# of its threshold
+@pytest.mark.parametrize("tol", [10.0**-k for k in range(2, 14)])
+def test_dlyap_matches_one_norm_per_matrix_reference(tol):
+    for D, Q in _dlyap_cases():
+        assert np.array_equal(solve_dlyap(D, Q, tol), reference_solve_dlyap(D, Q, tol))
 
 
 def test_dlyap_tiny_gap_matches_exact_value(di2d_sys, di2d_K_eff):

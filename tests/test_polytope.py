@@ -19,7 +19,6 @@ from lqmpc import (
     sample_interior,
     vertices_2d,
     volume,
-    volume_mc,
     zeta_dare,
 )
 from conftest import ZEFF_2D
@@ -177,38 +176,80 @@ def test_volume_unbounded_raises():
         volume(halfplane)
 
 
-def test_volume_mc_matches_exact():
-    area, se = volume_mc(TRIANGLE, n_samples=200_000, seed=4)
-    assert abs(area - 0.5) <= 3 * se
-    assert se < 0.01
-
-
-def test_volume_mc_deterministic():
-    a1, _ = volume_mc(UNIT_SQUARE, n_samples=50_000, seed=9)
-    a2, _ = volume_mc(UNIT_SQUARE, n_samples=50_000, seed=9)
-    assert a1 == a2
-
-
-def test_volume_4d_one_bounding_box(monkeypatch):
+def _lp_counting(monkeypatch):
+    """Patch both of `polytope`'s LP entry points to record their calls."""
     from lqmpc import polytope
 
     calls = []
 
-    def counting_lp_solve(c, P):
-        calls.append(1)
-        return lp_solve(c, P)
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(polytope, "lp_solve", counting_lp_solve)
+    monkeypatch.setattr(polytope, "lp_solve", counting(polytope.lp_solve))
+    monkeypatch.setattr(polytope, "linprog", counting(polytope.linprog))
+    return calls
+
+
+def _simplex(dim):
+    return HPolytope(np.vstack([-np.eye(dim), np.ones((1, dim))]), np.r_[np.zeros(dim), 1.0])
+
+
+# the 4-D cross-polytope |x|_1 <= 1: its polar is the 4-cube, whose facets
+# are not simplices
+_SIGNS_4D = np.array(np.meshgrid(*[[-1.0, 1.0]] * 4)).reshape(4, -1).T
+CROSS_4D = HPolytope(_SIGNS_4D, np.ones(16))
+
+
+@pytest.mark.parametrize("P, exact", [
+    (CROSS_4D, 2.0 / 3.0),
+    (_simplex(3), 1.0 / 6.0),
+    (_simplex(4), 1.0 / 24.0),
+    # no origin inside: the polar points are taken about the Chebyshev centre
+    (HPolytope.box(np.ones(4), 2.0 * np.ones(4)), 1.0),
+    (HPolytope.box([-1.0, 0.5, -2.0], [0.0, 2.0, 1.0]), 4.5),
+], ids=["cross-4d", "simplex-3d", "simplex-4d", "box-4d", "box-3d"])
+def test_volume_above_2d_is_exact(P, exact):
+    assert volume(P) == pytest.approx(exact, rel=1e-12)
+
+
+def test_volume_4d_one_bounding_box(monkeypatch):
+    calls = _lp_counting(monkeypatch)
     P = HPolytope.symmetric_box([1.0, 2.0, 0.5, 1.5]).intersect(
         HPolytope(np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([1.0]))
     )
-    v = volume(P, n_samples=200_000, seed=3)
-    # one LP per face of the bounding box, shared by the boundedness check
-    # and the Monte Carlo box
-    assert len(calls) <= 2 * P.dim
-    # the same samples in the same box as before the box was shared
-    assert v == 17.34864
-    assert volume_mc(P, n_samples=200_000, seed=3)[0] == v
+    # the 2 x 4 x 1 x 3 box less its part where x1 + x2 + x3 + x4 > 1; with
+    # the origin inside, no LP is solved
+    assert volume(P) == pytest.approx(139.0 / 8.0, rel=1e-12)
+    assert calls == []
+
+
+def test_volume_above_2d_regressions():
+    # an empty interior gives 0.0 after the bounding-box check
+    flat = HPolytope.box(np.zeros(3), np.array([1.0, 1.0, 0.0]))
+    assert volume(flat) == 0.0
+    # a 4-D slab, bounded in three directions only
+    slab = HPolytope(np.vstack([np.eye(3, 4), -np.eye(3, 4)]), np.ones(6))
+    with pytest.raises(ValueError):
+        volume(slab)
+    empty = HPolytope.box(np.zeros(3), np.ones(3)).intersect(
+        HPolytope(np.array([[1.0, 1.0, 1.0]]), np.array([-1.0])))
+    with pytest.raises(ValueError):
+        volume(empty)
+    # duplicate rows change nothing
+    P = CROSS_4D.intersect(HPolytope(np.array([[1.0, 0.5, 0.0, 0.0]]), np.array([0.4])))
+    assert volume(P.intersect(P)) == volume(P)
+
+
+def _assert_near_monte_carlo(P, n_samples, seed):
+    """The volume lies within five standard errors (plus rounding) of an
+    independent Monte Carlo estimate over the bounding box."""
+    v = volume(P)
+    lo, hi = bounding_box(P)
+    ref, se = reference_volume_mc_in_box(P, lo, hi, n_samples, seed)
+    assert abs(v - ref) <= 5.0 * se + 1e-9 * v
 
 
 @st.composite
@@ -224,30 +265,17 @@ def _random_polytopes(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    P=_random_polytopes(),
-    n_samples=st.one_of(st.integers(1, 130_000),
-                        st.sampled_from([19_999, 20_000, 20_001, 100_000, 100_001])),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_volume_mc_matches_reference(P, n_samples, seed):
-    # the same samples and hit count as the 100 000-sample rng.uniform loop
-    from lqmpc import polytope
-
-    lo, hi = bounding_box(P)
-    assert polytope._volume_mc_in_box(P, lo, hi, n_samples, seed) == \
-        reference_volume_mc_in_box(P, lo, hi, n_samples, seed)
+@given(P=_random_polytopes())
+def test_volume_above_2d_matches_monte_carlo(P):
+    _assert_near_monte_carlo(P, 200_000, 5)
 
 
-# the ac-4d amplifications and the Monte Carlo seed of the benchmark's
-# `design` workload at seed 1
+# the ac-4d amplifications of the benchmark's `design` workload at seed 1
 @pytest.mark.parametrize("zeta", [1.7639823060253186, 3.143686464145352,
                                   6.523921605646444, 8.826624675786405])
-def test_volume_of_ac4d_terminal_sets_matches_reference(ac4d_prob, zeta):
+def test_volume_of_ac4d_terminal_sets_matches_monte_carlo(ac4d_prob, zeta):
     S = TerminalDesign.for_amplified_cost(ac4d_prob, zeta).S
-    lo, hi = bounding_box(S)
-    expected = reference_volume_mc_in_box(S, lo, hi, 1_000_000, 1382612245)
-    assert volume_mc(S, n_samples=1_000_000, seed=1382612245) == expected
+    _assert_near_monte_carlo(S, 1_000_000, 1382612245)
 
 
 def test_volume_2d_solves_no_lp(monkeypatch, di2d_design_eff):
@@ -255,16 +283,7 @@ def test_volume_2d_solves_no_lp(monkeypatch, di2d_design_eff):
 
     S = di2d_design_eff.S
     expected = float(polytope.volume(S))
-    calls = []
-
-    def counting(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(polytope, "lp_solve", counting(polytope.lp_solve))
-    monkeypatch.setattr(polytope, "linprog", counting(polytope.linprog))
+    calls = _lp_counting(monkeypatch)
     # the shoelace area of the hull vertices, bit for bit, without an LP
     for P in (S, BOX5, HPolytope.box(np.array([-1.0, -2.0]), np.array([3.0, 1.0]))):
         V = vertices_2d(P)
