@@ -66,19 +66,16 @@ class Check:
 
 
 class CheckSet:
-    def __init__(self, tol_scale: float = 1.0):
-        self.tol_scale = tol_scale
+    def __init__(self):
         self.checks: list[Check] = []
 
     def rel(self, name, value, target, rtol) -> None:
-        r = rtol * self.tol_scale
-        ok = math.isfinite(value) and abs(value - target) <= r * abs(target)
-        self.checks.append(Check(name, value, f"{_fmt(target)} ±{r * 100:g}% (relative)", ok))
+        ok = math.isfinite(value) and abs(value - target) <= rtol * abs(target)
+        self.checks.append(Check(name, value, f"{_fmt(target)} ±{rtol * 100:g}% (relative)", ok))
 
     def abs(self, name, value, target, atol) -> None:
-        a = atol * self.tol_scale
-        ok = math.isfinite(value) and abs(value - target) <= a
-        self.checks.append(Check(name, value, f"{_fmt(target)} ±{_fmt(a)} (absolute)", ok))
+        ok = math.isfinite(value) and abs(value - target) <= atol
+        self.checks.append(Check(name, value, f"{_fmt(target)} ±{_fmt(atol)} (absolute)", ok))
 
     def upper(self, name, value, bound) -> None:
         self.checks.append(Check(name, value, f"< {_fmt(bound)}", value < bound))
@@ -319,7 +316,8 @@ def cmd_terminal_set(args) -> int:
     out = _outdir(args)
     zetas = _amplifications(_parse_list(args.zeta, float, "zeta"))
     vol_base, rows = _terminal_sets(sc.constrained_problem(), zetas, out)
-    rows.insert(0, (1.0, vol_base, 1.0, True))
+    if 1.0 not in zetas:  # the optimal set's row leads, once
+        rows.insert(0, (1.0, vol_base, 1.0, True))
     csv_path = os.path.join(out, f"terminal-ratios-{sc.name}.csv")
     with open(csv_path, "w", encoding="utf-8") as f:
         f.write("zeta,volume,ratio,contained\n")
@@ -577,7 +575,7 @@ def _reproduce_example4(cs: CheckSet, out: str) -> list[str]:
 
 def cmd_reproduce(args) -> int:
     out = _outdir(args)
-    cs = CheckSet(tol_scale=args.tol_scale)
+    cs = CheckSet()
     notes: list[str]
     if args.example == "1":
         notes = _reproduce_example1(cs, out)
@@ -597,8 +595,6 @@ def cmd_reproduce(args) -> int:
         notes = _reproduce_table3(cs, out)
     else:  # pragma: no cover - argparse restricts choices
         raise ScenarioError(f"unknown example id {args.example!r}")
-    if args.tol_scale != 1.0:
-        notes.append(f"tolerances scaled by {args.tol_scale:g}")
     cs.emit(out, notes)
     return EXIT_FAIL if cs.failed else EXIT_OK
 
@@ -616,28 +612,21 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         epilog=f"Built-in scenarios: {', '.join(builtin_names())}.",
     )
-    p.add_argument("--tol-scale", type=float, default=1.0,
-                   help="scale factor applied to ± tolerances in reproduction checks")
-    # accept the global flag after the subcommand too
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-scale", type=float, default=argparse.SUPPRESS,
-                        help=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(q, scenario=True):
-        if scenario:
-            q.add_argument("--scenario", required=True,
-                           help="built-in scenario name or scenario file path")
+    def add_common(q):
+        q.add_argument("--scenario", required=True,
+                       help="built-in scenario name or scenario file path")
         q.add_argument("--out", default="lqmpc-out", help="output directory")
 
-    q = sub.add_parser("bounds", help="gap and performance bounds per horizon", parents=[common])
+    q = sub.add_parser("bounds", help="gap and performance bounds per horizon")
     add_common(q)
     q.add_argument("--ell", default="3,10,20", help="comma-separated horizons")
     q.add_argument("--zeta", type=float, default=None,
                    help="amplification for the terminal matrix (default: scenario)")
     q.set_defaults(func=cmd_bounds)
 
-    q = sub.add_parser("terminal-set", help="terminal set volumes across amplifications", parents=[common])
+    q = sub.add_parser("terminal-set", help="terminal set volumes across amplifications")
     add_common(q)
     q.add_argument("--zeta", default="5,15,25,35", help="comma-separated amplifications")
     q.set_defaults(func=cmd_terminal_set)
@@ -646,7 +635,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("region", cmd_region, "feasible-region sweep over the scenario grid"),
         ("submap", cmd_submap, "closed-loop suboptimality sweep over the grid"),
     ):
-        q = sub.add_parser(name, help=help_, parents=[common])
+        q = sub.add_parser(name, help=help_)
         add_common(q)
         q.add_argument("--ell", type=int, default=None, help="horizon (default: scenario)")
         q.add_argument("--grid", type=int, default=None, help="grid resolution per axis")
@@ -654,7 +643,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="terminal design: scenario recipe or the optimal cost")
         q.set_defaults(func=fn)
 
-    q = sub.add_parser("simulate", help="closed-loop trajectory from x0", parents=[common])
+    q = sub.add_parser("simulate", help="closed-loop trajectory from x0")
     add_common(q)
     q.add_argument("--x0", default=None, help="comma-separated start state")
     q.add_argument("--ell", type=int, default=None, help="horizon (default: scenario)")
@@ -662,7 +651,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--terminal", choices=("scenario", "optimal"), default="scenario")
     q.set_defaults(func=cmd_simulate)
 
-    q = sub.add_parser("reproduce", help="run a study and check reported values", parents=[common])
+    q = sub.add_parser("reproduce", help="run a study and check reported values")
     q.add_argument("--example", required=True,
                    choices=("1", "2", "3", "4", "table1", "table2", "table3"))
     q.add_argument("--out", default="lqmpc-out", help="output directory")

@@ -44,7 +44,6 @@ class Scenario:
     grid_resolution: int = 101
     grid_bounds: Optional[tuple] = None
     x0: Optional[np.ndarray] = None
-    seed: int = 0  # still parsed, so older scenario files load; nothing reads it
     K0: Optional[np.ndarray] = None  # explicit assessment matrix override
 
     def __post_init__(self):
@@ -59,8 +58,6 @@ class Scenario:
             raise ScenarioError("horizon must be a positive integer")
         if self.grid_resolution < 2:
             raise ScenarioError("grid resolution must be at least 2")
-        if self.seed < 0:
-            raise ScenarioError("seed must be a non-negative integer")
         if (self.Xhat is None) != (self.U is None):
             raise ScenarioError("state and input constraints must be given together")
         if self.Xhat is not None and self.Xhat.dim != sys.n:
@@ -201,7 +198,7 @@ _FIELDS = {
     "input_box", "input_H", "input_h",
     "terminal_kind", "zeta", "zeta_effective",
     "horizon", "grid_resolution", "grid_bounds",
-    "x0", "seed", "K0",
+    "x0", "K0",
 }
 
 
@@ -317,8 +314,6 @@ def load_scenario(path_or_name: str) -> Scenario:
         )
     if "x0" in data:
         kw["x0"] = _as_vector("x0", data["x0"])
-    if "seed" in data:
-        kw["seed"] = int(data["seed"])
     if "K0" in data:
         kw["K0"] = _as_matrix("K0", data["K0"])
     try:

@@ -1,44 +1,39 @@
 """Shared fixtures: the three study systems and their solved designs."""
 
-import numpy as np
 import pytest
 
 from lqmpc import (
     ConstrainedProblem,
-    HPolytope,
-    LqSystem,
     TerminalDesign,
     load_scenario,
     solve_dare,
     zeta_dare,
 )
 
-# Effective amplification factors used throughout (carried by the built-in
-# scenarios; calibrated so the terminal matrices match the reported
-# ratio/distance pairs).
-ZEFF_2D = 10.132151874906384
-ZEFF_4D = 8.0
+# The problem data live only in the built-in scenarios.
+_SCALAR = load_scenario("lqr-scalar")
+_DI2D = load_scenario("di-2d")
+_AC4D = load_scenario("ac-4d")
+
+# Effective amplification factors, calibrated so the terminal matrices match
+# the reported ratio/distance pairs.
+ZEFF_2D = _DI2D.zeta_effective
+ZEFF_4D = _AC4D.zeta_effective
 
 
 @pytest.fixture(scope="session")
 def scalar_sys():
-    return LqSystem(
-        np.array([[2.0]]), np.array([[0.5]]), np.array([[1.0]]), np.array([[10.0]])
-    )
+    return _SCALAR.system
 
 
 @pytest.fixture(scope="session")
 def di2d_sys():
-    A = np.array([[1.0, 1.0], [0.0, 1.0]])
-    B = np.array([[0.0], [1.0]])
-    return LqSystem(A, B, np.eye(2), np.eye(1))
+    return _DI2D.system
 
 
 @pytest.fixture(scope="session")
 def ac4d_sys():
-    # Pull the 4-D model from the built-in scenario so the data lives in
-    # exactly one place.
-    return load_scenario("ac-4d").system
+    return _AC4D.system
 
 
 @pytest.fixture(scope="session")
@@ -69,9 +64,7 @@ def ac4d_K_eff(ac4d_sys):
 
 @pytest.fixture(scope="session")
 def di2d_prob(di2d_sys):
-    Xhat = HPolytope.symmetric_box([5.0, 5.0])
-    U = HPolytope.symmetric_box([1.0])
-    return ConstrainedProblem(di2d_sys, Xhat, U)
+    return ConstrainedProblem(di2d_sys, _DI2D.Xhat, _DI2D.U)
 
 
 @pytest.fixture(scope="session")
@@ -86,8 +79,7 @@ def di2d_design_eff(di2d_prob):
 
 @pytest.fixture(scope="session")
 def ac4d_prob(ac4d_sys):
-    sc = load_scenario("ac-4d")
-    return sc.constrained_problem()
+    return ConstrainedProblem(ac4d_sys, _AC4D.Xhat, _AC4D.U)
 
 
 @pytest.fixture(scope="session")

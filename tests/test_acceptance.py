@@ -9,19 +9,11 @@ tracking notes live outside the package.
 """
 
 import json
-import math
 import time
 
 import numpy as np
 
-from lqmpc import (
-    TerminalDesign,
-    full_report,
-    induced_two_norm,
-    solve_dare,
-    volume,
-    zeta_dare,
-)
+from lqmpc import load_scenario, zeta_dare
 from lqmpc.cli import main
 
 from _checks import (
@@ -37,7 +29,7 @@ from _checks import (
     check_terminal_invariance,
 )
 
-K_SCALAR = np.array([[180.0]])
+K_SCALAR = load_scenario("lqr-scalar").K0
 
 
 class _Gate:
@@ -56,14 +48,6 @@ class _Gate:
             self.n_fail += 1
         print(line)
 
-    def rel(self, name, value, target, rtol):
-        ok = math.isfinite(value) and abs(value - target) <= rtol * abs(target)
-        self.check(name, ok, f"{value:.6g} vs {target:g} ±{rtol:.0%}")
-
-    def absolute(self, name, value, target, atol):
-        ok = math.isfinite(value) and abs(value - target) <= atol
-        self.check(name, ok, f"{value:.6g} vs {target:g} ±{atol:g}")
-
     def finish(self, budget_s):
         elapsed = time.perf_counter() - self.t0
         self.check("runtime", elapsed < budget_s,
@@ -74,97 +58,9 @@ class _Gate:
         )
 
 
-def _cell(gate, name, value, spec):
-    """Check one table cell: ('lt', e) value < 10^e, ('gt', e) value > 10^e,
-    ('oom', e) floor(log10) == e, ('rel', t) value = t ±5%."""
-    kind = spec[0]
-    if kind == "lt":
-        gate.check(name, value < 10.0 ** spec[1], f"{value:.6g} vs < 1e{spec[1]:+d}")
-    elif kind == "gt":
-        gate.check(name, value > 10.0 ** spec[1], f"{value:.6g} vs > 1e{spec[1]:+d}")
-    elif kind == "oom":
-        got = math.floor(math.log10(value)) if value > 0 and math.isfinite(value) else None
-        gate.check(name, got == spec[1], f"{value:.6g} vs magnitude 1e{spec[1]:+d}")
-    else:
-        gate.rel(name, value, spec[1], 0.05)
-
-
 # ---------------------------------------------------------------------------
-# criterion 1: scalar study (ell = 1, K = 180): gap and all three bounds
-# ---------------------------------------------------------------------------
-
-def test_criterion_1_scalar_study(scalar_sys):
-    gate = _Gate("criterion 1: scalar study")
-    rep = full_report(scalar_sys, K_SCALAR, 1)
-    gate.rel("actual gap", rep.actual_gap, 3.3, 0.05)
-    gate.rel("contraction bound", rep.bound_contraction, 534.5, 0.05)
-    gate.rel("monotone bound", rep.bound_monotone, 14.4, 0.05)
-    gate.rel("newton bound", rep.bound_newton, 43.0, 0.05)
-    gate.finish(1.0)
-
-
-# ---------------------------------------------------------------------------
-# criterion 2: amplified-design magnitudes (norm ratio and distance to K*)
-# ---------------------------------------------------------------------------
-
-def test_criterion_2_design_magnitudes(di2d_sys, ac4d_sys, di2d_K_eff, ac4d_K_eff):
-    gate = _Gate("criterion 2: design magnitudes")
-    rows = [("2-D", di2d_sys, di2d_K_eff, 2.5, 9.9),
-            ("4-D", ac4d_sys, ac4d_K_eff, 4.3, 486.0)]
-    for label, sys, K, ratio_t, dist_t in rows:
-        Kstar, _ = solve_dare(sys)
-        ratio = induced_two_norm(K) / induced_two_norm(Kstar)
-        dist = induced_two_norm(K - Kstar)
-        gate.absolute(f"{label} norm ratio", ratio, ratio_t, 0.1)
-        gate.rel(f"{label} distance to K*", dist, dist_t, 0.01)
-    gate.finish(1.0)
-
-
-# ---------------------------------------------------------------------------
-# criterion 3: gap and bound columns across horizons (five rows, four columns)
-# ---------------------------------------------------------------------------
-
-_BOUND_TABLE = [
-    # label ell   gap           contraction   monotone        newton
-    ("2-D", 3,  ("oom", -3),   ("lt", 10),   ("rel", 9.8),   ("oom", 2)),
-    ("2-D", 10, ("lt", -13),   ("lt", 5),    ("lt", -4),     ("lt", -7)),
-    ("4-D", 3,  ("rel", 2.8),  ("oom", 52),  ("rel", 486.0), ("lt", 10)),
-    ("4-D", 10, ("lt", -3),    ("gt", 53),   ("rel", 404.0), ("lt", 10)),
-    ("4-D", 20, ("lt", -7),    ("lt", 53),   ("rel", 248.0), ("lt", 9)),
-]
-
-
-def test_criterion_3_bound_table(di2d_sys, ac4d_sys, di2d_K_eff, ac4d_K_eff):
-    gate = _Gate("criterion 3: bound table")
-    systems = {"2-D": (di2d_sys, di2d_K_eff), "4-D": (ac4d_sys, ac4d_K_eff)}
-    for label, ell, c_gap, c_contr, c_mono, c_newton in _BOUND_TABLE:
-        sys, K = systems[label]
-        rep = full_report(sys, K, ell)
-        row = f"{label} ell={ell}"
-        _cell(gate, f"{row} gap", rep.actual_gap, c_gap)
-        _cell(gate, f"{row} contraction", rep.bound_contraction, c_contr)
-        _cell(gate, f"{row} monotone", rep.bound_monotone, c_mono)
-        _cell(gate, f"{row} newton", rep.bound_newton, c_newton)
-    gate.finish(10.0)
-
-
-# ---------------------------------------------------------------------------
-# criterion 4: terminal-set volume ratios across amplification values
-# ---------------------------------------------------------------------------
-
-def test_criterion_4_terminal_volume_ratios(di2d_prob, di2d_design_opt):
-    gate = _Gate("criterion 4: terminal-set volumes")
-    base = volume(di2d_design_opt.S)  # 2-D volumes are exact (vertex areas)
-    for zeta, target in ((5.0, 1.23), (15.0, 1.56), (25.0, 1.65), (35.0, 1.63)):
-        design = TerminalDesign.for_amplified_cost(di2d_prob, zeta)
-        gate.absolute(f"zeta={zeta:g} volume ratio", volume(design.S) / base,
-                      target, 0.05)
-    gate.finish(30.0)
-
-
-# ---------------------------------------------------------------------------
-# criteria 5 and 6 re-run the packaged studies end to end and mirror the
-# emitted scoreboards
+# criteria 1-6 re-run the packaged studies end to end and mirror the emitted
+# scoreboards; every reference target lives in lqmpc.cli
 # ---------------------------------------------------------------------------
 
 def _mirror_reproduce(gate, example, out_dir, budget_s):
@@ -177,6 +73,56 @@ def _mirror_reproduce(gate, example, out_dir, budget_s):
         gate.check(c["name"], ok, f"{c['value_repr']} vs {c['target']}{tag}")
     gate.check("exit code", rc == 0, f"rc={rc}")
     gate.finish(budget_s)
+
+
+def test_criterion_1_scalar_study(tmp_path):
+    gate = _Gate("criterion 1: scalar study")
+    _mirror_reproduce(gate, "1", tmp_path, 1.0)
+
+
+def test_criterion_2_design_magnitudes(tmp_path):
+    gate = _Gate("criterion 2: design magnitudes")
+    _mirror_reproduce(gate, "table1", tmp_path, 1.0)
+
+
+def test_criterion_3_bound_table(tmp_path):
+    gate = _Gate("criterion 3: bound table")
+    _mirror_reproduce(gate, "table2", tmp_path, 10.0)
+
+
+def test_criterion_4_terminal_volume_ratios(tmp_path):
+    gate = _Gate("criterion 4: terminal-set volumes")
+    _mirror_reproduce(gate, "table3", tmp_path, 30.0)
+
+
+# The reference cells the stated problem data do not reproduce (README,
+# "Expected failures"), with their targets as the summaries state them.
+# Criteria 1, 3 and 4 fail on these cells; a further failing cell in those
+# studies, or one of these starting to pass, fails this test.
+_KNOWN_MISMATCHES = {
+    "example1.bound_contraction": "534.5 ±5% (relative)",
+    "table2.di-2d.ell10.gap": "< 1e-13",
+    "table2.ac-4d.ell3.gap": "2.8 ±5% (relative)",
+    "table2.ac-4d.ell3.contraction": "order of magnitude 10^52",
+    "table2.ac-4d.ell10.gap": "< 0.001",
+    "table2.ac-4d.ell10.contraction": "> 1e+53",
+    "table2.ac-4d.ell20.gap": "< 1e-07",
+    "table3.zeta5.volume_ratio": "1.23 ±0.05 (absolute)",
+    "table3.zeta15.volume_ratio": "1.56 ±0.05 (absolute)",
+    "table3.zeta25.volume_ratio": "1.65 ±0.05 (absolute)",
+    "table3.zeta35.volume_ratio": "1.63 ±0.05 (absolute)",
+}
+
+
+def test_reference_mismatches_are_exactly_the_known_cells(tmp_path):
+    failed = {}
+    for example in ("1", "table2", "table3"):
+        out = tmp_path / example
+        main(["reproduce", "--example", example, "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        failed.update((c["name"], c["target"])
+                      for c in summary["checks"] if c["passed"] is False)
+    assert failed == _KNOWN_MISMATCHES
 
 
 def test_criterion_5_region_containment_and_submap(tmp_path):

@@ -56,8 +56,8 @@ def test_builtin_scalar():
 
 
 def test_scenario_overrides():
-    sc = load_scenario("di-2d").with_overrides(seed=7, horizon=5)
-    assert sc.seed == 7 and sc.horizon == 5
+    sc = load_scenario("di-2d").with_overrides(grid_resolution=7, horizon=5)
+    assert sc.grid_resolution == 7 and sc.horizon == 5
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +99,7 @@ def test_load_scenario_file(tmp_path):
         ("zeta: 10", "bogus: 3", "unknown field"),
         ("zeta: 10", "zeta: 10\nzeta: 11", "duplicate"),
         ("R: [[1]]", "R: [[1,]]", "invalid value"),
+        ("zeta: 10", "seed: 3", "unknown field 'seed'"),
     ],
 )
 def test_load_scenario_errors(tmp_path, find, replace, message):
@@ -166,6 +167,7 @@ def test_cmd_terminal_set_unit_ratio(tmp_path):
     assert rc == 0
     lines = (tmp_path / "terminal-ratios-di-2d.csv").read_text().splitlines()
     assert lines[0] == "zeta,volume,ratio,contained"
+    assert len(lines) == 2  # one data row for the one requested zeta
     zeta, vol, ratio = lines[1].split(",")[:3]
     assert float(zeta) == 1.0
     assert float(vol) == pytest.approx(16.07809, rel=1e-6)
@@ -242,13 +244,14 @@ def test_argparse_usage_exit_code():
     assert exc.value.code == 2
 
 
-def test_tol_scale_loosens_checks(tmp_path):
-    # a generous scale factor cannot turn passing checks into failures
-    rc = main(
-        ["reproduce", "--example", "table1", "--tol-scale", "10",
-         "--out", str(tmp_path)]
-    )
-    assert rc == 0
+def test_tol_scale_is_rejected(tmp_path):
+    # no option loosens the reproduction checks, before or after the command
+    for argv in (["--tol-scale", "10", "reproduce", "--example", "table1"],
+                 ["reproduce", "--example", "table1", "--tol-scale", "10"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_module_invocation_smoke(tmp_path):
