@@ -140,13 +140,21 @@ def _outdir(args) -> str:
     return args.out
 
 
-def _parse_list(text: str, cast, what: str) -> list:
+def _parse_list(text: str, cast, what: str, repeats: bool = False) -> list:
+    """The comma-separated values of `text`; a value given twice is an error
+    unless `repeats` (the entries of a state vector may coincide)."""
     try:
         items = [cast(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ScenarioError(f"could not parse {what} list '{text}'") from None
     if not items:
         raise ScenarioError(f"empty {what} list")
+    if not repeats:
+        seen = set()
+        for v in items:
+            if v in seen:
+                raise ScenarioError(f"{what} {v:g} given twice in '{text}'")
+            seen.add(v)
     return items
 
 
@@ -369,7 +377,7 @@ def cmd_submap(args) -> int:
 def cmd_simulate(args) -> int:
     sc, out, prob, design, ell = _mpc_setup(args)
     if args.x0 is not None:
-        x0 = np.array(_parse_list(args.x0, float, "x0"))
+        x0 = np.array(_parse_list(args.x0, float, "x0", repeats=True))
     elif sc.x0 is not None:
         x0 = sc.x0
     else:

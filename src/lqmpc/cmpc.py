@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .matcore import symmetrize
 from .polytope import HPolytope, bounding_box, contains, lp_solve, maximal_invariant_set
@@ -52,6 +53,13 @@ _APPROX_OPT_HORIZON = 100
 # bound on the Phase-1 optimum exceeds this, ten times HiGHS's primal
 # feasibility tolerance (1e-7), so Phase 1 would call the query infeasible too
 _CERT_MARGIN = 1e-6
+# a stored critical region answers a query only when each of its membership
+# rows is at least this, relative to the query's KKT scale max(1, |q|, |g|),
+# so that no two stored regions can both hold a query
+_REGION_MARGIN = 1e-9
+# the Schur complement of an active set counts as singular when the diagonal
+# of its Cholesky factor spans more than this ratio (condition number ~1e14)
+_SCHUR_RATIO = 1e-7
 
 
 @dataclass(frozen=True)
@@ -146,11 +154,35 @@ class TerminalDesign:
                 raise ValueError("terminal gain violates input constraints on S")
 
 
+def _over_tolerance(residuals) -> list[str]:
+    """The (name, value, tol) triples whose value is not within tol, as text."""
+    return [f"{name} residual {val:.2e} > {tol:.0e}" for name, val, tol in residuals
+            if not val <= tol]
+
+
 @dataclass(frozen=True)
 class MpcStep:
     feasible: bool
     u0: Optional[np.ndarray]
     value: float
+
+
+@dataclass(frozen=True)
+class CriticalRegion:
+    """The ell-step QP's solution on one optimal active set W, affine in x0.
+
+    With y = (x0, 1): z = law y, and the multipliers of W's rows (in the
+    order of `active`) are lam y.  Row i of `rows` is, as a function of y,
+    the slack of G's row i when i is not in W and its multiplier when it
+    is, so x0 lies in the region where every row is nonnegative; the
+    optimal value there is y'Vy.
+    """
+
+    active: tuple
+    law: np.ndarray  # (ell m, n + 1)
+    lam: np.ndarray  # (|W|, n + 1)
+    rows: np.ndarray  # (rows of G, n + 1)
+    value: np.ndarray  # (n + 1, n + 1), symmetric
 
 
 class MpcController:
@@ -178,10 +210,27 @@ class MpcController:
     b + a'x0 = -g(x0)'y / 1'y, less the most that the residual G'y can
     contribute over the input box.  A query that no shortcut answers is
     declared infeasible without an LP when some stored row bounds it above
-    1e-6, where Phase 1 would call it infeasible as well; any other query
-    goes to the QP, and the store grows by one row whenever that QP is
-    infeasible.  A feasible query is never answered from the store, so no
-    result depends on what the store holds.
+    1e-6, where Phase 1 would call it infeasible as well, and the store
+    grows by one row whenever a QP is infeasible.
+
+    Feasible queries are answered from a store of critical regions (Bemporad
+    et al., Automatica 2002).  On the optimal active set W of one QP, the
+    solution and W's multipliers are affine in x0 (`CriticalRegion`), built
+    from the template's factor and W's small Schur complement, and gated
+    once on their stationarity and active-row residuals (ArithmeticError
+    naming the residual).  So a query runs, in order: the empty-active-set
+    shortcut; the certificate rows; the region rows, all blocks in one
+    product, where x0 is inside a region when each inactive row's slack and
+    each active multiplier is at least 1e-9 of the KKT scale; and the QP.
+    A feasible QP is answered from the region of its own active set
+    {i : mu_i > 0}, which is stored then, unless its Schur complement is
+    singular or some membership row vanishes identically (a degenerate W,
+    which no query can lie strictly inside): then the QP's own iterate
+    answers and nothing is stored.  Each answer is thus the law of the
+    query's own optimal active set, or the QP's, whatever the store holds:
+    with strict margins at most one region holds a query, and there the QP
+    finds that region's W too.  Certificates only answer "infeasible", and
+    regions only "feasible", so no verdict depends on either store.
     """
 
     def __init__(self, prob: ConstrainedProblem, design: TerminalDesign, ell: int):
@@ -261,6 +310,17 @@ class MpcController:
         self._cert_b = np.zeros(0)
         lo, hi = prob.input_box
         self._z_bound = np.tile(np.maximum(-lo, hi), ell)
+        # the stored critical regions, and their membership rows stacked;
+        # with y = (x0, 1), q = q_aug y and g = g_aug y (stacked in qg_aug),
+        # and the unconstrained minimiser -P^-1 q is z_free y
+        J = self._qp.factor
+        self._q_aug = np.column_stack([self._q_map, np.zeros(ell * m)])
+        self._g_aug = np.column_stack([self._g_map, self._g_const])
+        self._qg_aug = np.vstack([self._q_aug, self._g_aug])
+        self._z_free = -(J @ (J.T @ self._q_aug))
+        self._law_scale = max(1.0, float(np.max(np.abs(self._qg_aug))))
+        self._regions: list[CriticalRegion] = []
+        self._region_rows = np.zeros((0, n + 1))
 
     @property
     def tail_cost(self) -> np.ndarray:
@@ -286,20 +346,94 @@ class MpcController:
             return MpcStep(True, self._policy_gain.L @ x0, value)
         if self._cert_b.size and np.max(self._cert_a @ x0 + self._cert_b) > _CERT_MARGIN:
             return MpcStep(False, None, math.inf)
+        region = self._stored_region(x0)
+        if region is not None:
+            return self._region_step(region, x0)
         sol: QpSolution = solve_qp(self.qp_at(x0))
         if sol.status == "infeasible":
             self._keep_certificate(sol.farkas)
             return MpcStep(False, None, math.inf)
         if sol.status != "optimal":
-            over = [f"{name} residual {val:.2e} > {tol:.0e}" for name, val, tol in (
-                ("primal", sol.primal_residual, QP_FEAS_TOL),
-                ("dual", sol.dual_residual, QP_DUAL_TOL),
-                ("complementarity", sol.comp_residual, QP_COMP_TOL)) if not val <= tol]
+            over = _over_tolerance((("primal", sol.primal_residual, QP_FEAS_TOL),
+                                    ("dual", sol.dual_residual, QP_DUAL_TOL),
+                                    ("complementarity", sol.comp_residual, QP_COMP_TOL)))
             raise ArithmeticError(
                 f"QP at x0 = {x0.tolist()} is not solved (status {sol.status}"
                 f"{': ' if over else ''}{', '.join(over)}, after {sol.iterations} iterations)"
             )
-        return MpcStep(True, sol.z[: self.prob.sys.m].copy(), sol.objective)
+        active = tuple(int(i) for i in np.flatnonzero(sol.duals_ineq > 0.0))
+        region = next((r for r in self._regions if r.active == active), None)
+        if region is None:
+            region = self._region(active)
+            if region is None:
+                return MpcStep(True, sol.z[: self.prob.sys.m].copy(), sol.objective)
+            self._regions.append(region)
+            self._region_rows = np.vstack([self._region_rows, region.rows])
+        return self._region_step(region, x0)
+
+    def _stored_region(self, x0) -> Optional[CriticalRegion]:
+        """The stored region whose membership rows all reach the margin at
+        x0 (see the class docstring), or None."""
+        if not self._regions:
+            return None
+        y = np.append(np.asarray(x0, dtype=float).ravel(), 1.0)
+        margin = _REGION_MARGIN * max(1.0, float(np.max(np.abs(self._qg_aug @ y))))
+        inside = np.all((self._region_rows @ y >= margin).reshape(len(self._regions), -1),
+                        axis=1)
+        i = int(np.argmax(inside))
+        return self._regions[i] if inside[i] else None
+
+    def _region_step(self, region: CriticalRegion, x0) -> MpcStep:
+        y = np.append(x0, 1.0)
+        return MpcStep(True, region.law[: self.prob.sys.m] @ y, float(y @ region.value @ y))
+
+    def _region_law(self, active: tuple) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """(law, lam) of the active rows W (see `CriticalRegion`), or None
+        when their Schur complement S = (G_W J)(G_W J)' is singular.
+
+        KKT on W: P z + q + G_W' lam = 0 and G_W z = g_W, so
+        z = z_free y - J M' lam with M = G_W J, and S lam = G_W z_free y - g_W.
+        Only S (|W| x |W|) is factored.
+        """
+        w = list(active)
+        G = self._qp.G[w]
+        M = G @ self._qp.factor
+        try:
+            L = np.linalg.cholesky(M @ M.T)
+        except np.linalg.LinAlgError:
+            return None
+        d = np.diag(L)
+        if d.size and d.min() <= _SCHUR_RATIO * d.max():
+            return None
+        lam = cho_solve((L, True), G @ self._z_free - self._g_aug[w])
+        return self._z_free - self._qp.factor @ (M.T @ lam), lam
+
+    def _region(self, active: tuple) -> Optional[CriticalRegion]:
+        """The critical region of the active rows W, gated on the residuals
+        of its law; None when W is degenerate (see the class docstring)."""
+        out = self._region_law(active)
+        if out is None:
+            return None
+        law, lam = out
+        w = list(active)
+        p = self._qp
+        rows = self._g_aug - p.G @ law
+        stat = p.P @ law + self._q_aug + p.G[w].T @ lam
+        over = _over_tolerance((
+            ("stationarity", float(np.max(np.abs(stat))) / self._law_scale, QP_DUAL_TOL),
+            ("active-row", float(np.max(np.abs(rows[w]), initial=0.0)) / self._law_scale,
+             QP_FEAS_TOL)))
+        if over:
+            raise ArithmeticError(
+                f"affine law of active set {list(active)} misses its gate: {', '.join(over)}")
+        rows[w] = lam
+        if np.any(np.max(np.abs(rows), axis=1) <= QP_FEAS_TOL * self._law_scale):
+            return None
+        n = self.prob.sys.n
+        offset = np.zeros((n + 1, n + 1))
+        offset[:n, :n] = self._off_map
+        value = 0.5 * law.T @ p.P @ law + self._q_aug.T @ law + offset
+        return CriticalRegion(active, law, lam, rows, 0.5 * (value + value.T))
 
     def _keep_certificate(self, y: np.ndarray) -> None:
         """Store the verified Farkas vector y of an infeasible QP as one row.

@@ -103,7 +103,12 @@ def solve_dlyap(D, Q, tol: float = DLYAP_TOL) -> np.ndarray:
     which converges quadratically for spectral_radius(D) < 1.  Both the
     stopping test and the residual check are relative to ||P||, so the
     solution is accurate for any scale of Q (P is linear in Q).  Each test
-    takes its two norms in one `induced_two_norm` call on a stack.
+    takes its two norms in one `induced_two_norm` call on a stack.  A step
+    whose Frobenius norms already reject it, |incr|_F > sqrt(n) tol
+    |P_next|_F, skips that call: |incr|_2 >= |incr|_F / sqrt(n) and
+    |P_next|_2 <= |P_next|_F, so the 2-norm test would reject it too, with a
+    factor of 2 to spare for rounding, and every accepting decision is still
+    the 2-norm test's.
     """
     D = check_square(D, "D")
     Q = symmetrize(Q)
@@ -115,15 +120,17 @@ def solve_dlyap(D, Q, tol: float = DLYAP_TOL) -> np.ndarray:
         )
     P = Q.copy()
     Dk = D.copy()
+    reject = np.sqrt(D.shape[0]) * tol
     for _ in range(_DLYAP_MAX_DOUBLINGS):
         incr = Dk.T @ P @ Dk
         P_next = P + incr
-        incr_norm, P_next_norm = induced_two_norm(np.stack([incr, P_next]))
-        if incr_norm <= 0.5 * tol * P_next_norm:
-            P = 0.5 * (P_next + P_next.T)
-            resid, P_norm = induced_two_norm(np.stack([P - D.T @ P @ D - Q, P]))
-            if resid <= tol * P_norm:
-                return P
+        if np.linalg.norm(incr) <= reject * np.linalg.norm(P_next):
+            incr_norm, P_next_norm = induced_two_norm(np.stack([incr, P_next]))
+            if incr_norm <= 0.5 * tol * P_next_norm:
+                P = 0.5 * (P_next + P_next.T)
+                resid, P_norm = induced_two_norm(np.stack([P - D.T @ P @ D - Q, P]))
+                if resid <= tol * P_norm:
+                    return P
         P = P_next
         Dk = Dk @ Dk
     raise ArithmeticError(

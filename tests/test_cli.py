@@ -232,6 +232,8 @@ def test_usage_error_exit_code():
     (["region", "--scenario", "ac-4d", "--grid", "3"], "grid sweeps need a 2-D state"),
     (["region", "--scenario", "di-2d", "--grid", "0"], "grid resolution must be at least 2"),
     (["submap", "--scenario", "di-2d", "--grid", "1"], "grid resolution must be at least 2"),
+    (["terminal-set", "--scenario", "di-2d", "--zeta", "5,5"], "zeta 5 given twice in '5,5'"),
+    (["bounds", "--scenario", "di-2d", "--ell", "3,3"], "horizon 3 given twice in '3,3'"),
 ])
 def test_input_errors_exit_2_with_an_error_line(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 2

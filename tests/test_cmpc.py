@@ -595,13 +595,20 @@ def _count_linprog(monkeypatch) -> list:
 
 
 def _forget(ctl: MpcController) -> MpcController:
+    """Empty both stores: the certificate rows and the critical regions."""
     ctl._cert_a = ctl._cert_a[:0]
     ctl._cert_b = ctl._cert_b[:0]
+    ctl._regions = []
+    ctl._region_rows = ctl._region_rows[:0]
     return ctl
 
 
 def _same_step(a, b) -> bool:
-    return a.feasible == b.feasible and np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+    """Same verdict, and the same bits of value and u0."""
+    return (a.feasible == b.feasible
+            and np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
+            and (a.u0 is None) == (b.u0 is None)
+            and (a.u0 is None or a.u0.tobytes() == b.u0.tobytes()))
 
 
 def test_certificate_outside_state_set_is_the_state_facet(di2d_prob, di2d_design_eff,
@@ -756,6 +763,129 @@ def test_certificate_store_growth_on_a_region_sweep(di2d_prob, request, which, m
     assert verdicts.count(False) > 10 * ctl._cert_b.size
 
 
+# ---------------------------------------------------------------------------
+# critical regions kept by the controller
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("which", ["eff", "opt"])
+def test_region_store_stays_bounded_on_a_region_sweep(di2d_prob, request, which,
+                                                      monkeypatch):
+    design = request.getfixturevalue(f"di2d_design_{which}")
+    feasible_qps = []
+
+    def recording_solve_qp(p, *args, **kwargs):
+        sol = solve_qp(p, *args, **kwargs)
+        feasible_qps.append(sol.status == "optimal")
+        return sol
+
+    monkeypatch.setattr(cmpc, "solve_qp", recording_solve_qp)
+    ctl = MpcController(di2d_prob, design, 3)
+    lo, hi = di2d_prob.box
+    stored = 0
+    for x2 in np.linspace(lo[1], hi[1], 41):
+        for x1 in np.linspace(lo[0], hi[0], 41):
+            x0 = np.array([x1, x2])
+            shortcut = np.all(ctl._H_u @ x0 <= ctl._h_u)
+            n, k = len(ctl._regions), len(feasible_qps)
+            step = ctl.solve(x0)
+            # a region is stored only after a feasible QP, one per active set
+            assert len(ctl._regions) - n <= sum(feasible_qps[k:])
+            stored += step.feasible and not shortcut and len(feasible_qps) == k
+    actives = [r.active for r in ctl._regions]
+    assert len(set(actives)) == len(actives) <= 12
+    assert ctl._region_rows.shape == (len(actives) * ctl._qp.g.size, 3)
+    # most feasible cells outside the shortcut were answered from the store
+    assert stored > 10 * sum(feasible_qps)
+
+
+def test_region_law_off_by_1e_6_raises_naming_the_residual(di2d_prob, di2d_design_eff,
+                                                          monkeypatch):
+    ctl = MpcController(di2d_prob, di2d_design_eff, 3)
+    x0 = np.array([-3.0, 2.5])  # two input bounds active
+    region_law = MpcController._region_law
+
+    def patched(self, active):
+        law, lam = region_law(self, active)
+        return law + 1e-6, lam
+
+    monkeypatch.setattr(MpcController, "_region_law", patched)
+    with pytest.raises(ArithmeticError, match=r"active set \[.*\] misses its gate: "
+                                              r"stationarity residual .* > 1e-08"):
+        ctl.solve(x0)
+    assert ctl._regions == []
+
+
+def test_degenerate_active_set_is_answered_by_the_qp(di2d_prob, di2d_design_eff):
+    """Input constraints given twice: wherever one copy of a row is active,
+    the other is at equality too, on the whole region, which thus has no
+    interior.  Such a query is answered by the QP's own iterate, and no
+    region is stored."""
+    U = di2d_prob.U
+    twice = ConstrainedProblem(di2d_prob.sys, di2d_prob.Xhat,
+                               HPolytope(np.vstack([U.H, U.H]), np.append(U.h, U.h)))
+    ctl = MpcController(twice, di2d_design_eff, 3)
+    x0 = np.array([-3.0, 2.5])  # two input bounds active
+    sol = solve_qp(ctl.qp_at(x0))
+    assert sol.status == "optimal"
+    active = tuple(int(i) for i in np.flatnonzero(sol.duals_ineq > 0.0))
+    assert active and ctl._region_law(active) is not None
+    assert ctl._region(active) is None
+    step = ctl.solve(x0)
+    assert step.u0.tobytes() == sol.z[:1].tobytes()
+    assert np.float64(step.value).tobytes() == np.float64(sol.objective).tobytes()
+    assert ctl._regions == [] and ctl._region_rows.shape[0] == 0
+    # both copies of a row taken as active: their Schur complement is singular
+    G, g = ctl._qp.G, ctl._qp.g
+    r = active[0]
+    copy = next(j for j in range(g.size)
+                if j != r and np.array_equal(G[j], G[r]) and g[j] == g[r])
+    assert ctl._region_law(tuple(sorted(active + (copy,)))) is None
+
+
+def test_nearly_parallel_active_rows_count_as_singular(ac4d_prob, ac4d_design_eff):
+    """An ac-4d input bound and a copy tilted by 1e-8: the Cholesky factor
+    of their Schur complement exists, but its diagonal spans 1e-8, so the
+    pair counts as singular and gets no law."""
+    U = ac4d_prob.U
+    tilted = HPolytope(np.vstack([U.H, [[1.0, 1e-8]]]), np.append(U.h, U.h[0]))
+    assert np.array_equal(U.H[0], [1.0, 0.0])
+    ctl = MpcController(ConstrainedProblem(ac4d_prob.sys, ac4d_prob.Xhat, tilted),
+                        ac4d_design_eff, 2)
+    first = 2 * ac4d_prob.Xhat.nrows  # the input rows of the first move
+    pair = (first, first + tilted.nrows - 1)
+    M = ctl._qp.G[list(pair)] @ ctl._qp.factor
+    d = np.diag(np.linalg.cholesky(M @ M.T))
+    assert d.min() < 1e-7 * d.max()
+    assert ctl._region_law(pair) is None
+
+
+def test_query_on_a_region_boundary_is_answered_by_the_qp(di2d_prob, di2d_design_eff):
+    """States within 1e-15 of the boundary between two stored regions lie
+    strictly inside neither, so the QP answers them, as it does for a
+    controller that has stored nothing."""
+    keeper = MpcController(di2d_prob, di2d_design_eff, 3)
+    x_a, x_b = np.array([-3.0, 2.5]), np.array([-1.0, 2.5])
+
+    def active(x0):
+        sol = solve_qp(keeper.qp_at(x0))
+        return tuple(int(i) for i in np.flatnonzero(sol.duals_ineq > 0.0))
+
+    w_a = active(x_a)
+    assert w_a != active(x_b)
+    for x0 in (x_a, x_b):
+        keeper.solve(x0)
+    assert len(keeper._regions) == 2
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if active(x_a + mid * (x_b - x_a)) == w_a else (lo, mid)
+    for t in (lo, hi):
+        x0 = x_a + t * (x_b - x_a)
+        assert keeper._stored_region(x0) is None, x0
+        fresh = MpcController(di2d_prob, di2d_design_eff, 3)
+        assert _same_step(keeper.solve(x0), fresh.solve(x0)), x0
+
+
 @pytest.fixture(scope="module")
 def lp_pool():
     with multiprocessing.get_context("spawn").Pool(2) as pool:
@@ -802,8 +932,11 @@ def test_dual_qp_matches_reference_on_every_grid_cell(di2d_prob, request, which,
     reference = [r for part in lp_pool.map(reference_results, chunks) for r in part]
     ctl = MpcController(di2d_prob, design, ell)
     n_feasible = 0
+    n_stored = 0
     for x0, (status, objective) in zip(points, reference):
         assert status in ("optimal", "infeasible"), (x0, status)
+        shortcut = np.all(ctl._H_u @ x0 <= ctl._h_u)
+        region = None if shortcut else ctl._stored_region(x0)
         step = ctl.solve(x0)
         assert step.feasible == (status == "optimal"), x0
         if step.feasible:
@@ -812,7 +945,18 @@ def test_dual_qp_matches_reference_on_every_grid_cell(di2d_prob, request, which,
             assert abs(step.value - objective) <= tol, x0
             sol = solve_qp(ctl.qp_at(x0))
             assert sol.status == "optimal" and abs(sol.objective - objective) <= tol, x0
+            if region is not None:
+                # a cell the region store answered: the QP's own active set
+                # and, within 1e-12, its value and first move
+                n_stored += 1
+                assert tuple(np.flatnonzero(sol.duals_ineq > 0.0)) == region.active, x0
+                assert abs(step.value - sol.objective) <= 1e-12 * max(1.0, abs(sol.objective))
+                u_qp = sol.z[: di2d_prob.sys.m]
+                assert np.max(np.abs(step.u0 - u_qp)) <= 1e-12 * max(1.0, np.max(np.abs(u_qp)))
+        else:
+            assert region is None, x0
     assert 3000 < n_feasible < 101 * 101 - 3000
+    assert n_stored > 2000
 
 
 _BITS_CODE = """\
