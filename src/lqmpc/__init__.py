@@ -49,6 +49,7 @@ from .polytope import (
     maximal_invariant_set,
     remove_redundancy,
     sample_interior,
+    vertices,
     vertices_2d,
     volume,
 )

@@ -165,6 +165,13 @@ def _amplifications(zetas: list) -> list:
     return zetas
 
 
+def _horizons(ells: list) -> list:
+    for ell in ells:
+        if ell < 1:
+            raise ScenarioError(f"horizon must be >= 1, got {ell}")
+    return ells
+
+
 def _terminal_matrix(sc: Scenario, zeta_arg: Optional[float]) -> tuple[np.ndarray, str]:
     """Assessment/terminal matrix for bound reports, with a provenance label."""
     sys_ = sc.system
@@ -193,9 +200,9 @@ def _design(prob: ConstrainedProblem, sc: Scenario, terminal: str) -> TerminalDe
 def _mpc_setup(args):
     """Scenario, output directory, problem, terminal design and horizon."""
     sc = load_scenario(args.scenario)
+    ell = _horizons([args.ell])[0] if args.ell is not None else sc.horizon
     out = _outdir(args)
     prob = sc.constrained_problem()
-    ell = args.ell if args.ell is not None else sc.horizon
     return sc, out, prob, _design(prob, sc, args.terminal), ell
 
 
@@ -300,7 +307,7 @@ def _trajectory_costs(prob: ConstrainedProblem, design: TerminalDesign, ell: int
 def cmd_bounds(args) -> int:
     sc = load_scenario(args.scenario)
     out = _outdir(args)
-    ells = _parse_list(args.ell, int, "horizon")
+    ells = _horizons(_parse_list(args.ell, int, "horizon"))
     K, note = _terminal_matrix(sc, args.zeta)
     rows = _bounds_rows(sc.system, K, ells)
     path = os.path.join(out, f"bounds-{sc.name}.csv")
@@ -375,6 +382,8 @@ def cmd_submap(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.steps < 1:
+        raise ScenarioError(f"steps must be >= 1, got {args.steps}")
     sc, out, prob, design, ell = _mpc_setup(args)
     if args.x0 is not None:
         x0 = np.array(_parse_list(args.x0, float, "x0", repeats=True))

@@ -4,10 +4,10 @@ A polytope is stored as ``{x | Hx <= h}``.  Row i is a facet exactly when
 its polar point H_i / (h_i - H_i c) about an interior point c is a vertex of
 the polar points' convex hull (Qhull).  That one test removes redundant rows,
 decides when the maximal admissible invariant set of a stable linear loop is
-determined, and gives the vertices for exact volumes: in 2-D from adjacent
-facet rows (shoelace area), above 2-D from the polar hull's facets, each a
-vertex of the polytope, whose hull Qhull measures.  LPs give support values,
-bounding boxes and the Chebyshev centre.
+determined, and gives the vertices: each facet of the polar hull is one
+(Qhull measures their hull for exact volumes above 2-D), and in 2-D adjacent
+facet rows meet at one (shoelace area).  LPs give support values, bounding
+boxes and the Chebyshev centre.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "contains",
     "maximal_invariant_set",
     "remove_redundancy",
+    "vertices",
     "vertices_2d",
     "volume",
     "bounding_box",
@@ -154,11 +155,12 @@ def _chebyshev_centre(P: HPolytope) -> Optional[np.ndarray]:
     return res.x[: P.dim] if res.status == 0 and res.x[-1] > 0 else None
 
 
-def _polar_points(P: HPolytope) -> Optional[np.ndarray]:
-    """Polar point H_i / (h_i - H_i c) of each row about an interior point c,
-    the origin when h > 0; None when P has an empty interior."""
+def _polar_points(P: HPolytope) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(c, G): an interior point c, the origin when h > 0, and the polar
+    point H_i / (h_i - H_i c) of each row about it; None when P has an empty
+    interior."""
     c = np.zeros(P.dim) if P.origin_interior() else _chebyshev_centre(P)
-    return None if c is None else P.H / (P.h - P.H @ c)[:, None]
+    return None if c is None else (c, P.H / (P.h - P.H @ c)[:, None])
 
 
 def _hull_rows(G: np.ndarray) -> np.ndarray:
@@ -189,10 +191,10 @@ def _hull_rows(G: np.ndarray) -> np.ndarray:
 def remove_redundancy(P: HPolytope) -> HPolytope:
     """Drop half-spaces implied by the remaining ones (of identical rows the
     last stays).  Raises ValueError for an unbounded P or an empty interior."""
-    G = _polar_points(P)
-    if G is None:
+    polar = _polar_points(P)
+    if polar is None:
         raise ValueError("polytope has empty interior")
-    keep = _hull_rows(G)
+    keep = _hull_rows(polar[1])
     return HPolytope(P.H[keep], P.h[keep])
 
 
@@ -242,9 +244,10 @@ def vertices_2d(P: HPolytope) -> np.ndarray:
     """
     if P.dim != 2:
         raise ValueError("vertex enumeration implemented for dim = 2 only")
-    G = _polar_points(P)
-    if G is None:
+    polar = _polar_points(P)
+    if polar is None:
         return np.zeros((0, 2))
+    G = polar[1]
     rows = _hull_rows(G)
     # facets in polar-angle order; neighbours meet at a vertex
     rows = rows[np.argsort(np.arctan2(G[rows, 1], G[rows, 0]))]
@@ -253,6 +256,34 @@ def vertices_2d(P: HPolytope) -> np.ndarray:
     # ordered by angle about the vertex mean, the mean summed in pair order
     center = V.mean(axis=0)
     return V[np.argsort(np.arctan2(V[:, 1] - center[1], V[:, 0] - center[0]))]
+
+
+def _vertex_offsets(P: HPolytope) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(c, Y): an interior point c and the vertices of P less c, one per
+    facet of the polar hull about c (the facet a'y + b = 0 gives the vertex
+    c - a/b; in 1-D the extreme polar point p gives c + 1/p).  None when P
+    has an empty interior; an unbounded P raises ValueError."""
+    polar = _polar_points(P)
+    if polar is None:
+        return None
+    c, G = polar
+    rows = _hull_rows(G)  # rejects an unbounded P
+    if P.dim == 1:
+        return c, 1.0 / G[rows]
+    facets = ConvexHull(G[rows]).equations
+    return c, -facets[:, :-1] / facets[:, -1:]
+
+
+def vertices(P: HPolytope) -> np.ndarray:
+    """Vertices of a bounded polytope, one row each, in no particular order.
+
+    Empty interior yields an empty array; an unbounded P raises ValueError.
+    """
+    offsets = _vertex_offsets(P)
+    if offsets is None:
+        return np.zeros((0, P.dim))
+    c, Y = offsets
+    return c + Y
 
 
 def bounding_box(P: HPolytope) -> tuple[np.ndarray, np.ndarray]:
@@ -269,12 +300,11 @@ def volume(P: HPolytope, n_samples: Optional[int] = None, seed: Optional[int] = 
     """Exact volume of a bounded polytope; 0.0 when its interior is empty.
 
     dim = 1: interval length.  dim = 2: shoelace area of `vertices_2d`.
-    dim >= 3: each facet a'y + b = 0 of the polar hull about an interior
-    point c is the vertex c - a/b of P, and Qhull gives the volume of their
-    hull (taken about c, which does not change it).  Above 1-D no LP is
-    solved when the origin is interior.  `n_samples` and `seed` are accepted
-    and ignored; they select nothing.  Raises ValueError for an unbounded or
-    empty P.
+    dim >= 3: Qhull's volume of the hull of P's vertices, taken about an
+    interior point (see `_vertex_offsets`), which does not change it.  Above
+    1-D no LP is solved when the origin is interior.  `n_samples` and `seed`
+    are accepted and ignored; they select nothing.  Raises ValueError for an
+    unbounded or empty P.
     """
     if P.dim == 1:
         lo, hi = bounding_box(P)  # also rejects an unbounded or empty P
@@ -286,12 +316,11 @@ def volume(P: HPolytope, n_samples: Optional[int] = None, seed: Optional[int] = 
             return 0.0
         x, y = V[:, 0], V[:, 1]
         return float(0.5 * abs(np.dot(x, np.roll(y, 1)) - np.dot(np.roll(x, 1), y)))
-    G = _polar_points(P)
-    if G is None:
+    offsets = _vertex_offsets(P)
+    if offsets is None:
         bounding_box(P)  # no interior: rejects an unbounded or empty P
         return 0.0
-    facets = ConvexHull(G[_hull_rows(G)]).equations  # _hull_rows rejects unbounded P
-    return float(ConvexHull(-facets[:, :-1] / facets[:, -1:]).volume)
+    return float(ConvexHull(offsets[1]).volume)
 
 
 def sample_interior(P: HPolytope, n: int, seed: int = 0) -> np.ndarray:

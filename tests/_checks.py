@@ -8,7 +8,6 @@ and returns a short human-readable stats string on success.
 import itertools
 
 import numpy as np
-from scipy.linalg import qr as scipy_qr
 
 from lqmpc import (
     actual_gap,
@@ -223,7 +222,7 @@ def check_qp_oracle(n_instances=200, seed=23, tol=1e-7):
         n_gen = int(rng.integers(0, 4 if n <= 4 else 3))
         G = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((n_gen, n))])
         g = np.concatenate([radius, radius, rng.uniform(-1.0, 2.0, size=n_gen)])
-        prob = QpProblem(P=P, q=q, G=G, g=g, E=np.zeros((0, n)), e=np.zeros(0))
+        prob = QpProblem(P=P, q=q, G=G, g=g)
         sol = solve_qp(prob)
         ref = _enumerate_qp(P, q, G, g)
         if ref is None:
@@ -242,19 +241,6 @@ def check_qp_oracle(n_instances=200, seed=23, tol=1e-7):
 # Reference QP solver: Phase-1 LP, then a primal active-set method on a
 # working set (the solver the dual active-set method of `lqmpc.qp` replaced)
 # ---------------------------------------------------------------------------
-
-def _independent_rows(M):
-    """Indices of a maximal linearly independent subset of M's rows
-    (pivoted QR on the transpose)."""
-    if M.shape[0] == 0:
-        return []
-    _, R, piv = scipy_qr(M.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] <= 0.0:
-        return []
-    rank = int(np.sum(diag > max(M.shape) * np.finfo(float).eps * diag[0]))
-    return sorted(int(i) for i in piv[:rank])
-
 
 def _null_space_step(P, grad, C, n):
     """Minimizing step restricted to {s : Cs = 0}, through a complete QR
@@ -283,19 +269,18 @@ def reference_solve_qp(p):
     started from the LP's point ("max_iter" if it does not settle)."""
     n = p.n
     P = p.P
-    if n and p.min_eig < _TIKHONOV:
+    if n and np.linalg.eigvalsh(P)[0] < _TIKHONOV:
         P = P + _TIKHONOV * np.eye(n)
-    mi, me = p.g.size, p.e.size
-    max_iter = 50 + 10 * (mi + me + n)
+    mi = p.g.size
+    row_scale = np.linalg.norm(p.G, axis=1)
+    max_iter = 50 + 10 * (mi + n)
     z, _ = _phase1(p)
     if z is None:
         return "infeasible", None, float("inf")
     z = z.astype(float)
-    eq_keep = _independent_rows(p.E) if me else []
-    E = p.E[eq_keep] if me else p.E
     work = []
     for _ in range(max_iter):
-        C = np.vstack([E, p.G[work]]) if (E.shape[0] or work) else np.zeros((0, n))
+        C = p.G[work] if work else np.zeros((0, n))
         grad = P @ z + p.q
         step = _null_space_step(P, grad, C, n)
         if np.linalg.norm(step, np.inf) > 1e-11 * max(1.0, np.linalg.norm(z, np.inf)):
@@ -304,7 +289,7 @@ def reference_solve_qp(p):
                 in_work = np.zeros(mi, dtype=bool)
                 in_work[work] = True
                 Gs = p.G @ step
-                thresh = 1e-13 * np.maximum(1.0, p.row_scale * np.linalg.norm(step))
+                thresh = 1e-13 * np.maximum(1.0, row_scale * np.linalg.norm(step))
                 viable = np.flatnonzero(~in_work & (Gs > thresh))
                 if viable.size:
                     room = np.maximum(p.g[viable] - p.G[viable] @ z, 0.0)
@@ -318,10 +303,9 @@ def reference_solve_qp(p):
                 continue
             grad = P @ z + p.q
         lam = np.linalg.lstsq(C.T, -grad, rcond=None)[0] if C.shape[0] else np.zeros(0)
-        lam_w = lam[E.shape[0]:]
-        if lam_w.size == 0 or np.min(lam_w) >= -QP_DUAL_TOL:
+        if lam.size == 0 or np.min(lam) >= -QP_DUAL_TOL:
             return "optimal", z, float(0.5 * z @ p.P @ z + p.q @ z + p.objective_offset)
-        work.pop(int(np.argmin(lam_w)))
+        work.pop(int(np.argmin(lam)))
     return "max_iter", z, float(0.5 * z @ p.P @ z + p.q @ z + p.objective_offset)
 
 

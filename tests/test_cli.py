@@ -234,10 +234,17 @@ def test_usage_error_exit_code():
     (["submap", "--scenario", "di-2d", "--grid", "1"], "grid resolution must be at least 2"),
     (["terminal-set", "--scenario", "di-2d", "--zeta", "5,5"], "zeta 5 given twice in '5,5'"),
     (["bounds", "--scenario", "di-2d", "--ell", "3,3"], "horizon 3 given twice in '3,3'"),
+    (["bounds", "--scenario", "di-2d", "--ell", "3,0"], "horizon must be >= 1, got 0"),
+    (["region", "--scenario", "di-2d", "--ell", "0"], "horizon must be >= 1, got 0"),
+    (["submap", "--scenario", "di-2d", "--ell", "-2"], "horizon must be >= 1, got -2"),
+    (["simulate", "--scenario", "di-2d", "--ell", "0"], "horizon must be >= 1, got 0"),
+    (["simulate", "--scenario", "di-2d", "--steps", "-3"], "steps must be >= 1, got -3"),
+    (["simulate", "--scenario", "di-2d", "--steps", "0"], "steps must be >= 1, got 0"),
 ])
 def test_input_errors_exit_2_with_an_error_line(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not any(tmp_path.iterdir())  # no CSV, not even an empty one
 
 
 def test_argparse_usage_exit_code():

@@ -22,6 +22,7 @@ from lqmpc import (
     TerminalDesign,
     approx_optimal_cost,
     bellman_apply,
+    boundary_points,
     closed_loop_cost,
     closed_loop_cost_fn,
     contains,
@@ -98,9 +99,27 @@ def test_problem_rejects_origin_on_boundary(di2d_sys):
         ConstrainedProblem(di2d_sys, shifted, HPolytope.symmetric_box([1.0]))
 
 
-def test_design_validates(di2d_prob, di2d_design_eff, di2d_design_opt):
+def test_design_validates(di2d_prob, di2d_design_eff, di2d_design_opt, ac4d_prob,
+                          ac4d_design_eff):
     di2d_design_eff.validate(di2d_prob)
     di2d_design_opt.validate(di2d_prob)
+    ac4d_design_eff.validate(ac4d_prob)
+    TerminalDesign.for_optimal_cost(ac4d_prob).validate(ac4d_prob)
+
+
+@pytest.mark.parametrize("study, message", [
+    ("di2d", "terminal gain violates input constraints on S \\(by 1.08 at a vertex\\)"),
+    ("ac4d", "terminal set is not invariant under its gain \\(by 0.31 at a vertex\\)"),
+])
+def test_design_with_the_wrong_gain_fails_at_a_vertex(request, study, message):
+    # the amplified design's S with the optimal gain u = L*x: its loop stays
+    # in S on di-2d but asks for more input than U allows at a vertex, and
+    # leaves S on ac-4d
+    prob = request.getfixturevalue(f"{study}_prob")
+    design = request.getfixturevalue(f"{study}_design_eff")
+    Kstar, Lstar = prob.sys.optimal
+    with pytest.raises(ValueError, match=message):
+        TerminalDesign(K=Kstar, S=design.S, gain=Lstar).validate(prob)
 
 
 def test_design_terminal_matrix_in_region(di2d_sys, di2d_design_eff):
@@ -334,6 +353,29 @@ def test_region_shrunken_terminal_subset(di2d_prob, di2d_design_opt):
                 assert contains(di2d_prob.Xhat, np.array([x, y]))
 
 
+@pytest.mark.parametrize("which", ["eff", "opt"])
+@pytest.mark.parametrize("ell", [3, 10])
+def test_boundary_points_bracket_each_verdict_change(di2d_prob, request, which, ell):
+    # one refined point per grid edge whose two end verdicts differ, in the
+    # order of the edges, and a fresh controller's verdicts differ h/64 to
+    # either side of it along the edge
+    design = request.getfixturevalue(f"di2d_design_{which}")
+    grid = feasible_region_grid(di2d_prob, design, ell, grid_spec={"resolution": 9})
+    F, xs, ys = grid.feasible, grid.xs, grid.ys
+    edges = [(np.array([xs[ix], ys[iy]]), np.array([xs[ix + dx], ys[iy + dy]]))
+             for iy in range(9) for ix in range(9) for dy, dx in ((0, 1), (1, 0))
+             if iy + dy < 9 and ix + dx < 9 and F[iy, ix] != F[iy + dy, ix + dx]]
+    pts = boundary_points(di2d_prob, design, ell, grid)
+    assert len(edges) > 0 and pts.shape == (len(edges), 2)
+    for p, (a, b) in zip(pts, edges):
+        t = (p - a) @ (b - a) / ((b - a) @ (b - a))
+        assert 0.0 < t < 1.0
+        np.testing.assert_allclose(p, a + t * (b - a), rtol=0, atol=1e-12)
+        ctl = MpcController(di2d_prob, design, ell)
+        step = (b - a) / 64
+        assert ctl.solve(p - step).feasible != ctl.solve(p + step).feasible
+
+
 def test_submap_properties(di2d_prob, di2d_design_eff):
     sub = suboptimality_map(di2d_prob, di2d_design_eff, 3, grid_spec=SMALL_GRID)
     gaps = sub.rel_gap[np.isfinite(sub.rel_gap)]
@@ -544,14 +586,15 @@ def _perturbed(name, p, z, mu):
     multiplier raised (dual), or both multipliers of a pair of opposite rows
     raised, one of them slack (complementarity)."""
     active = int(np.argmax(mu))
+    row_norms = np.linalg.norm(p.G, axis=1)
     if name == "primal":
-        return z + 1e-5 * p.G[active] / p.row_scale[active], mu
+        return z + 1e-5 * p.G[active] / row_norms[active], mu
     mu = mu.copy()
     if name == "dual":
         mu[active] += 1e-5
         return z, mu
     i, j = next((i, j) for i in range(p.g.size) for j in range(i)
-                if p.row_scale[i] > 0 and np.array_equal(p.G[i], -p.G[j]))
+                if row_norms[i] > 0 and np.array_equal(p.G[i], -p.G[j]))
     mu[[i, j]] += 1e-4
     return z, mu
 
@@ -566,8 +609,8 @@ def test_controller_names_the_residual_over_its_tolerance(di2d_prob, di2d_design
     dual_active_set = qp._dual_active_set
 
     def perturbed(p):
-        z, mu, nu, iters, blocked = dual_active_set(p)
-        return (*_perturbed(name, p, z, mu), nu, iters, blocked)
+        z, mu, iters, blocked = dual_active_set(p)
+        return (*_perturbed(name, p, z, mu), iters, blocked)
 
     monkeypatch.setattr(qp, "_dual_active_set", perturbed)
     sol = solve_qp(ctl.qp_at(x0))

@@ -1,5 +1,7 @@
-"""Half-space polytope layer: membership, LPs, 2-D vertex enumeration,
+"""Half-space polytope layer: membership, LPs, vertex enumeration,
 volumes, and the maximal constraint-admissible invariant set."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from lqmpc import (
     maximal_invariant_set,
     remove_redundancy,
     sample_interior,
+    vertices,
     vertices_2d,
     volume,
     zeta_dare,
@@ -156,6 +159,35 @@ def test_vertices_inside_polytope():
     V = vertices_2d(TRIANGLE)
     for v in V:
         assert contains(TRIANGLE, v)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ([-1.0], [2.0]),  # origin interior
+    ([1.0], [3.0]),  # about the Chebyshev centre
+    ([0.5, 1.0, 2.0], [1.5, 3.0, 2.5]),
+    ([-1.0, -2.0, -0.5, -1.0], [1.0, 0.5, 0.5, 3.0]),
+])
+def test_vertices_of_a_box_are_its_corners(lo, hi):
+    V = vertices(HPolytope.box(lo, hi))
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    assert V.shape == corners.shape
+    for c in corners:
+        assert np.min(np.abs(V - c).max(axis=1)) <= 1e-12
+
+
+def test_vertices_match_vertices_2d():
+    V = vertices(TRIANGLE)
+    W = vertices_2d(TRIANGLE)
+    assert V.shape == W.shape
+    for w in W:
+        assert np.min(np.abs(V - w).max(axis=1)) <= 1e-12
+
+
+def test_vertices_empty_interior_and_unbounded():
+    flat = HPolytope.box([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
+    assert vertices(flat).shape == (0, 3)
+    with pytest.raises(ValueError):
+        vertices(HPolytope(np.array([[1.0, 0.0, 0.0]]), np.array([1.0])))
 
 
 # ---------------------------------------------------------------------------

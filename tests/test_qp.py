@@ -21,15 +21,13 @@ from conftest import ZEFF_2D
 from _checks import check_qp_oracle, reference_solve_qp
 
 
-def _qp(P, q, G=None, g=None, E=None, e=None):
+def _qp(P, q, G=None, g=None):
     n = len(q)
     return QpProblem(
         P=np.asarray(P, dtype=float),
         q=np.asarray(q, dtype=float),
         G=np.zeros((0, n)) if G is None else np.asarray(G, dtype=float),
         g=np.zeros(0) if g is None else np.asarray(g, dtype=float),
-        E=np.zeros((0, n)) if E is None else np.asarray(E, dtype=float),
-        e=np.zeros(0) if e is None else np.asarray(e, dtype=float),
     )
 
 
@@ -54,19 +52,10 @@ def test_clipping():
     assert sol.duals_ineq[1] == pytest.approx(0.0, abs=1e-9)
 
 
-def test_equality_constraint():
-    # min z'z s.t. z1 + z2 = 1  ->  (0.5, 0.5)
-    sol = solve_qp(_qp(2 * np.eye(2), [0.0, 0.0], E=[[1.0, 1.0]], e=[1.0]))
-    assert sol.status == "optimal"
-    np.testing.assert_allclose(sol.z, [0.5, 0.5], atol=1e-9)
-
-
-def test_duplicate_equality_rows():
-    sol = solve_qp(
-        _qp(2 * np.eye(2), [0.0, 0.0], E=[[1.0, 1.0], [2.0, 2.0]], e=[1.0, 2.0])
-    )
-    assert sol.status == "optimal"
-    np.testing.assert_allclose(sol.z, [0.5, 0.5], atol=1e-9)
+def test_equality_rows_are_not_accepted():
+    # the QP has inequality rows only
+    with pytest.raises(TypeError):
+        QpProblem(P=np.eye(1), q=np.zeros(1), G=None, g=None, E=np.eye(1), e=np.zeros(1))
 
 
 def test_kkt_residuals_certified():
@@ -97,29 +86,6 @@ def test_infeasible_returns_farkas():
     assert y @ np.array([-2.0, -2.0]) < -1e-9
 
 
-def test_infeasible_equalities_return_farkas():
-    # z = 0 and z = 1 at once: the Phase-1 LP itself is infeasible
-    E, e = np.array([[1.0], [1.0]]), np.array([0.0, 1.0])
-    sol = solve_qp(_qp(np.eye(1), [0.0], E=E, e=e))
-    assert sol.status == "infeasible"
-    w = sol.farkas
-    assert np.abs(w).sum() > 0.0
-    assert abs(E.T @ w).max() <= 1e-9 * np.abs(w).sum()
-    assert e @ w < 0.0
-
-
-def test_farkas_with_mixed_constraints():
-    # z1 + z2 = 4 with z1, z2 <= 1: the certificate spans G's and E's rows
-    G, g = np.eye(2), np.ones(2)
-    E, e = np.array([[1.0, 1.0]]), np.array([4.0])
-    sol = solve_qp(_qp(np.eye(2), [0.0, 0.0], G=G, g=g, E=E, e=e))
-    assert sol.status == "infeasible"
-    y, w = sol.farkas[:2], sol.farkas[2:]
-    assert (y >= 0.0).all()
-    assert abs(G.T @ y + E.T @ w).max() <= 1e-9 * np.abs(sol.farkas).sum()
-    assert g @ y + e @ w < 0.0
-
-
 def test_phase1_failure_without_certificate_raises(monkeypatch):
     from types import SimpleNamespace
 
@@ -139,22 +105,24 @@ def test_qp_oracle_equivalence():
     assert "agree" in msg
 
 
-# min z^2/2 s.t. -1 <= z <= 1 and z = 0: z = 0 with zero multipliers.  Each
-# perturbed solution below breaks exactly one KKT condition by 1e-6.
+# min z^2/2 - 1e-6 z s.t. z <= 0 and -1 <= z <= 1: z = 0 with multiplier
+# 1e-6 on row 0.  Each perturbed solution below breaks exactly one KKT
+# condition by 1e-6 and leaves the other two at exactly 0.
 _GATE_CASES = {
-    "primal": ([1e-6], [0.0, 0.0], [-1e-6]),  # z off the equality, nu balancing it
-    "dual": ([0.0], [0.0, 0.0], [1e-6]),  # an unbalanced equality multiplier
-    "comp": ([0.0], [1e-6, 1e-6], [0.0]),  # multipliers on two slack rows
+    "primal": ([1e-6], [0.0, 0.0, 0.0]),  # z past row 0, the gradient balanced
+    "dual": ([0.0], [0.0, 0.0, 0.0]),  # row 0's multiplier missing
+    "comp": ([0.0], [1e-6, 1e-6, 1e-6]),  # multipliers on the two slack rows too
 }
 
 
 @pytest.mark.parametrize("name", sorted(_GATE_CASES))
 def test_kkt_gate_rejects_each_residual(name, monkeypatch):
-    p = _qp([[1.0]], [0.0], G=[[1.0], [-1.0]], g=[1.0, 1.0], E=[[1.0]], e=[0.0])
+    p = _qp([[1.0]], [-1e-6], G=[[1.0], [1.0], [-1.0]], g=[0.0, 1.0, 1.0])
     exact = solve_qp(p)
     assert exact.status == "optimal" and exact.z[0] == 0.0
-    z, mu, nu = (np.array(v) for v in _GATE_CASES[name])
-    monkeypatch.setattr(qp, "_dual_active_set", lambda p: (z, mu, nu, 1, None))
+    np.testing.assert_array_equal(exact.duals_ineq, [1e-6, 0.0, 0.0])
+    z, mu = (np.array(v) for v in _GATE_CASES[name])
+    monkeypatch.setattr(qp, "_dual_active_set", lambda p: (z, mu, 1, None))
     sol = solve_qp(p)
     assert sol.status == "inaccurate"
     residuals = {"primal": sol.primal_residual, "dual": sol.dual_residual,
@@ -169,7 +137,7 @@ def test_blocked_row_on_a_feasible_qp_raises(monkeypatch):
     # infeasible
     p = _qp(np.eye(1), [0.0], G=[[1.0], [-1.0]], g=[1.0, 1.0])
     monkeypatch.setattr(qp, "_dual_active_set",
-                        lambda p: (np.zeros(1), np.zeros(2), np.zeros(0), 1, 0))
+                        lambda p: (np.zeros(1), np.zeros(2), 1, 0))
     with pytest.raises(ArithmeticError, match="no step for row 0 .* within 0.00e"):
         solve_qp(p)
 
@@ -200,9 +168,8 @@ def test_derived_qps_reuse_the_template_factor(monkeypatch):
 
 @st.composite
 def _random_qps(draw):
-    """Strictly convex QPs with box rows, general rows and equality rows,
-    some duplicated, some inconsistent, some with a contradictory pair of
-    rows."""
+    """Strictly convex QPs with box rows and general rows, some with a
+    contradictory pair of rows."""
     n = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     M = rng.standard_normal((n, n))
@@ -216,15 +183,7 @@ def _random_qps(draw):
         a = rng.standard_normal(n)
         G = np.vstack([G, a, -a])
         g = np.r_[g, -rng.uniform(0.01, 1.0, size=2)]
-    n_eq = draw(st.integers(0, n - 1))
-    E = rng.standard_normal((n_eq, n))
-    e = 0.1 * rng.standard_normal(n_eq)
-    if n_eq and draw(st.booleans()):  # a scaled copy of an equality row
-        k = draw(st.sampled_from([1.0, -2.0, 3.5]))
-        E, e = np.vstack([E, k * E[0]]), np.r_[e, k * e[0]]
-    if n_eq and draw(st.integers(0, 2)) == 0:  # the same row, another offset
-        E, e = np.vstack([E, E[-1]]), np.r_[e, e[-1] + draw(st.sampled_from([0.5, -1.0]))]
-    return QpProblem(P=P, q=q, G=G, g=g, E=E.reshape(-1, n), e=e)
+    return QpProblem(P=P, q=q, G=G, g=g)
 
 
 @settings(max_examples=300, deadline=None)
@@ -253,8 +212,7 @@ def test_with_linear_terms_matches_direct_build():
     q, g = rng.standard_normal(3), np.full(6, 0.5)
     derived = template.with_linear_terms(q, g, objective_offset=2.0)
     direct = QpProblem(P=P, q=q, G=G, g=g, objective_offset=2.0)
-    assert derived.min_eig == direct.min_eig
-    np.testing.assert_array_equal(derived.row_scale, direct.row_scale)
+    np.testing.assert_array_equal(derived.factor, direct.factor)
     a, b = solve_qp(derived), solve_qp(direct)
     np.testing.assert_array_equal(a.z, b.z)
     assert a.objective == b.objective
