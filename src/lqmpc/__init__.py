@@ -30,14 +30,10 @@ from .riccati import (
 )
 from .bounds import (
     BoundsReport,
-    actual_gap,
     alpha_const,
     beta_const,
-    contraction_bound,
     full_report,
     gap_of_policy,
-    monotone_bound,
-    newton_bound,
     newton_gamma,
 )
 from .polytope import (
@@ -60,12 +56,8 @@ from .cmpc import (
     MpcController,
     MpcStep,
     TerminalDesign,
-    approx_optimal_cost,
-    bellman_apply,
     boundary_points,
-    closed_loop_cost_fn,
     feasible_region_grid,
-    mpc_policy,
     suboptimality_map,
 )
 from .scenarios import Scenario, ScenarioError, builtin_names, load_scenario

@@ -10,8 +10,8 @@ bounds:
 * a Newton-step bound gamma * beta_ell^2 * ||K - K*||^2, reflecting that one
   greedy step is a Newton/Kleinman step on the Riccati equation.
 
-`full_report` evaluates all constants, the three bounds, and the exact gap;
-the single-bound functions read its fields.
+`full_report` evaluates all constants, the three bounds, and the exact gap
+in one pass; callers read the fields they need from its `BoundsReport`.
 """
 
 from __future__ import annotations
@@ -41,11 +41,7 @@ __all__ = [
     "BoundsReport",
     "alpha_const",
     "beta_const",
-    "contraction_bound",
-    "monotone_bound",
     "newton_gamma",
-    "newton_bound",
-    "actual_gap",
     "full_report",
 ]
 
@@ -93,16 +89,6 @@ def beta_const(sys: LqSystem, Lstar: GainPolicy, ell: int) -> float:
         raise ValueError("ell must be >= 1")
     Dpow = np.linalg.matrix_power(Lstar.closed_loop, ell - 1)
     return min(induced_two_norm(Dpow) ** 2, 1.0)
-
-
-def contraction_bound(sys: LqSystem, K, ell: int) -> float:
-    """Contraction-based bound on ||K_L~ - K*|| (`full_report`)."""
-    return full_report(sys, K, ell).bound_contraction
-
-
-def monotone_bound(sys: LqSystem, K, ell: int) -> float:
-    """Monotonicity bound alpha * beta_ell * ||K - K*|| (`full_report`)."""
-    return full_report(sys, K, ell).bound_monotone
 
 
 def newton_gamma(sys: LqSystem, Kbar) -> float:
@@ -177,11 +163,6 @@ def _newton_gamma(sys: LqSystem, Kbar: np.ndarray, Dt: np.ndarray) -> float:
     return eta**2 * induced_two_norm(Mstar) * total
 
 
-def newton_bound(sys: LqSystem, K, ell: int) -> float:
-    """Newton-step bound gamma * beta_ell^2 * ||K - K*||^2 (`full_report`)."""
-    return full_report(sys, K, ell).bound_newton
-
-
 def gap_of_policy(sys: LqSystem, policy: GainPolicy) -> float:
     """Exact suboptimality ||K_L - K*|| of a stabilizing linear policy.
 
@@ -198,11 +179,6 @@ def gap_of_policy(sys: LqSystem, policy: GainPolicy) -> float:
     dL = policy.L - Lstar.L
     Delta = solve_dlyap(policy.closed_loop, dL.T @ Mstar @ dL)
     return induced_two_norm(Delta)
-
-
-def actual_gap(sys: LqSystem, K, ell: int) -> float:
-    """Exact gap ||K_L~ - K*|| of the ell-horizon policy (`full_report`)."""
-    return full_report(sys, K, ell).actual_gap
 
 
 def full_report(sys: LqSystem, K, ell: int) -> BoundsReport:

@@ -22,11 +22,11 @@ import numpy as np
 
 from .bounds import BoundsReport, full_report
 from .cmpc import (
+    APPROX_OPT_HORIZON,
     ConstrainedProblem,
     CostMapGrid,
     MpcController,
     TerminalDesign,
-    approx_optimal_cost,
     boundary_points,
     feasible_region_grid,
     suboptimality_map,
@@ -292,11 +292,12 @@ def _trajectory_costs(prob: ConstrainedProblem, design: TerminalDesign, ell: int
     feasible record also gets the cost-to-go from its state of that loop
     ("policy") and of the ell=100 approximation of the optimum ("optimal")."""
     ctl = MpcController(prob, design, ell)
+    ctl_opt = MpcController(prob, design, APPROX_OPT_HORIZON)
     records = ctl.simulate_trajectory(x0, max_steps=steps)
     for rec in records:
         if rec["feasible"]:
             rec["policy"] = ctl.simulate_cost(rec["x"])
-            rec["optimal"] = approx_optimal_cost(prob, design, rec["x"])
+            rec["optimal"] = ctl_opt.simulate_cost(rec["x"])
     return records
 
 

@@ -36,10 +36,6 @@ __all__ = [
     "MpcController",
     "MpcStep",
     "CostMapGrid",
-    "mpc_policy",
-    "bellman_apply",
-    "closed_loop_cost_fn",
-    "approx_optimal_cost",
     "feasible_region_grid",
     "suboptimality_map",
     "boundary_points",
@@ -48,7 +44,8 @@ __all__ = [
 _SIM_CAP = 10_000
 _BALL_RTOL = 1e-6
 _BISECTIONS = 5
-_APPROX_OPT_HORIZON = 100
+# the horizon whose closed loop stands in for the optimal cost J_opt
+APPROX_OPT_HORIZON = 100
 # a stored infeasibility certificate answers a query only when its lower
 # bound on the Phase-1 optimum exceeds this, ten times HiGHS's primal
 # feasibility tolerance (1e-7), so Phase 1 would call the query infeasible too
@@ -112,12 +109,6 @@ class TerminalDesign:
     S: HPolytope
     gain: GainPolicy
     zeta: float = 1.0
-    # controllers built by the module-level wrappers, by horizon; they live
-    # and die with the design, and are not pickled with it
-    _controllers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __getstate__(self):
-        return {**self.__dict__, "_controllers": {}}
 
     @classmethod
     def for_optimal_cost(cls, prob: ConstrainedProblem) -> "TerminalDesign":
@@ -174,8 +165,7 @@ class MpcStep:
 class CriticalRegion:
     """The ell-step QP's solution on one optimal active set W, affine in x0.
 
-    With y = (x0, 1): z = law y, and the multipliers of W's rows (in the
-    order of `active`) are lam y.  Row i of `rows` is, as a function of y,
+    With y = (x0, 1): z = law y.  Row i of `rows` is, as a function of y,
     the slack of G's row i when i is not in W and its multiplier when it
     is, so x0 lies in the region where every row is nonnegative; the
     optimal value there is y'Vy.
@@ -183,7 +173,6 @@ class CriticalRegion:
 
     active: tuple
     law: np.ndarray  # (ell m, n + 1)
-    lam: np.ndarray  # (|W|, n + 1)
     rows: np.ndarray  # (rows of G, n + 1)
     value: np.ndarray  # (n + 1, n + 1), symmetric
 
@@ -194,16 +183,16 @@ class MpcController:
     Everything that does not depend on the initial state x0 is built once:
     the QP's Hessian (validated once, in a template QP), constraint normals
     and prediction maps, and the unconstrained finite-horizon solution, which
-    is linear in x0: z = Z x0 with terminal state x_ell = T x0.  That
-    solution satisfies every constraint exactly on the polytope
-    {x0 | H_u x0 <= g_const}, H_u = G Z - g_map (the critical region of the
-    empty active set in explicit MPC).  A query inside that polytope (with
-    slack 1e-10) is answered by Z x0 directly, since it is then the QP
-    optimum by strict convexity, which makes closed-loop tails cheap.  Any
-    other query derives its QP from the template by its affine parts alone
-    (reusing the template's factor of P), and the QP's dual active-set
-    method starts from the same point, -P^-1 q = Z x0.  A QP result that
-    misses the KKT gate raises ArithmeticError naming the residual.
+    is linear in x0: z = Z x0.  That solution satisfies every constraint
+    exactly on the polytope {x0 | H_u x0 <= g_const}, H_u = G Z - g_map (the
+    critical region of the empty active set in explicit MPC).  A query
+    inside that polytope (with slack 1e-10) is answered by Z x0 directly,
+    since it is then the QP optimum by strict convexity, which makes
+    closed-loop tails cheap.  Any other query derives its QP from the
+    template by its affine parts alone (reusing the template's factor of
+    P), and the QP's dual active-set method starts from the same point,
+    -P^-1 q = Z x0.  A QP result that misses the KKT gate raises
+    ArithmeticError naming the residual.
 
     The controller also keeps the infeasibility certificates of its own
     earlier solves.  G does not depend on x0 and g(x0) = g_const + g_map x0,
@@ -302,7 +291,6 @@ class MpcController:
             Z[k * m : (k + 1) * m] = ladder[ell - 1 - k].L @ X
             X = A @ X + B @ Z[k * m : (k + 1) * m]
         self._Z = Z  # z_unc = Z @ x0
-        self._T = X  # x_ell = T @ x0
         # the shortcut polytope H_u x0 <= g_const, with 1e-10 of slack
         self._H_u = G @ Z - self._g_map
         self._h_u = self._g_const + 1e-10
@@ -391,8 +379,9 @@ class MpcController:
         return MpcStep(True, region.law[: self.prob.sys.m] @ y, float(y @ region.value @ y))
 
     def _region_law(self, active: tuple) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """(law, lam) of the active rows W (see `CriticalRegion`), or None
-        when their Schur complement S = (G_W J)(G_W J)' is singular.
+        """(law, lam) of the active rows W, with z = law y and W's
+        multipliers lam y (y = (x0, 1), rows in the order of `active`), or
+        None when their Schur complement S = (G_W J)(G_W J)' is singular.
 
         KKT on W: P z + q + G_W' lam = 0 and G_W z = g_W, so
         z = z_free y - J M' lam with M = G_W J, and S lam = G_W z_free y - g_W.
@@ -436,7 +425,7 @@ class MpcController:
         offset = np.zeros((n + 1, n + 1))
         offset[:n, :n] = self._off_map
         value = 0.5 * law.T @ p.P @ law + self._q_aug.T @ law + offset
-        return CriticalRegion(active, law, lam, rows, 0.5 * (value + value.T))
+        return CriticalRegion(active, law, rows, 0.5 * (value + value.T))
 
     def _keep_certificate(self, y: np.ndarray) -> None:
         """Store the verified Farkas vector y of an infeasible QP as one row.
@@ -500,41 +489,6 @@ class MpcController:
         return out
 
 
-def _controller(prob: ConstrainedProblem, design: TerminalDesign, ell: int) -> MpcController:
-    ctl = design._controllers.get(ell)
-    if ctl is None or ctl.prob is not prob:
-        ctl = design._controllers[ell] = MpcController(prob, design, ell)
-    return ctl
-
-
-def mpc_policy(prob: ConstrainedProblem, design: TerminalDesign, ell: int, x) -> MpcStep:
-    """First optimal control and optimal value of the ell-step QP at x.
-
-    Infeasible x yields MpcStep(feasible=False, value=inf).
-    """
-    return _controller(prob, design, ell).solve(x)
-
-
-def bellman_apply(prob: ConstrainedProblem, design: TerminalDesign, x) -> float:
-    """One-step Bellman value: stage cost plus terminal cost after one move.
-
-    min_u  x'Qx + u'Ru + (Ax+Bu)'K(Ax+Bu)  s.t. u in U, Ax+Bu in S,
-    with value +inf when x is outside the state constraints or no u is
-    feasible.
-    """
-    return _controller(prob, design, 1).solve(x).value
-
-
-def closed_loop_cost_fn(prob: ConstrainedProblem, design: TerminalDesign, ell: int, x0) -> float:
-    """Realized cost of the ell-step receding-horizon policy from x0."""
-    return _controller(prob, design, ell).simulate_cost(x0)
-
-
-def approx_optimal_cost(prob: ConstrainedProblem, design: TerminalDesign, x0) -> float:
-    """Upper approximation of the optimal cost: the ell=100 closed loop."""
-    return _controller(prob, design, _APPROX_OPT_HORIZON).simulate_cost(x0)
-
-
 @dataclass
 class CostMapGrid:
     """Row-major grid of feasibility verdicts and costs over a 2-D box."""
@@ -593,7 +547,7 @@ def _run_sweep(prob, design, ell, grid_spec, kind) -> CostMapGrid:
                     cost[iy, ix] = step.value
     else:
         rel = np.full(feas.shape, math.nan)
-        ctl_opt = MpcController(prob, design, _APPROX_OPT_HORIZON)
+        ctl_opt = MpcController(prob, design, APPROX_OPT_HORIZON)
         for iy, y in enumerate(ys):
             for ix, x in enumerate(xs):
                 pt = np.array([x, y])
@@ -645,7 +599,7 @@ def boundary_points(
 ) -> np.ndarray:
     """Feasibility-boundary refinement along grid edges (`_BISECTIONS`
     bisection steps per edge)."""
-    ctl = _controller(prob, design, ell)
+    ctl = MpcController(prob, design, ell)
 
     def feas(pt) -> bool:
         return ctl.solve(pt).feasible

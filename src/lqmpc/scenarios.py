@@ -10,7 +10,7 @@ files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -45,9 +45,13 @@ class Scenario:
     grid_bounds: Optional[tuple] = None
     x0: Optional[np.ndarray] = None
     K0: Optional[np.ndarray] = None  # explicit assessment matrix override
+    # the system of (A, B, Q, R), built and checked once, so that every
+    # reader shares its Riccati pair
+    system: LqSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sys = LqSystem(self.A, self.B, self.Q, self.R)  # dimension/PSD checks
+        object.__setattr__(self, "system", sys)
         if self.terminal_kind not in ("dare", "zeta_dare"):
             raise ScenarioError(
                 f"terminal_kind must be 'dare' or 'zeta_dare', got {self.terminal_kind!r}"
@@ -68,10 +72,6 @@ class Scenario:
             raise ScenarioError("x0 dimension mismatch")
         if self.K0 is not None and self.K0.shape != (sys.n, sys.n):
             raise ScenarioError("K0 must be n-by-n")
-
-    @property
-    def system(self) -> LqSystem:
-        return LqSystem(self.A, self.B, self.Q, self.R)
 
     @property
     def constrained(self) -> bool:

@@ -8,16 +8,13 @@ and returns a short human-readable stats string on success.
 import itertools
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.spatial import HalfspaceIntersection
 
 from lqmpc import (
-    actual_gap,
     bellman_op,
-    beta_const,
     build_weighted_norm,
     closed_loop_cost,
-    closed_loop_cost_fn,
-    contains,
-    contraction_bound,
     full_report,
     greedy_gain,
     induced_two_norm,
@@ -27,9 +24,6 @@ from lqmpc import (
     GainPolicy,
     HPolytope,
     MpcController,
-    monotone_bound,
-    mpc_policy,
-    newton_bound,
     newton_gamma,
     policy_bellman_op,
     psd_order_holds,
@@ -119,8 +113,8 @@ def check_bound_sandwich(cases):
 
 def check_monotone_le_contraction(cases):
     for sys, K, ell in cases:
-        mono = monotone_bound(sys, K, ell)
-        contr = contraction_bound(sys, K, ell)
+        rep = full_report(sys, K, ell)
+        mono, contr = rep.bound_monotone, rep.bound_contraction
         assert mono <= contr * (1 + 1e-12), f"ell={ell}: {mono} > {contr}"
     return f"{len(cases)} instances, monotone bound tighter"
 
@@ -309,23 +303,42 @@ def reference_solve_qp(p):
     return "max_iter", z, float(0.5 * z @ p.P @ z + p.q @ z + p.objective_offset)
 
 
-def check_terminal_invariance(instances, n_samples=1000, seed=3):
-    """x in S implies (A+BL)x in S, Lx in U, x in Xhat, on sampled interiors."""
+def _vertices(P):
+    """Vertices of a bounded polytope with interior, by scipy's halfspace
+    intersection about the centre of its largest inscribed ball (found by
+    its own LP), apart from `lqmpc.polytope`."""
+    norms = np.linalg.norm(P.H, axis=1)
+    c = np.zeros(P.dim + 1)
+    c[-1] = -1.0  # maximise the radius r: H x + |H_i| r <= h
+    lp = linprog(c, A_ub=np.column_stack([P.H, norms]), b_ub=P.h,
+                 bounds=[(None, None)] * P.dim + [(0.0, None)], method="highs")
+    assert lp.status == 0 and lp.x[-1] > 0.0, "polytope has no interior"
+    hs = HalfspaceIntersection(np.column_stack([P.H, -P.h]), lp.x[:-1])
+    return hs.intersections
+
+
+def check_terminal_invariance(instances):
+    """(A+BL)x in S, Lx in U and x in Xhat, within 1e-7, at every vertex x
+    of S; all three are linear in x, so they then hold on all of S."""
     total = 0
     for prob, design in instances:
-        X = sample_interior(design.S, n_samples, seed=seed)
+        V = _vertices(design.S)
         D = design.gain.closed_loop
         L = design.gain.L
-        for x in X:
-            assert contains(design.S, D @ x), "closed loop leaves S"
-            assert contains(prob.U, L @ x), "gain violates input set"
-            assert contains(prob.Xhat, x), "S not inside the state set"
-        total += len(X)
-    return f"{total} sampled states stay invariant and admissible"
+        for what, P, X in (("closed loop leaves S", design.S, V @ D.T),
+                           ("gain violates input set", prob.U, V @ L.T),
+                           ("S not inside the state set", prob.Xhat, V)):
+            excess = X @ P.H.T - P.h
+            worst = int(np.argmax(np.max(excess, axis=1)))
+            assert np.max(excess) <= 1e-7, (
+                f"{what} by {np.max(excess):.3g} at vertex {V[worst].tolist()}")
+        total += len(V)
+    return f"{total} vertices stay invariant and admissible"
 
 
 def check_policy_cost_below_value(prob, design, ell, n_states=500, seed=17):
     """J_mu(x) <= ell-horizon optimal value at x for sampled feasible states."""
+    ctl = MpcController(prob, design, ell)
     rng_seed = seed
     collected = 0
     tried = 0
@@ -335,10 +348,10 @@ def check_policy_cost_below_value(prob, design, ell, n_states=500, seed=17):
         for x in X:
             if collected >= n_states:
                 break
-            step = mpc_policy(prob, design, ell, x)
+            step = ctl.solve(x)
             if not step.feasible:
                 continue
-            jmu = closed_loop_cost_fn(prob, design, ell, x)
+            jmu = ctl.simulate_cost(x)
             assert jmu <= step.value + 1e-6, (
                 f"J_mu {jmu} exceeds horizon value {step.value} at {x}"
             )

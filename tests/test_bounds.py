@@ -10,19 +10,15 @@ from hypothesis import strategies as st
 
 from lqmpc import (
     LqSystem,
-    actual_gap,
     alpha_const,
     beta_const,
     build_weighted_norm,
-    contraction_bound,
     full_report,
     gap_of_policy,
     greedy_gain,
     induced_two_norm,
     iterate_bellman,
     load_scenario,
-    monotone_bound,
-    newton_bound,
     newton_gamma,
     solve_dare,
     zeta_dare,
@@ -105,41 +101,43 @@ def test_beta_2d_frozen(di2d_sys, di2d_dare):
 def test_contraction_scalar(scalar_sys):
     # frozen value of this construction; the originally reported 534.5 would
     # need rho ~ 0.877 rather than the (spectral radius^2+1)/2 midpoint
-    assert contraction_bound(scalar_sys, K_SCALAR, 1) == pytest.approx(
+    assert full_report(scalar_sys, K_SCALAR, 1).bound_contraction == pytest.approx(
         109.8011273708, rel=1e-9
     )
 
 
 def test_contraction_2d_bracket(di2d_sys, di2d_K_eff):
-    v = contraction_bound(di2d_sys, di2d_K_eff, 3)
+    v = full_report(di2d_sys, di2d_K_eff, 3).bound_contraction
     assert v == pytest.approx(1958.5118524, rel=1e-8)
     assert v < 1e10
 
 
 def test_contraction_at_optimum(di2d_sys, di2d_dare):
-    assert contraction_bound(di2d_sys, di2d_dare[0], 3) == pytest.approx(0.0, abs=1e-8)
+    assert full_report(di2d_sys, di2d_dare[0], 3).bound_contraction == pytest.approx(
+        0.0, abs=1e-8)
 
 
 def test_contraction_outside_region_raises(scalar_sys):
     with pytest.raises(ValueError):
-        contraction_bound(scalar_sys, np.array([[1.0]]), 1)
+        full_report(scalar_sys, np.array([[1.0]]), 1)
 
 
 def test_monotone_scalar(scalar_sys):
-    assert monotone_bound(scalar_sys, K_SCALAR, 1) == pytest.approx(
+    assert full_report(scalar_sys, K_SCALAR, 1).bound_monotone == pytest.approx(
         14.4267957395, rel=1e-9
     )
 
 
 def test_monotone_2d(di2d_sys, di2d_K_eff):
     # reported rounded to 9.8; the exact design distance is 9.9 with beta_3 = 1
-    assert monotone_bound(di2d_sys, di2d_K_eff, 3) == pytest.approx(9.9, rel=1e-9)
-    assert monotone_bound(di2d_sys, di2d_K_eff, 3) == pytest.approx(9.8, rel=0.05)
+    mono = full_report(di2d_sys, di2d_K_eff, 3).bound_monotone
+    assert mono == pytest.approx(9.9, rel=1e-9)
+    assert mono == pytest.approx(9.8, rel=0.05)
 
 
 def test_monotone_4d(ac4d_sys, ac4d_K_eff):
-    assert monotone_bound(ac4d_sys, ac4d_K_eff, 10) == pytest.approx(404.0, rel=0.05)
-    assert monotone_bound(ac4d_sys, ac4d_K_eff, 20) == pytest.approx(248.6, rel=0.05)
+    assert full_report(ac4d_sys, ac4d_K_eff, 10).bound_monotone == pytest.approx(404.0, rel=0.05)
+    assert full_report(ac4d_sys, ac4d_K_eff, 20).bound_monotone == pytest.approx(248.6, rel=0.05)
 
 
 def test_newton_gamma_scalar(scalar_sys):
@@ -234,16 +232,18 @@ def test_newton_gamma_of_design_reports_matches_reference(name, zetas):
 
 
 def test_newton_scalar(scalar_sys):
-    assert newton_bound(scalar_sys, K_SCALAR, 1) == pytest.approx(42.992, rel=1e-4)
+    assert full_report(scalar_sys, K_SCALAR, 1).bound_newton == pytest.approx(42.992, rel=1e-4)
 
 
 def test_newton_2d(di2d_sys, di2d_K_eff):
-    assert newton_bound(di2d_sys, di2d_K_eff, 3) == pytest.approx(553.0, rel=0.10)
-    assert newton_bound(di2d_sys, di2d_K_eff, 3) == pytest.approx(558.1712932, rel=1e-8)
+    newton = full_report(di2d_sys, di2d_K_eff, 3).bound_newton
+    assert newton == pytest.approx(553.0, rel=0.10)
+    assert newton == pytest.approx(558.1712932, rel=1e-8)
 
 
 def test_newton_at_optimum(scalar_sys, scalar_dare):
-    assert newton_bound(scalar_sys, scalar_dare[0], 1) == pytest.approx(0.0, abs=1e-8)
+    assert full_report(scalar_sys, scalar_dare[0], 1).bound_newton == pytest.approx(
+        0.0, abs=1e-8)
 
 
 def test_design_step_quadratic_contraction(scalar_sys, di2d_sys):
@@ -252,22 +252,23 @@ def test_design_step_quadratic_contraction(scalar_sys, di2d_sys):
 
 
 # ---------------------------------------------------------------------------
-# actual_gap
+# the exact gap
 # ---------------------------------------------------------------------------
 
 def test_gap_scalar(scalar_sys):
-    assert actual_gap(scalar_sys, K_SCALAR, 1) == pytest.approx(3.2512721253, rel=1e-9)
+    assert full_report(scalar_sys, K_SCALAR, 1).actual_gap == pytest.approx(
+        3.2512721253, rel=1e-9)
 
 
 def test_gap_2d_long_horizon(di2d_sys, di2d_K_eff):
     # ten value iterations leave a gap at the numerical noise floor
-    assert actual_gap(di2d_sys, di2d_K_eff, 10) < 1e-12
+    assert full_report(di2d_sys, di2d_K_eff, 10).actual_gap < 1e-12
 
 
 def test_gap_4d(ac4d_sys, ac4d_K_eff):
     # frozen from the independent oracle; the reported table prints 2.8 for
     # this cell, which no zeta consistent with Table 1 reproduces
-    assert actual_gap(ac4d_sys, ac4d_K_eff, 3) == pytest.approx(6.0111730, rel=1e-6)
+    assert full_report(ac4d_sys, ac4d_K_eff, 3).actual_gap == pytest.approx(6.0111730, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -340,20 +341,15 @@ def test_newton_crossover(corpus):
 
 
 # ---------------------------------------------------------------------------
-# one pipeline: the cached Riccati pair and the single-bound readers
+# one pipeline: the cached Riccati pair and each bound's own formula
 # ---------------------------------------------------------------------------
 
 def test_single_bounds_equal_report_fields(corpus):
-    """Each single-bound function equals its `full_report` field bit for bit,
-    and so does each bound as its own formula evaluates it, from a fresh
-    Riccati solve (the expression order of the per-bound code)."""
+    """Each bound as its own formula evaluates it, from a fresh Riccati
+    solve (the expression order of the per-bound code), equals its
+    `full_report` field bit for bit."""
     for sys, K, ell in corpus:
         rep = full_report(sys, K, ell)
-        assert contraction_bound(sys, K, ell) == rep.bound_contraction
-        assert monotone_bound(sys, K, ell) == rep.bound_monotone
-        assert newton_bound(sys, K, ell) == rep.bound_newton
-        assert actual_gap(sys, K, ell) == rep.actual_gap
-
         Kstar, Lstar = solve_dare(sys)
         dist = induced_two_norm(np.asarray(K, dtype=float) - Kstar)
         alpha, beta = alpha_const(sys, Lstar), beta_const(sys, Lstar, ell)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from lqmpc import ScenarioError, load_scenario
+from lqmpc import ScenarioError, load_scenario, riccati
 from lqmpc.cli import main
 from lqmpc.scenarios import builtin_names
 
@@ -158,6 +158,28 @@ def test_cmd_bounds_writes_csv(tmp_path, capsys):
     vals = [float(v) for v in row[2:6]]
     assert vals[0] == pytest.approx(3.2513, rel=1e-3)
     assert vals[2] == pytest.approx(14.4268, rel=1e-3)
+
+
+def test_cmd_bounds_solves_the_riccati_pair_once(tmp_path, monkeypatch):
+    # the optimal terminal matrix and every report share the scenario's one
+    # system, and so its one Riccati solve
+    scn = tmp_path / "toy-dare.scn"
+    scn.write_text(GOOD.replace('terminal_kind: "zeta_dare"\nzeta: 10\n',
+                                'terminal_kind: "dare"\n'))
+    calls = []
+    solve_dare = riccati.solve_dare
+
+    def counting_solve_dare(*args, **kwargs):
+        calls.append(1)
+        return solve_dare(*args, **kwargs)
+
+    monkeypatch.setattr(riccati, "solve_dare", counting_solve_dare)
+    rc = main(["bounds", "--scenario", str(scn), "--ell", "3,10", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "bounds-toy.csv").read_text().splitlines()
+    assert lines[0] == "# terminal matrix: optimal cost matrix"
+    assert [row.split(",")[:2] for row in lines[2:]] == [["3", "ok"], ["10", "ok"]]
+    assert len(calls) == 1
 
 
 def test_cmd_terminal_set_unit_ratio(tmp_path):

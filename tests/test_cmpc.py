@@ -1,14 +1,11 @@
 """Constrained MPC engine: policy evaluation, the function-space Bellman
 step, closed-loop costs, and the grid sweeps."""
 
-import gc
 import math
 import multiprocessing
 import os
-import pickle
 import subprocess
 import sys
-import weakref
 
 import numpy as np
 import pytest
@@ -20,11 +17,8 @@ from lqmpc import (
     HPolytope,
     MpcController,
     TerminalDesign,
-    approx_optimal_cost,
-    bellman_apply,
     boundary_points,
     closed_loop_cost,
-    closed_loop_cost_fn,
     contains,
     feasible_region_grid,
     greedy_gain,
@@ -32,17 +26,34 @@ from lqmpc import (
     iterate_bellman,
     load_scenario,
     lp_solve,
-    mpc_policy,
     sample_interior,
     solve_qp,
     suboptimality_map,
 )
 from lqmpc import cmpc, polytope, qp
-from conftest import ZEFF_2D
 from _checks import check_policy_cost_below_value, lp_verdicts, reference_results
 
 
 SMALL_GRID = {"resolution": 21}
+
+
+# one controller per (design, horizon), shared by the tests that only query
+# it: no answer depends on what its stores hold
+# (test_verdict_does_not_depend_on_the_store)
+
+@pytest.fixture(scope="module")
+def di2d_ctl1(di2d_prob, di2d_design_eff):
+    return MpcController(di2d_prob, di2d_design_eff, 1)
+
+
+@pytest.fixture(scope="module")
+def di2d_ctl3(di2d_prob, di2d_design_eff):
+    return MpcController(di2d_prob, di2d_design_eff, 3)
+
+
+@pytest.fixture(scope="module")
+def di2d_ctl_opt(di2d_prob, di2d_design_eff):
+    return MpcController(di2d_prob, di2d_design_eff, cmpc.APPROX_OPT_HORIZON)
 
 
 # ---------------------------------------------------------------------------
@@ -139,35 +150,35 @@ def test_design_zeta_provenance(di2d_design_eff, di2d_design_opt):
 
 
 # ---------------------------------------------------------------------------
-# mpc_policy
+# the ell-step policy
 # ---------------------------------------------------------------------------
 
-def test_policy_at_origin(di2d_prob, di2d_design_eff):
-    step = mpc_policy(di2d_prob, di2d_design_eff, 3, np.zeros(2))
+def test_policy_at_origin(di2d_ctl3):
+    step = di2d_ctl3.solve(np.zeros(2))
     assert step.feasible
     np.testing.assert_allclose(step.u0, np.zeros(1), atol=1e-9)
     assert step.value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_policy_interior_matches_gain(di2d_prob, di2d_design_eff, di2d_sys):
+def test_policy_interior_matches_gain(di2d_ctl3, di2d_design_eff, di2d_sys):
     x = np.array([0.2, -0.15])
-    step = mpc_policy(di2d_prob, di2d_design_eff, 3, x)
+    step = di2d_ctl3.solve(x)
     Kbar = iterate_bellman(di2d_sys, di2d_design_eff.K, 2)
     expected = greedy_gain(di2d_sys, Kbar).L @ x
     assert step.feasible
     assert abs(step.u0[0] - expected[0]) <= 1e-6
 
 
-def test_policy_infeasible_far_out(di2d_prob, di2d_design_eff):
-    step = mpc_policy(di2d_prob, di2d_design_eff, 3, np.array([0.0, 4.9]))
+def test_policy_infeasible_far_out(di2d_ctl3):
+    step = di2d_ctl3.solve(np.array([0.0, 4.9]))
     assert not step.feasible
     assert math.isinf(step.value)
 
 
-def test_policy_deterministic(di2d_prob, di2d_design_eff):
+def test_policy_deterministic(di2d_ctl3):
     x = np.array([-3.0, 1.0])
-    a = mpc_policy(di2d_prob, di2d_design_eff, 3, x)
-    b = mpc_policy(di2d_prob, di2d_design_eff, 3, x)
+    a = di2d_ctl3.solve(x)
+    b = di2d_ctl3.solve(x)
     assert a.value == b.value
     np.testing.assert_array_equal(a.u0, b.u0)
 
@@ -184,26 +195,25 @@ def test_policy_value_matches_raw_qp(di2d_prob, di2d_design_eff):
 
 
 # ---------------------------------------------------------------------------
-# bellman_apply
+# the one-step Bellman value: the ell = 1 controller's value,
+# min_u x'Qx + u'Ru + (Ax+Bu)'K(Ax+Bu) s.t. u in U, Ax+Bu in S, x in Xhat
 # ---------------------------------------------------------------------------
 
-def test_bellman_apply_origin(di2d_prob, di2d_design_eff):
-    assert bellman_apply(di2d_prob, di2d_design_eff, np.zeros(2)) == pytest.approx(
-        0.0, abs=1e-12
-    )
+def test_bellman_apply_origin(di2d_ctl1):
+    assert di2d_ctl1.solve(np.zeros(2)).value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_bellman_apply_outside_state_set(di2d_prob, di2d_design_eff):
-    assert math.isinf(bellman_apply(di2d_prob, di2d_design_eff, np.array([5.5, 0.0])))
+def test_bellman_apply_outside_state_set(di2d_ctl1):
+    assert math.isinf(di2d_ctl1.solve(np.array([5.5, 0.0])).value)
 
 
-def test_quadratic_dominates_bellman_on_terminal_set(di2d_prob, di2d_design_eff):
+def test_quadratic_dominates_bellman_on_terminal_set(di2d_ctl1, di2d_design_eff):
     """Terminal design certificate: (TJ)(x) <= x'Kx on 500 sampled x in S."""
     K = di2d_design_eff.K
     X = sample_interior(di2d_design_eff.S, 500, seed=21)
     worst = -np.inf
     for x in X:
-        tj = bellman_apply(di2d_prob, di2d_design_eff, x)
+        tj = di2d_ctl1.solve(x).value
         jx = x @ K @ x
         worst = max(worst, tj - jx)
         assert tj <= jx + 1e-7, f"decrease violated at {x}: TJ={tj} J={jx}"
@@ -214,14 +224,12 @@ def test_quadratic_dominates_bellman_on_terminal_set(di2d_prob, di2d_design_eff)
 # closed-loop cost and the optimal-cost approximation
 # ---------------------------------------------------------------------------
 
-def test_cost_fn_origin(di2d_prob, di2d_design_eff):
-    assert closed_loop_cost_fn(di2d_prob, di2d_design_eff, 3, np.zeros(2)) == 0.0
+def test_cost_fn_origin(di2d_ctl3):
+    assert di2d_ctl3.simulate_cost(np.zeros(2)) == 0.0
 
 
-def test_cost_fn_infeasible(di2d_prob, di2d_design_eff):
-    assert math.isinf(
-        closed_loop_cost_fn(di2d_prob, di2d_design_eff, 3, np.array([0.0, 4.9]))
-    )
+def test_cost_fn_infeasible(di2d_ctl3):
+    assert math.isinf(di2d_ctl3.simulate_cost(np.array([0.0, 4.9])))
 
 
 def test_policy_cost_below_horizon_value(di2d_prob, di2d_design_eff):
@@ -230,23 +238,23 @@ def test_policy_cost_below_horizon_value(di2d_prob, di2d_design_eff):
     assert "500" in msg
 
 
-def test_longer_horizon_dominates(di2d_prob, di2d_design_eff):
+def test_longer_horizon_dominates(di2d_prob, di2d_ctl3, di2d_ctl_opt):
     # the ell=100 approximation of the optimal cost is never worse than the
     # ell=3 policy cost
     X = sample_interior(di2d_prob.Xhat, 60, seed=33)
     checked = 0
     for x in X:
-        j3 = closed_loop_cost_fn(di2d_prob, di2d_design_eff, 3, x)
+        j3 = di2d_ctl3.simulate_cost(x)
         if math.isinf(j3):
             continue
-        j_opt = approx_optimal_cost(di2d_prob, di2d_design_eff, x)
+        j_opt = di2d_ctl_opt.simulate_cost(x)
         assert j_opt <= j3 + 1e-7
         checked += 1
     assert checked >= 20
 
 
-def test_approx_optimal_origin(di2d_prob, di2d_design_eff):
-    assert approx_optimal_cost(di2d_prob, di2d_design_eff, np.zeros(2)) == 0.0
+def test_approx_optimal_origin(di2d_ctl_opt):
+    assert di2d_ctl_opt.simulate_cost(np.zeros(2)) == 0.0
 
 
 def test_tail_truncation_consistency(di2d_prob, di2d_design_eff, di2d_sys):
@@ -456,7 +464,7 @@ def test_submap_parallel_matches_serial(di2d_prob, di2d_design_eff, monkeypatch)
             J = MpcController(di2d_prob, di2d_design_eff, 3).simulate_cost(pt)
             J_pol[iy, ix] = J
             if math.isfinite(J) and not (x == 0.0 and y == 0.0):
-                ctl_opt = MpcController(di2d_prob, di2d_design_eff, cmpc._APPROX_OPT_HORIZON)
+                ctl_opt = MpcController(di2d_prob, di2d_design_eff, cmpc.APPROX_OPT_HORIZON)
                 Jopt = ctl_opt.simulate_cost(pt)
                 if Jopt > 0 and math.isfinite(Jopt):
                     rel[iy, ix] = abs(J - Jopt) / Jopt
@@ -485,7 +493,7 @@ def _gain_ladder(sys, K, ell):
 
 
 def _ladder_candidate(sys, ladder, x0):
-    """Unconstrained minimizer and terminal state by running the ladder on x0."""
+    """Unconstrained minimizer by running the ladder on x0."""
     ell = len(ladder)
     z = np.empty(ell * sys.m)
     x = x0
@@ -493,7 +501,7 @@ def _ladder_candidate(sys, ladder, x0):
         u = ladder[ell - 1 - k] @ x
         z[k * sys.m : (k + 1) * sys.m] = u
         x = sys.A @ x + sys.B @ u
-    return z, x
+    return z
 
 
 @pytest.mark.parametrize("name", ["di2d", "ac4d"])
@@ -505,9 +513,8 @@ def test_unconstrained_map_matches_gain_ladder(request, name, ell):
     ladder = _gain_ladder(prob.sys, design.K, ell)
     lo, hi = prob.box
     for x0 in np.random.default_rng(ell).uniform(lo, hi, size=(20, prob.sys.n)):
-        z_ref, x_ref = _ladder_candidate(prob.sys, ladder, x0)
-        for got, ref in ((ctl._Z @ x0, z_ref), (ctl._T @ x0, x_ref)):
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        z_ref = _ladder_candidate(prob.sys, ladder, x0)
+        assert np.abs(ctl._Z @ x0 - z_ref).max() <= 1e-12 * np.abs(z_ref).max()
 
 
 @pytest.mark.parametrize("ell", [3, 100])
@@ -520,7 +527,7 @@ def test_shortcut_polytope_matches_candidate_test(di2d_prob, di2d_design_eff, el
     for x2 in np.linspace(lo[1], hi[1], 41):
         for x1 in np.linspace(lo[0], hi[0], 41):
             x0 = np.array([x1, x2])
-            z_unc, _ = _ladder_candidate(di2d_prob.sys, ladder, x0)
+            z_unc = _ladder_candidate(di2d_prob.sys, ladder, x0)
             excess = float(np.max(G @ z_unc - (ctl._g_const + ctl._g_map @ x0)))
             if abs(excess - 1e-10) <= 1e-9:
                 continue  # too close to the slack for rounding to settle
@@ -556,28 +563,6 @@ def test_hessian_validated_once_per_controller(di2d_prob, di2d_design_eff, monke
         ctl.solve(x0)
     assert qp_calls
     assert len(eig_calls) <= 1
-
-
-def test_wrapper_controllers_die_with_their_design(di2d_prob):
-    refs = []
-    for _ in range(40):
-        design = TerminalDesign.for_amplified_cost(di2d_prob, ZEFF_2D)
-        assert math.isfinite(approx_optimal_cost(di2d_prob, design, np.array([0.5, -0.3])))
-        refs.append(weakref.ref(design))
-        del design
-    gc.collect()
-    assert all(r() is None for r in refs)
-
-
-def test_wrapper_controllers_follow_the_problem(di2d_sys, di2d_prob):
-    design = TerminalDesign.for_amplified_cost(di2d_prob, ZEFF_2D)
-    size = len(pickle.dumps(design))
-    mpc_policy(di2d_prob, design, 3, np.zeros(2))
-    # the cached controllers stay in this process
-    assert len(pickle.dumps(design)) == size
-    other = ConstrainedProblem(di2d_sys, di2d_prob.Xhat, di2d_prob.U)
-    mpc_policy(other, design, 3, np.zeros(2))
-    assert design._controllers[3].prob is other
 
 
 def _perturbed(name, p, z, mu):
@@ -1005,14 +990,15 @@ def test_dual_qp_matches_reference_on_every_grid_cell(di2d_prob, request, which,
 _BITS_CODE = """\
 import sys
 import numpy as np
-from lqmpc import TerminalDesign, approx_optimal_cost, cmpc, load_scenario, suboptimality_map
+from lqmpc import MpcController, TerminalDesign, cmpc, load_scenario, suboptimality_map
 qps = []
 solve_qp = cmpc.solve_qp
 cmpc.solve_qp = lambda p: qps.append(1) or solve_qp(p)
 sc = load_scenario("di-2d")
 prob = sc.constrained_problem()
 design = TerminalDesign.for_amplified_cost(prob, sc.amplification())
-costs = [approx_optimal_cost(prob, design, np.array(x0)) for x0 in ([-4.5, 2.9], [-2.0, 3.0])]
+ctl_opt = MpcController(prob, design, cmpc.APPROX_OPT_HORIZON)
+costs = [ctl_opt.simulate_cost(np.array(x0)) for x0 in ([-4.5, 2.9], [-2.0, 3.0])]
 print(len(qps), np.array(costs).tobytes().hex())
 suboptimality_map(prob, design, 3, {"resolution": 9}).to_csv(sys.argv[1])
 """

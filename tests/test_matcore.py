@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqmpc import (
-    actual_gap,
     build_weighted_norm,
+    full_report,
     greedy_gain,
     induced_two_norm,
     is_stable,
@@ -187,7 +187,7 @@ def test_dlyap_matches_one_norm_per_matrix_reference(tol):
 def test_dlyap_tiny_gap_matches_exact_value(di2d_sys, di2d_K_eff):
     # 2-D, ell = 10: the gap evaluated in 60-digit arithmetic (value
     # iteration for K*, exact vectorized Lyapunov solve) is 1.8914155764e-13
-    gap = actual_gap(di2d_sys, di2d_K_eff, 10)
+    gap = full_report(di2d_sys, di2d_K_eff, 10).actual_gap
     assert gap == pytest.approx(1.8914155764e-13, rel=1e-6, abs=0.0)
 
 

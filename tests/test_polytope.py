@@ -401,14 +401,42 @@ def test_invariant_set_unstable_raises(di2d_sets):
         maximal_invariant_set(1.5 * np.eye(2), Xhat, U, np.zeros((1, 2)))
 
 
-def test_invariance_sampling(di2d_sys, di2d_sets, di2d_prob, di2d_design_eff,
-                             di2d_design_opt):
-    """1000 sampled states per set stay invariant and admissible."""
-    msg = check_terminal_invariance(
-        [(di2d_prob, di2d_design_eff), (di2d_prob, di2d_design_opt)],
-        n_samples=1000,
-    )
-    assert "2000" in msg
+def test_invariance_at_vertices(di2d_prob, di2d_design_eff, di2d_design_opt,
+                                ac4d_prob, ac4d_design_eff):
+    """Every vertex of each terminal set stays in it under its gain, with
+    admissible input, inside the state set."""
+    instances = [(di2d_prob, di2d_design_eff), (di2d_prob, di2d_design_opt),
+                 (ac4d_prob, ac4d_design_eff)]
+    msg = check_terminal_invariance(instances)
+    # the same vertices as the program's own (4, 4 and 244 of them)
+    assert msg.startswith(f"{sum(len(vertices(d.S)) for _, d in instances)} vertices")
+
+
+def _wrong_gain(prob, design):
+    """The design's S under the optimal gain u = L*x (see
+    test_design_with_the_wrong_gain_fails_at_a_vertex)."""
+    Kstar, Lstar = prob.sys.optimal
+    return TerminalDesign(K=Kstar, S=design.S, gain=Lstar)
+
+
+def _grown(prob, design):
+    """S scaled by 1 + 1e-4: still invariant, but its gain asks for 1e-4 more
+    input than U allows near two vertices, where 1000 hit-and-run samples
+    found no violation."""
+    return TerminalDesign(K=design.K, S=HPolytope(design.S.H, 1.0001 * design.S.h),
+                          gain=design.gain)
+
+
+@pytest.mark.parametrize("study, change, message", [
+    ("di2d", _wrong_gain, "gain violates input set by 1.08"),
+    ("ac4d", _wrong_gain, "closed loop leaves S by 0.31"),
+    ("di2d", _grown, "gain violates input set by 0.0001"),
+])
+def test_invariance_check_fails_an_invalid_design(request, study, change, message):
+    prob = request.getfixturevalue(f"{study}_prob")
+    design = change(prob, request.getfixturevalue(f"{study}_design_eff"))
+    with pytest.raises(AssertionError, match=message):
+        check_terminal_invariance([(prob, design)])
 
 
 def test_invariant_set_maximality(di2d_sys, di2d_dare, di2d_sets):
