@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .matcore import symmetrize
-from .polytope import HPolytope, bounding_box, contains, lp_solve, maximal_invariant_set, vertices
+from .polytope import HPolytope, bounding_box, lp_solve, maximal_invariant_set, vertices
 from .qp import QP_COMP_TOL, QP_DUAL_TOL, QP_FEAS_TOL, QpProblem, QpSolution, solve_qp
 from .riccati import (
     GainPolicy,
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 _SIM_CAP = 10_000
-_BALL_RTOL = 1e-6
 _BISECTIONS = 5
 # the horizon whose closed loop stands in for the optimal cost J_opt
 APPROX_OPT_HORIZON = 100
@@ -86,11 +85,6 @@ class ConstrainedProblem:
                 raise ValueError(f"{name} constraint set must be bounded") from None
         object.__setattr__(self, "box", boxes["state"])
         object.__setattr__(self, "input_box", boxes["input"])
-
-    @property
-    def box_radius(self) -> float:
-        lo, hi = self.box
-        return float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
 
     def state_set_contains(self, S: HPolytope) -> bool:
         """True iff S lies in Xhat within 1e-7, by one support LP of S per
@@ -295,6 +289,7 @@ class MpcController:
         self._H_u = G @ Z - self._g_map
         self._h_u = self._g_const + 1e-10
         self._tail_cost: Optional[np.ndarray] = None
+        self._tail_set: Optional[HPolytope] = None
         # the stored certificates, rows (a, b) of b + a'x0 (see the class
         # docstring), and |z_j| <= z_bound_j for every z in U^ell
         self._cert_a = np.zeros((0, n))
@@ -319,6 +314,20 @@ class MpcController:
         if self._tail_cost is None:
             self._tail_cost = closed_loop_cost(self.prob.sys, self._policy_gain)
         return self._tail_cost
+
+    @property
+    def tail_set(self) -> HPolytope:
+        """Maximal invariant set O of the policy gain's loop inside the
+        shortcut polytope {H_u x0 <= g_const}.  From a state in O the
+        shortcut answers every later move, so the closed loop applies the
+        policy gain forever and its cost to go is exactly x' tail_cost x."""
+        if self._tail_set is None:
+            # a zero row of H_u holds at every x0 (its offset is positive)
+            keep = np.any(self._H_u != 0.0, axis=1)
+            shortcut = HPolytope(self._H_u[keep], self._g_const[keep])
+            self._tail_set = maximal_invariant_set(
+                self._policy_gain.closed_loop, shortcut, self.prob.U, self._policy_gain)
+        return self._tail_set
 
     def qp_at(self, x0) -> QpProblem:
         x0 = np.asarray(x0, dtype=float).ravel()
@@ -456,22 +465,21 @@ class MpcController:
         step is infeasible).
 
         Simulates x+ = Ax + B u(x) accumulating stage costs until the state
-        is inside the terminal set with ||x|| at most `_BALL_RTOL` times the
-        state box radius, then adds the quadratic tail of the unconstrained
-        receding-horizon gain.
+        is inside `tail_set` (tested without slack, so inside the shortcut
+        polytope too), then adds the exact cost to go x' tail_cost x there.
         """
         x = np.asarray(x0, dtype=float).ravel()
-        ball_tol = _BALL_RTOL * self.prob.box_radius
+        O = self.tail_set
         total = 0.0
         for _ in range(_SIM_CAP):
-            if float(np.linalg.norm(x)) <= ball_tol and contains(self.design.S, x):
+            if np.all(O.H @ x <= O.h):
                 return total + float(x @ self.tail_cost @ x)
             step, stage, x = self._move(x)
             if not step.feasible:
                 return math.inf
             total += stage
         raise ArithmeticError(
-            f"closed loop did not reach the terminal ball in {_SIM_CAP} steps"
+            f"closed loop did not reach the tail set in {_SIM_CAP} steps"
         )
 
     def simulate_trajectory(self, x0, max_steps: int = 200) -> list[dict]:

@@ -170,11 +170,6 @@ class WeightedNorm:
         if not (0.0 < self.c1 <= self.c2):
             raise ValueError("need 0 < c1 <= c2")
 
-    def norm(self, M) -> float:
-        """Evaluate ||W M W^-1||."""
-        M = check_square(M)
-        return induced_two_norm(self.W @ M @ np.linalg.inv(self.W))
-
 
 def build_weighted_norm(D) -> WeightedNorm:
     """Construct a weighted norm certifying ||D||_s <= sqrt(rho) < 1.

@@ -6,6 +6,7 @@ and returns a short human-readable stats string on success.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import linprog
@@ -15,6 +16,7 @@ from lqmpc import (
     bellman_op,
     build_weighted_norm,
     closed_loop_cost,
+    contains,
     full_report,
     greedy_gain,
     induced_two_norm,
@@ -303,7 +305,7 @@ def reference_solve_qp(p):
     return "max_iter", z, float(0.5 * z @ p.P @ z + p.q @ z + p.objective_offset)
 
 
-def _vertices(P):
+def reference_vertices(P):
     """Vertices of a bounded polytope with interior, by scipy's halfspace
     intersection about the centre of its largest inscribed ball (found by
     its own LP), apart from `lqmpc.polytope`."""
@@ -322,7 +324,7 @@ def check_terminal_invariance(instances):
     of S; all three are linear in x, so they then hold on all of S."""
     total = 0
     for prob, design in instances:
-        V = _vertices(design.S)
+        V = reference_vertices(design.S)
         D = design.gain.closed_loop
         L = design.gain.L
         for what, P, X in (("closed loop leaves S", design.S, V @ D.T),
@@ -376,6 +378,28 @@ def reference_results(args):
     prob, design, ell, points = args
     ctl = MpcController(prob, design, ell)
     return [reference_solve_qp(ctl.qp_at(x0))[::2] for x0 in points]
+
+
+def ball_loop_cost(ctl, x0, rtol=1e-6, cap=10_000):
+    """Closed-loop cost from x0 by the stopping rule that the tail set
+    replaced: stage costs of the controller's moves until the state is in
+    the terminal set S and within rtol times the state box radius of the
+    origin, plus the tail cost there (inf on an infeasible step)."""
+    sys = ctl.prob.sys
+    lo, hi = ctl.prob.box
+    ball_tol = rtol * float(np.max(np.maximum(np.abs(lo), np.abs(hi))))
+    x = np.asarray(x0, dtype=float).ravel()
+    total = 0.0
+    for _ in range(cap):
+        if float(np.linalg.norm(x)) <= ball_tol and contains(ctl.design.S, x):
+            return total + float(x @ ctl.tail_cost @ x)
+        step = ctl.solve(x)
+        if not step.feasible:
+            return math.inf
+        u = step.u0
+        total += float(x @ sys.Q @ x + u @ sys.R @ u)
+        x = sys.A @ x + sys.B @ u
+    raise ArithmeticError(f"closed loop did not reach the terminal ball in {cap} steps")
 
 
 # ---------------------------------------------------------------------------

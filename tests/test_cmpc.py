@@ -31,7 +31,8 @@ from lqmpc import (
     suboptimality_map,
 )
 from lqmpc import cmpc, polytope, qp
-from _checks import check_policy_cost_below_value, lp_verdicts, reference_results
+from _checks import (ball_loop_cost, check_policy_cost_below_value, lp_verdicts,
+                     reference_results, reference_vertices)
 
 
 SMALL_GRID = {"resolution": 21}
@@ -66,7 +67,7 @@ def test_problem_rejects_unbounded(di2d_sys):
         ConstrainedProblem(di2d_sys, halfplane, HPolytope.symmetric_box([1.0]))
 
 
-def test_box_radius_lps_run_once_per_problem(di2d_sys, di2d_design_eff, monkeypatch):
+def test_box_lps_run_once_per_problem(di2d_sys, di2d_design_eff, monkeypatch):
     calls = []
 
     def counting_lp_solve(c, P):
@@ -78,10 +79,12 @@ def test_box_radius_lps_run_once_per_problem(di2d_sys, di2d_design_eff, monkeypa
     prob = ConstrainedProblem(
         di2d_sys, HPolytope.symmetric_box([5.0, 5.0]), HPolytope.symmetric_box([1.0])
     )
-    assert prob.box_radius == 5.0
+    lo, hi = prob.box
+    assert lo.tolist() == [-5.0, -5.0] and hi.tolist() == [5.0, 5.0]
     n_setup = len(calls)
     # the box comes from the boundedness LPs: two per axis of each set
     assert 0 < n_setup <= 2 * (di2d_sys.n + di2d_sys.m)
+    # closed loops solve no LP: the tail set comes from the polar hull
     ctl = MpcController(prob, di2d_design_eff, 3)
     for x0 in ([-4.0, 1.8], [2.0, -1.0], [0.5, 0.5]):
         assert math.isfinite(ctl.simulate_cost(np.array(x0)))
@@ -1051,19 +1054,91 @@ def test_trajectory_records_fields(di2d_prob, di2d_design_eff):
     assert values == sorted(values, reverse=True)  # decreasing along the loop
 
 
-def test_simulate_cost_is_the_trajectory_cost_to_the_ball(di2d_prob, di2d_design_eff):
+def test_simulate_cost_is_the_trajectory_cost_to_the_tail_set(di2d_prob, di2d_design_eff):
     """Both closed loops run the same moves: the realized cost is the sum of
     the trajectory's stage costs, in order, up to the first state in the
-    terminal ball, plus the tail cost there, bit for bit."""
+    tail set, plus the tail cost there, bit for bit."""
     ctl = MpcController(di2d_prob, di2d_design_eff, 3)
-    x0 = np.array([-4.0, 1.8])
+    x0 = np.array([-2.0, 3.0])  # four moves from the tail set
     rows = ctl.simulate_trajectory(x0, 200)
-    ball_tol = 1e-6 * di2d_prob.box_radius
-    k_ball = next(r["k"] for r in rows
-                  if contains(di2d_design_eff.S, r["x"]) and np.linalg.norm(r["x"]) <= ball_tol)
-    assert 0 < k_ball < len(rows) and all(r["feasible"] for r in rows)
+    O = ctl.tail_set
+    k_tail = next(r["k"] for r in rows if np.all(O.H @ r["x"] <= O.h))
+    assert 0 < k_tail < len(rows) and all(r["feasible"] for r in rows)
     total = 0.0
-    for r in rows[:k_ball]:
+    for r in rows[:k_tail]:
         total += r["stage"]
-    x = rows[k_ball]["x"]
+    x = rows[k_tail]["x"]
     assert ctl.simulate_cost(x0) == total + float(x @ ctl.tail_cost @ x)
+
+
+# ---------------------------------------------------------------------------
+# the tail set: where a closed loop's cost to go is the quadratic tail
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("scenario, ell", [("di-2d", None), ("di-2d", 100),
+                                           ("ac-4d", None), ("ac-4d", 100)])
+def test_tail_set_is_invariant_inside_the_shortcut_polytope(request, scenario, ell):
+    """O is invariant under the policy gain's loop, lies in the shortcut
+    polytope and keeps the gain's inputs admissible, checked at O's
+    vertices (scipy's, apart from `lqmpc.polytope`) within 1e-7, each
+    being linear in x.  None stands for the scenario's horizon; di-2d at
+    ell = 100 has all-zero rows in H_u."""
+    key = scenario.replace("-", "")
+    prob = request.getfixturevalue(f"{key}_prob")
+    design = request.getfixturevalue(f"{key}_design_eff")
+    ctl = MpcController(prob, design, ell or load_scenario(scenario).horizon)
+    if (scenario, ell) == ("di-2d", 100):
+        assert np.any(np.all(ctl._H_u == 0.0, axis=1))
+    O = ctl.tail_set
+    V = reference_vertices(O)
+    assert V.shape[0] > prob.sys.n
+    gain = ctl._policy_gain
+    for what, Y, H, h in (("not invariant", V @ gain.closed_loop.T, O.H, O.h),
+                          ("outside the shortcut polytope", V, ctl._H_u, ctl._g_const),
+                          ("inputs not admissible", V @ gain.L.T, prob.U.H, prob.U.h)):
+        excess = Y @ H.T - h
+        worst = int(np.argmax(np.max(excess, axis=1)))
+        assert np.max(excess) <= 1e-7, f"{what} by {np.max(excess):.3g} at {V[worst].tolist()}"
+
+
+def test_tail_set_is_built_once_per_controller(di2d_prob, di2d_design_eff, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return polytope.maximal_invariant_set(*args)
+
+    monkeypatch.setattr(cmpc, "maximal_invariant_set", counting)
+    ctl = MpcController(di2d_prob, di2d_design_eff, 3)
+    assert not calls
+    for x0 in ([-4.0, 1.8], [2.0, -1.0], [0.0, 4.9], [0.0, 0.0]):
+        ctl.simulate_cost(np.array(x0))
+    assert ctl.tail_set is ctl.tail_set
+    assert len(calls) == 1
+    MpcController(di2d_prob, di2d_design_eff, 3).simulate_cost(np.array([2.0, -1.0]))
+    assert len(calls) == 2
+
+
+def test_simulate_cost_matches_the_ball_loop_on_every_grid_cell(di2d_prob, di2d_design_eff):
+    """The example-3 suboptimality map (101x101, amplified design, ell = 3
+    and its ell = 100 loops) against `_checks.ball_loop_cost`, the loop that
+    ran each cell to a small ball about the origin inside S: the same
+    verdict on every cell, and on every feasible cell a cost within 1e-12
+    of the reference's, relative."""
+    ell = load_scenario("di-2d").horizon
+    grid = suboptimality_map(di2d_prob, di2d_design_eff, ell, load_scenario("di-2d").grid_spec())
+    assert grid.cost.shape == (101, 101)
+    ref, ref_opt, ctl_opt = (MpcController(di2d_prob, di2d_design_eff, h)
+                             for h in (ell, cmpc.APPROX_OPT_HORIZON, cmpc.APPROX_OPT_HORIZON))
+    n_feasible = 0
+    for iy, y in enumerate(grid.ys):
+        for ix, x in enumerate(grid.xs):
+            pt = np.array([x, y])
+            J, J_ref = grid.cost[iy, ix], ball_loop_cost(ref, pt)
+            assert math.isfinite(J) == math.isfinite(J_ref), pt
+            if not math.isfinite(J) or not pt.any():
+                continue
+            n_feasible += 1
+            for new, old in ((J, J_ref), (ctl_opt.simulate_cost(pt), ball_loop_cost(ref_opt, pt))):
+                assert abs(new - old) <= 1e-12 * old, (pt, new, old)
+    assert 3000 < n_feasible < 101 * 101 - 3000
