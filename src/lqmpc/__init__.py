@@ -24,7 +24,6 @@ from .riccati import (
     greedy_gain,
     in_region_of_decreasing,
     iterate_bellman,
-    policy_bellman_op,
     solve_dare,
     zeta_dare,
 )
@@ -43,8 +42,6 @@ from .polytope import (
     contains,
     lp_solve,
     maximal_invariant_set,
-    remove_redundancy,
-    sample_interior,
     vertices,
     vertices_2d,
     volume,

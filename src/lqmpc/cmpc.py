@@ -18,16 +18,15 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .matcore import symmetrize
+from .matcore import check_square, symmetrize
 from .polytope import HPolytope, bounding_box, lp_solve, maximal_invariant_set, vertices
 from .qp import QP_COMP_TOL, QP_DUAL_TOL, QP_FEAS_TOL, QpProblem, QpSolution, solve_qp
 from .riccati import (
     GainPolicy,
     LqSystem,
+    _riccati_step,
     closed_loop_cost,
-    greedy_gain,
     in_region_of_decreasing,
-    iterate_bellman,
 )
 
 __all__ = [
@@ -174,12 +173,13 @@ class CriticalRegion:
 class MpcController:
     """Precondensed ell-step MPC for one (problem, design, horizon) triple.
 
-    Everything that does not depend on the initial state x0 is built once:
-    the QP's Hessian (validated once, in a template QP), constraint normals
-    and prediction maps, and the unconstrained finite-horizon solution, which
-    is linear in x0: z = Z x0.  That solution satisfies every constraint
-    exactly on the polytope {x0 | H_u x0 <= g_const}, H_u = G Z - g_map (the
-    critical region of the empty active set in explicit MPC).  A query
+    Everything that does not depend on the initial state x0 is built once,
+    in O(ell) array operations: the QP's Hessian (validated once, in a
+    template QP), constraint normals and prediction maps, and the
+    unconstrained finite-horizon solution, which is linear in x0: z = Z x0.
+    That solution satisfies every constraint exactly on the polytope
+    {x0 | H_u x0 <= g_const}, H_u = G Z - g_map (the critical region of the
+    empty active set in explicit MPC).  A query
     inside that polytope (with slack 1e-10) is answered by Z x0 directly,
     since it is then the QP optimum by strict convexity, which makes
     closed-loop tails cheap.  Any other query derives its QP from the
@@ -187,6 +187,12 @@ class MpcController:
     P), and the QP's dual active-set method starts from the same point,
     -P^-1 q = Z x0.  A QP result that misses the KKT gate raises
     ArithmeticError naming the residual.
+
+    The prediction matrix is one gather from the ell products A^k B (its
+    block (k, j) is A^(k-1-j) B below the diagonal), the input rows are one
+    Kronecker product, and the gain ladder that gives Z takes one Riccati
+    step (`riccati._riccati_step`) per rung, until its iterate repeats an
+    earlier one bit for bit; from there the rungs repeat.
 
     The controller also keeps the infeasibility certificates of its own
     earlier solves.  G does not depend on x0 and g(x0) = g_const + g_map x0,
@@ -234,10 +240,12 @@ class MpcController:
         for _ in range(ell):
             Apow.append(A @ Apow[-1])
         Phi = np.vstack(Apow)
-        Gamma = np.zeros(((ell + 1) * n, ell * m))
-        for k in range(1, ell + 1):
-            for j in range(k):
-                Gamma[k * n : (k + 1) * n, j * m : (j + 1) * m] = Apow[k - 1 - j] @ B
+        # block (k, j) of Gamma is A^(k-1-j) B for j < k and zero otherwise:
+        # one gather from the ell products A^i B and a zero block
+        AB = np.stack([Apow[i] @ B for i in range(ell)] + [np.zeros((n, m))])
+        idx = np.arange(ell + 1)[:, None] - 1 - np.arange(ell)
+        idx[idx < 0] = ell
+        Gamma = AB[idx].transpose(0, 2, 1, 3).reshape((ell + 1) * n, ell * m)
         Qbar = np.zeros(((ell + 1) * n, (ell + 1) * n))
         for k in range(ell):
             Qbar[k * n : (k + 1) * n, k * n : (k + 1) * n] = sys.Q
@@ -255,12 +263,11 @@ class MpcController:
             G_rows.append(Xhat.H @ Gamma[sl])
             gmap_rows.append(-Xhat.H @ Phi[sl])
             gconst_rows.append(Xhat.h)
-        for k in range(ell):
-            sel = np.zeros((m, ell * m))
-            sel[:, k * m : (k + 1) * m] = np.eye(m)
-            G_rows.append(U.H @ sel)
-            gmap_rows.append(np.zeros((U.nrows, n)))
-            gconst_rows.append(U.h)
+        # block diagonal; adding 0.0 clears the sign of its zeros, as the
+        # selector products it replaces did
+        G_rows.append(np.kron(np.eye(ell), U.H) + 0.0)
+        gmap_rows.append(np.zeros((ell * U.nrows, n)))
+        gconst_rows.append(np.tile(U.h, ell))
         sl = slice(ell * n, (ell + 1) * n)
         G_rows.append(S.H @ Gamma[sl])
         gmap_rows.append(-S.H @ Phi[sl])
@@ -271,18 +278,29 @@ class MpcController:
         self._qp = QpProblem(P=P, q=np.zeros(ell * m), G=G, g=self._g_const)
 
         # unconstrained finite-horizon solution: the gain ladder (greedy at
-        # F^j(K), applied from j = ell-1 down to 0) run once on the identity
-        ladder = []
-        Kj = K
-        for _ in range(ell):
-            ladder.append(greedy_gain(sys, Kj))
-            Kj = iterate_bellman(sys, Kj, 1)
-        self._value_matrix = Kj  # F^ell(K)
-        self._policy_gain = ladder[-1]  # greedy at F^(ell-1)(K)
+        # F^j(K), applied from j = ell-1 down to 0) run once on the identity.
+        # The iterates F^j(K) converge, and in floating point they often end
+        # in a short cycle of last-bit changes; the step is a function of its
+        # input's bits, so once an iterate repeats an earlier one bit for
+        # bit, the rest of the ladder repeats that cycle's gains
+        iterates, ladder, seen = [K], [], {K.tobytes(): 0}
+        for j in range(1, ell + 1):
+            L, Kj = _riccati_step(sys, iterates[-1])
+            ladder.append(L)
+            first = seen.setdefault(Kj.tobytes(), j)
+            if first < j:
+                period = j - first
+                ladder += [ladder[first + (i - first) % period] for i in range(j, ell)]
+                iterates.append(iterates[first + (ell - first) % period])
+                break
+            iterates.append(Kj)
+        self._value_matrix = check_square(iterates[-1], "F^ell(K)")
+        # greedy at F^(ell-1)(K)
+        self._policy_gain = GainPolicy.from_system(sys, ladder[-1])
         Z = np.empty((ell * m, n))
         X = np.eye(n)
         for k in range(ell):
-            Z[k * m : (k + 1) * m] = ladder[ell - 1 - k].L @ X
+            Z[k * m : (k + 1) * m] = ladder[ell - 1 - k] @ X
             X = A @ X + B @ Z[k * m : (k + 1) * m]
         self._Z = Z  # z_unc = Z @ x0
         # the shortcut polytope H_u x0 <= g_const, with 1e-10 of slack

@@ -2,9 +2,9 @@
 
 A polytope is stored as ``{x | Hx <= h}``.  Row i is a facet exactly when
 its polar point H_i / (h_i - H_i c) about an interior point c is a vertex of
-the polar points' convex hull (Qhull).  That one test removes redundant rows,
-decides when the maximal admissible invariant set of a stable linear loop is
-determined, and gives the vertices: each facet of the polar hull is one
+the polar points' convex hull (Qhull).  That one test decides when the
+maximal admissible invariant set of a stable linear loop is determined (and
+leaves its rows without redundant ones), and gives the vertices: each facet of the polar hull is one
 (Qhull measures their hull for exact volumes above 2-D), and in 2-D adjacent
 facet rows meet at one (shoelace area).  LPs give support values, bounding
 boxes and the Chebyshev centre.
@@ -27,20 +27,16 @@ __all__ = [
     "lp_solve",
     "contains",
     "maximal_invariant_set",
-    "remove_redundancy",
     "vertices",
     "vertices_2d",
     "volume",
     "bounding_box",
-    "sample_interior",
 ]
 
 FEAS_TOL = 1e-9
 LP_TOL = 1e-9
 
 _INVSET_CAP = 500
-# hit-and-run steps discarded before the first sample
-_HIT_AND_RUN_BURN = 20
 
 
 @dataclass(frozen=True)
@@ -188,16 +184,6 @@ def _hull_rows(G: np.ndarray) -> np.ndarray:
     return np.sort(idx[verts])
 
 
-def remove_redundancy(P: HPolytope) -> HPolytope:
-    """Drop half-spaces implied by the remaining ones (of identical rows the
-    last stays).  Raises ValueError for an unbounded P or an empty interior."""
-    polar = _polar_points(P)
-    if polar is None:
-        raise ValueError("polytope has empty interior")
-    keep = _hull_rows(polar[1])
-    return HPolytope(P.H[keep], P.h[keep])
-
-
 def maximal_invariant_set(closed_loop, Xhat: HPolytope, U: HPolytope, L) -> HPolytope:
     """Maximal constraint-admissible positively invariant set of x+ = Dx.
 
@@ -321,31 +307,3 @@ def volume(P: HPolytope, n_samples: Optional[int] = None, seed: Optional[int] = 
         bounding_box(P)  # no interior: rejects an unbounded or empty P
         return 0.0
     return float(ConvexHull(offsets[1]).volume)
-
-
-def sample_interior(P: HPolytope, n: int, seed: int = 0) -> np.ndarray:
-    """Hit-and-run samples from a bounded polytope (deterministic per seed),
-    started at its Chebyshev centre."""
-    bounding_box(P)  # rejects an unbounded or empty P
-    rng = np.random.default_rng(seed)
-    x = _chebyshev_centre(P)
-    if x is None:
-        raise ValueError("polytope has empty interior")
-    H, h = P.H, P.h
-    out = np.empty((n, P.dim))
-    for it in range(_HIT_AND_RUN_BURN + n):
-        d = rng.normal(size=P.dim)
-        d /= np.linalg.norm(d)
-        Hd = H @ d
-        slack = h - H @ x
-        pos = Hd > 1e-14
-        neg = Hd < -1e-14
-        tmax = np.min(slack[pos] / Hd[pos], initial=np.inf)
-        tmin = np.max(slack[neg] / Hd[neg], initial=-np.inf)
-        if not (np.isfinite(tmax) and np.isfinite(tmin)):
-            raise ValueError("polytope unbounded along sampled direction")
-        t = rng.uniform(tmin, tmax)
-        x = x + t * d
-        if it >= _HIT_AND_RUN_BURN:
-            out[it - _HIT_AND_RUN_BURN] = x
-    return out

@@ -1,8 +1,14 @@
 """Linear-quadratic operator layer.
 
-The Bellman operator F, policy operators F_L, discrete algebraic Riccati
-solutions, greedy policy extraction, region-of-decreasing membership, and the
-amplified-input-cost terminal design (the DARE with R replaced by zeta * R).
+The Bellman operator F, discrete algebraic Riccati solutions, greedy policy
+extraction, region-of-decreasing membership, and the amplified-input-cost
+terminal design (the DARE with R replaced by zeta * R).
+
+One Riccati step is written once, in `_riccati_step`: from B'K and
+B'KB + R, formed once, it gives both the greedy gain L at K and the Bellman
+step F(K).  `bellman_op`, `greedy_gain` and `iterate_bellman` validate K and
+call it; `solve_dare` and the MPC controller's gain ladder loop it on
+iterates that are already symmetric, without validating each one again.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ __all__ = [
     "LqSystem",
     "GainPolicy",
     "bellman_op",
-    "policy_bellman_op",
     "greedy_gain",
     "solve_dare",
     "zeta_dare",
@@ -140,24 +145,32 @@ def _check_cost(sys: LqSystem, K) -> np.ndarray:
     return K
 
 
-def bellman_op(sys: LqSystem, K) -> np.ndarray:
-    """One Riccati/Bellman step F(K) = A'(K - KB(B'KB+R)^-1 B'K)A + Q."""
-    K = _check_cost(sys, K)
+def _riccati_step(sys: LqSystem, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, F(K)) for a K that is already validated and exactly symmetric.
+
+    L = -(B'KB + R)^-1 B'KA is the greedy gain at K and
+    F(K) = A'(K - KB(B'KB + R)^-1 B'K)A + Q the Bellman step.  B'K and
+    B'KB + R are formed once; the two solves stay separate, because with
+    n = 1 a joined right-hand side [B'KA | B'K] would take LAPACK's
+    multi-column path instead of the one-column path and change the last
+    bits of both.  F(K) is symmetrized but not checked for finite entries:
+    callers that loop the step check their last iterate.
+    """
     A, B = sys.A, sys.B
-    M = B.T @ K @ B + sys.R
+    BK = B.T @ K
+    M = BK @ B + sys.R
     try:
-        X = np.linalg.solve(M, B.T @ K)
+        L = -np.linalg.solve(M, BK @ A)
+        X = np.linalg.solve(M, BK)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"B'KB + R singular: {exc}") from exc
-    return symmetrize(A.T @ (K - K @ B @ X) @ A + sys.Q)
+    FK = A.T @ (K - K @ B @ X) @ A + sys.Q
+    return L, 0.5 * (FK + FK.T)
 
 
-def policy_bellman_op(sys: LqSystem, policy: GainPolicy, K) -> np.ndarray:
-    """Policy evaluation step F_L(K) = (A+BL)'K(A+BL) + Q + L'RL."""
-    K = _check_cost(sys, K)
-    D = policy.closed_loop
-    L = policy.L
-    return symmetrize(D.T @ K @ D + sys.Q + L.T @ sys.R @ L)
+def bellman_op(sys: LqSystem, K) -> np.ndarray:
+    """One Riccati/Bellman step F(K) = A'(K - KB(B'KB+R)^-1 B'K)A + Q."""
+    return check_square(_riccati_step(sys, _check_cost(sys, K))[1], "F(K)")
 
 
 def greedy_gain(sys: LqSystem, Kbar) -> GainPolicy:
@@ -165,11 +178,7 @@ def greedy_gain(sys: LqSystem, Kbar) -> GainPolicy:
 
     L = -(B' Kbar B + R)^-1 B' Kbar A, so that F_L(Kbar) = F(Kbar).
     """
-    Kbar = _check_cost(sys, Kbar)
-    B = sys.B
-    M = B.T @ Kbar @ B + sys.R
-    L = -np.linalg.solve(M, B.T @ Kbar @ sys.A)
-    return GainPolicy.from_system(sys, L)
+    return GainPolicy.from_system(sys, _riccati_step(sys, _check_cost(sys, Kbar))[0])
 
 
 def closed_loop_cost(sys: LqSystem, policy: GainPolicy) -> np.ndarray:
@@ -197,14 +206,15 @@ def solve_dare(sys: LqSystem, tol: float = DARE_TOL) -> tuple[np.ndarray, GainPo
 
     Value iteration from Q is globally convergent; once the greedy closed loop
     is stable the tail is finished by Kleinman (policy-iteration) steps, which
-    converge quadratically.
+    converge quadratically.  Each iterate takes one `_riccati_step`, which
+    gives its greedy gain and its Bellman step (the residual) together.
     """
     K = sys.Q.copy()
     for _ in range(_MAX_VALUE_ITERS):
-        policy = greedy_gain(sys, K)
-        if is_stable(policy.closed_loop):
+        L, FK = _riccati_step(sys, K)
+        if is_stable(GainPolicy.from_system(sys, L).closed_loop):
             break
-        K = bellman_op(sys, K)
+        K = check_square(FK, "F(K)")
     else:
         raise ArithmeticError(
             f"value iteration produced no stabilizing iterate in {_MAX_VALUE_ITERS} "
@@ -212,17 +222,15 @@ def solve_dare(sys: LqSystem, tol: float = DARE_TOL) -> tuple[np.ndarray, GainPo
             "(A, B) may not be stabilizable"
         )
     for _ in range(_MAX_NEWTON_ITERS):
-        policy = greedy_gain(sys, K)
-        if not is_stable(policy.closed_loop):
-            # Kleinman step left the stabilizing region (numerically unlikely);
-            # fall back to a plain Bellman step.
-            K = bellman_op(sys, K)
-            continue
-        K_next = closed_loop_cost(sys, policy)
-        K = K_next
-        if _dare_residual(sys, K) <= tol * max(1.0, induced_two_norm(K)):
-            policy = greedy_gain(sys, K)
-            return K, policy
+        policy = GainPolicy.from_system(sys, L)
+        # Kleinman step; should it leave the stabilizing region (numerically
+        # unlikely), a plain Bellman step instead
+        kleinman = is_stable(policy.closed_loop)
+        K = closed_loop_cost(sys, policy) if kleinman else check_square(FK, "F(K)")
+        L, FK = _riccati_step(sys, K)
+        if kleinman and (induced_two_norm(check_square(FK, "F(K)") - K)
+                         <= tol * max(1.0, induced_two_norm(K))):
+            return K, GainPolicy.from_system(sys, L)
     raise ArithmeticError(
         f"Riccati refinement stalled; last residual {_dare_residual(sys, K):.3e}"
     )
@@ -246,8 +254,8 @@ def iterate_bellman(sys: LqSystem, K, steps: int) -> np.ndarray:
         raise ValueError("steps must be nonnegative")
     K = _check_cost(sys, K)
     for _ in range(steps):
-        K = bellman_op(sys, K)
-    return K
+        K = _riccati_step(sys, K)[1]
+    return check_square(K, f"F^{steps}(K)")
 
 
 def in_region_of_decreasing(sys: LqSystem, K) -> bool:

@@ -14,6 +14,7 @@ from scipy.spatial import HalfspaceIntersection
 
 from lqmpc import (
     bellman_op,
+    bounding_box,
     build_weighted_norm,
     closed_loop_cost,
     contains,
@@ -21,21 +22,79 @@ from lqmpc import (
     greedy_gain,
     induced_two_norm,
     in_region_of_decreasing,
+    is_stable,
     iterate_bellman,
     lp_solve,
     GainPolicy,
     HPolytope,
     MpcController,
     newton_gamma,
-    policy_bellman_op,
     psd_order_holds,
     QpProblem,
-    sample_interior,
     solve_dare,
     solve_qp,
+    symmetrize,
     zeta_dare,
 )
+from lqmpc.polytope import _chebyshev_centre, _hull_rows, _polar_points
 from lqmpc.qp import QP_DUAL_TOL, _TIKHONOV, _phase1
+
+
+# ---------------------------------------------------------------------------
+# Helpers only the tests use: policy evaluation, redundancy removal and
+# hit-and-run sampling
+# ---------------------------------------------------------------------------
+
+# hit-and-run steps discarded before the first sample
+_HIT_AND_RUN_BURN = 20
+
+
+def policy_bellman_op(sys, policy, K):
+    """Policy evaluation step F_L(K) = (A+BL)'K(A+BL) + Q + L'RL."""
+    K = symmetrize(K)
+    if K.shape != sys.A.shape:
+        raise ValueError(f"cost matrix shape {K.shape}, expected {sys.A.shape}")
+    D = policy.closed_loop
+    L = policy.L
+    return symmetrize(D.T @ K @ D + sys.Q + L.T @ sys.R @ L)
+
+
+def remove_redundancy(P):
+    """Drop half-spaces implied by the remaining ones (of identical rows the
+    last stays).  Raises ValueError for an unbounded P or an empty interior."""
+    polar = _polar_points(P)
+    if polar is None:
+        raise ValueError("polytope has empty interior")
+    keep = _hull_rows(polar[1])
+    return HPolytope(P.H[keep], P.h[keep])
+
+
+def sample_interior(P, n, seed=0):
+    """Hit-and-run samples from a bounded polytope (deterministic per seed),
+    started at its Chebyshev centre."""
+    bounding_box(P)  # rejects an unbounded or empty P
+    rng = np.random.default_rng(seed)
+    x = _chebyshev_centre(P)
+    if x is None:
+        raise ValueError("polytope has empty interior")
+    H, h = P.H, P.h
+    out = np.empty((n, P.dim))
+    for it in range(_HIT_AND_RUN_BURN + n):
+        d = rng.normal(size=P.dim)
+        d /= np.linalg.norm(d)
+        Hd = H @ d
+        slack = h - H @ x
+        pos = Hd > 1e-14
+        neg = Hd < -1e-14
+        tmax = np.min(slack[pos] / Hd[pos], initial=np.inf)
+        tmin = np.max(slack[neg] / Hd[neg], initial=-np.inf)
+        if not (np.isfinite(tmax) and np.isfinite(tmin)):
+            raise ValueError("polytope unbounded along sampled direction")
+        t = rng.uniform(tmin, tmax)
+        x = x + t * d
+        if it >= _HIT_AND_RUN_BURN:
+            out[it - _HIT_AND_RUN_BURN] = x
+    return out
 
 
 def _random_psd(rng, n, scale=1.0):
@@ -562,3 +621,135 @@ def reference_volume_mc_in_box(P, lo, hi, n_samples, seed, feas_tol=1e-9):
     vol = box_vol * frac
     se = box_vol * float(np.sqrt(max(frac * (1.0 - frac), 0.0) / n_samples))
     return vol, se
+
+
+# ---------------------------------------------------------------------------
+# References for the Riccati step and the controller's construction: the
+# textbook two-solve forms, and the condensation and gain ladder as loops
+# over pairs of horizon steps
+# ---------------------------------------------------------------------------
+
+def reference_bellman_op(sys, K):
+    """F(K) = A'(K - KB(B'KB+R)^-1 B'K)A + Q, with its own solve."""
+    K = symmetrize(K)
+    A, B = sys.A, sys.B
+    X = np.linalg.solve(B.T @ K @ B + sys.R, B.T @ K)
+    return symmetrize(A.T @ (K - K @ B @ X) @ A + sys.Q)
+
+
+def reference_greedy_gain(sys, K):
+    """L = -(B'KB + R)^-1 B'KA, with its own solve."""
+    K = symmetrize(K)
+    B = sys.B
+    return -np.linalg.solve(B.T @ K @ B + sys.R, B.T @ K @ sys.A)
+
+
+def reference_iterate_bellman(sys, K, steps):
+    """F^steps(K), one `reference_bellman_op` per step."""
+    K = symmetrize(K)
+    for _ in range(steps):
+        K = reference_bellman_op(sys, K)
+    return K
+
+
+def reference_solve_dare(sys, tol=1e-12, max_value_iters=100_000, max_newton_iters=50):
+    """(K, L) of `solve_dare` from value iteration and Kleinman steps, each
+    greedy gain and each Bellman step (the residual) by its own solve."""
+    def residual(K):
+        return induced_two_norm(reference_bellman_op(sys, K) - K)
+
+    K = sys.Q.copy()
+    for _ in range(max_value_iters):
+        if is_stable(GainPolicy.from_system(sys, reference_greedy_gain(sys, K)).closed_loop):
+            break
+        K = reference_bellman_op(sys, K)
+    else:
+        raise ArithmeticError("value iteration produced no stabilizing iterate")
+    for _ in range(max_newton_iters):
+        policy = GainPolicy.from_system(sys, reference_greedy_gain(sys, K))
+        if not is_stable(policy.closed_loop):
+            K = reference_bellman_op(sys, K)
+            continue
+        K = closed_loop_cost(sys, policy)
+        if residual(K) <= tol * max(1.0, induced_two_norm(K)):
+            return K, reference_greedy_gain(sys, K)
+    raise ArithmeticError("Riccati refinement stalled")
+
+
+def reference_condensation(prob, design, ell):
+    """The ell-step controller's x0-independent arrays, built block by block:
+    each block A^(k-1-j) B of the prediction matrix by its own product, the
+    input rows by one selector product per step, and the gain ladder by a
+    reference greedy gain and Bellman step per rung."""
+    sys = prob.sys
+    n, m = sys.n, sys.m
+    A, B = sys.A, sys.B
+    K = symmetrize(design.K)
+
+    Apow = [np.eye(n)]
+    for _ in range(ell):
+        Apow.append(A @ Apow[-1])
+    Phi = np.vstack(Apow)
+    Gamma = np.zeros(((ell + 1) * n, ell * m))
+    for k in range(1, ell + 1):
+        for j in range(k):
+            Gamma[k * n : (k + 1) * n, j * m : (j + 1) * m] = Apow[k - 1 - j] @ B
+    Qbar = np.zeros(((ell + 1) * n, (ell + 1) * n))
+    for k in range(ell):
+        Qbar[k * n : (k + 1) * n, k * n : (k + 1) * n] = sys.Q
+    Qbar[ell * n :, ell * n :] = K
+    Rbar = np.kron(np.eye(ell), sys.R)
+    P = 2.0 * (Gamma.T @ Qbar @ Gamma + Rbar)
+    q_map = 2.0 * (Gamma.T @ Qbar @ Phi)
+    off_map = Phi.T @ Qbar @ Phi
+
+    Xhat, U, S = prob.Xhat, prob.U, design.S
+    G_rows, gmap_rows, gconst_rows = [], [], []
+    for k in range(ell):
+        sl = slice(k * n, (k + 1) * n)
+        G_rows.append(Xhat.H @ Gamma[sl])
+        gmap_rows.append(-Xhat.H @ Phi[sl])
+        gconst_rows.append(Xhat.h)
+    for k in range(ell):
+        sel = np.zeros((m, ell * m))
+        sel[:, k * m : (k + 1) * m] = np.eye(m)
+        G_rows.append(U.H @ sel)
+        gmap_rows.append(np.zeros((U.nrows, n)))
+        gconst_rows.append(U.h)
+    sl = slice(ell * n, (ell + 1) * n)
+    G_rows.append(S.H @ Gamma[sl])
+    gmap_rows.append(-S.H @ Phi[sl])
+    gconst_rows.append(S.h)
+    G = np.vstack(G_rows)
+    g_map = np.vstack(gmap_rows)
+    g_const = np.concatenate(gconst_rows)
+    qp = QpProblem(P=P, q=np.zeros(ell * m), G=G, g=g_const)
+
+    ladder = []
+    Kj = K
+    for _ in range(ell):
+        ladder.append(reference_greedy_gain(sys, Kj))
+        Kj = reference_iterate_bellman(sys, Kj, 1)
+    Z = np.empty((ell * m, n))
+    X = np.eye(n)
+    for k in range(ell):
+        Z[k * m : (k + 1) * m] = ladder[ell - 1 - k] @ X
+        X = A @ X + B @ Z[k * m : (k + 1) * m]
+    q_aug = np.column_stack([q_map, np.zeros(ell * m)])
+    return {
+        "P": qp.P, "G": qp.G, "factor": qp.factor, "q_map": q_map, "g_map": g_map,
+        "g_const": g_const, "off_map": off_map, "Z": Z, "value_matrix": Kj,
+        "policy_gain": ladder[-1], "policy_loop": A + B @ ladder[-1],
+        "H_u": G @ Z - g_map, "z_free": -(qp.factor @ (qp.factor.T @ q_aug)),
+    }
+
+
+def controller_arrays(ctl):
+    """The same arrays, as the controller keeps them."""
+    return {
+        "P": ctl._qp.P, "G": ctl._qp.G, "factor": ctl._qp.factor,
+        "q_map": ctl._q_map, "g_map": ctl._g_map, "g_const": ctl._g_const,
+        "off_map": ctl._off_map, "Z": ctl._Z, "value_matrix": ctl._value_matrix,
+        "policy_gain": ctl._policy_gain.L, "policy_loop": ctl._policy_gain.closed_loop,
+        "H_u": ctl._H_u, "z_free": ctl._z_free,
+    }

@@ -26,13 +26,13 @@ from lqmpc import (
     iterate_bellman,
     load_scenario,
     lp_solve,
-    sample_interior,
     solve_qp,
     suboptimality_map,
 )
 from lqmpc import cmpc, polytope, qp
-from _checks import (ball_loop_cost, check_policy_cost_below_value, lp_verdicts,
-                     reference_results, reference_vertices)
+from _checks import (ball_loop_cost, check_policy_cost_below_value, controller_arrays,
+                     lp_verdicts, reference_condensation, reference_results,
+                     reference_vertices, sample_interior)
 
 
 SMALL_GRID = {"resolution": 21}
@@ -480,6 +480,27 @@ def test_submap_parallel_matches_serial(di2d_prob, di2d_design_eff, monkeypatch)
 def test_grid_requires_2d(ac4d_prob, ac4d_design_eff):
     with pytest.raises(ValueError):
         feasible_region_grid(ac4d_prob, ac4d_design_eff, 2, grid_spec=SMALL_GRID)
+
+
+# ---------------------------------------------------------------------------
+# the controller's arrays against the block-by-block construction
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 10, 100])
+@pytest.mark.parametrize("kind", ["eff", "opt"])
+@pytest.mark.parametrize("name", ["di2d", "ac4d"])
+def test_construction_matches_the_block_loops(request, name, kind, ell):
+    """Every x0-independent array, bit for bit: the prediction matrix from
+    one gather, the input rows from one Kronecker product and the gain
+    ladder from the shared Riccati step, against one product per block, one
+    selector product per step and a greedy gain and Bellman step (each with
+    its own solve) per rung."""
+    prob = request.getfixturevalue(f"{name}_prob")
+    design = (request.getfixturevalue(f"{name}_design_eff") if kind == "eff"
+              else TerminalDesign.for_optimal_cost(prob))
+    got = controller_arrays(MpcController(prob, design, ell))
+    for key, ref in reference_condensation(prob, design, ell).items():
+        assert got[key].shape == ref.shape and got[key].tobytes() == ref.tobytes(), key
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from lqmpc import (
     greedy_gain,
     lp_solve,
     maximal_invariant_set,
-    remove_redundancy,
-    sample_interior,
     vertices,
     vertices_2d,
     volume,
@@ -31,6 +29,8 @@ from _checks import (
     lp_remove_redundancy,
     pairwise_vertices_2d,
     reference_volume_mc_in_box,
+    remove_redundancy,
+    sample_interior,
 )
 
 BOX5 = HPolytope.symmetric_box([5.0, 5.0])

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lqmpc import (
     GainPolicy,
@@ -15,14 +17,21 @@ from lqmpc import (
     induced_two_norm,
     in_region_of_decreasing,
     iterate_bellman,
-    policy_bellman_op,
     psd_order_holds,
     solve_dare,
     spectral_radius,
     zeta_dare,
 )
 from conftest import ZEFF_2D, ZEFF_4D
-from _checks import check_operator_monotonicity, check_region_invariance
+from _checks import (
+    check_operator_monotonicity,
+    check_region_invariance,
+    policy_bellman_op,
+    reference_bellman_op,
+    reference_greedy_gain,
+    reference_iterate_bellman,
+    reference_solve_dare,
+)
 
 SCALAR_KSTAR = (121 + math.sqrt(14801)) / 2  # root of 0.25K^2 - 30.25K - 10
 
@@ -306,3 +315,55 @@ def test_design_ladder_stays_stable(di2d_sys, di2d_K_eff):
         L = greedy_gain(di2d_sys, K)
         assert spectral_radius(L.closed_loop) < 1
         K = bellman_op(di2d_sys, K)
+
+
+# ---------------------------------------------------------------------------
+# the shared Riccati step against the textbook forms, each with its own
+# B'KB + R and solve
+# ---------------------------------------------------------------------------
+
+def _assert_step_matches_two_solves(sys, K):
+    L = greedy_gain(sys, K)
+    L_ref = reference_greedy_gain(sys, K)
+    assert L.L.tobytes() == L_ref.tobytes()
+    assert L.closed_loop.tobytes() == (sys.A + sys.B @ L_ref).tobytes()
+    assert bellman_op(sys, K).tobytes() == reference_bellman_op(sys, K).tobytes()
+    for steps in (0, 1, 2, 5):
+        assert (iterate_bellman(sys, K, steps).tobytes()
+                == reference_iterate_bellman(sys, K, steps).tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 2**31 - 1))
+def test_riccati_step_matches_two_solves(n, m, seed):
+    rng = np.random.default_rng(seed)
+    Mq, Mr, Mk = (rng.standard_normal((d, d)) for d in (n, m, n))
+    sys = LqSystem(rng.standard_normal((n, n)), rng.standard_normal((n, m)),
+                   Mq @ Mq.T, Mr @ Mr.T + 0.1 * np.eye(m))
+    # a K that is not exactly symmetric exercises the wrappers' validation
+    K = Mk @ Mk.T + 1e-3 * rng.standard_normal((n, n))
+    _assert_step_matches_two_solves(sys, K)
+
+
+def test_riccati_step_matches_two_solves_on_the_scenarios(
+        scalar_sys, di2d_sys, ac4d_sys, di2d_K_eff, ac4d_K_eff):
+    for sys, Ks in ((scalar_sys, [np.array([[180.0]])]),
+                    (di2d_sys, [di2d_K_eff]),
+                    (ac4d_sys, [ac4d_K_eff])):
+        for K in Ks + [sys.Q, np.zeros_like(sys.Q), sys.optimal[0]]:
+            _assert_step_matches_two_solves(sys, K)
+        for zeta in (1.0, 5.0, 35.0):
+            amplified = sys.amplified(zeta)
+            K, L = solve_dare(amplified)
+            K_ref, L_ref = reference_solve_dare(amplified)
+            assert K.tobytes() == K_ref.tobytes()
+            assert L.L.tobytes() == L_ref.tobytes()
+
+
+def test_iterate_bellman_names_an_overflowing_iterate():
+    # the first state is unreachable and its cost grows by 1e200 per step
+    sys = LqSystem(np.diag([1e100, 0.5]), np.array([[0.0], [1.0]]), np.eye(2), np.eye(1))
+    assert np.isfinite(iterate_bellman(sys, np.eye(2), 1)).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            iterate_bellman(sys, np.eye(2), 10)
