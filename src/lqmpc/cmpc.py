@@ -223,6 +223,11 @@ class MpcController:
     with strict margins at most one region holds a query, and there the QP
     finds that region's W too.  Certificates only answer "infeasible", and
     regions only "feasible", so no verdict depends on either store.
+
+    A region sweep runs these tests for a whole grid row at once
+    (`_solve_rows`): one product each for the shortcut, the certificate
+    rows and the region rows, against the stores as they stand at the start
+    of the row, and `solve`, in row order, for the cells left over.
     """
 
     def __init__(self, prob: ConstrainedProblem, design: TerminalDesign, ell: int):
@@ -388,6 +393,44 @@ class MpcController:
             self._regions.append(region)
             self._region_rows = np.vstack([self._region_rows, region.rows])
         return self._region_step(region, x0)
+
+    def _solve_rows(self, X) -> list[MpcStep]:
+        """`[self.solve(x0) for x0 in X]`, with the store tests of all the
+        states x0 (the rows of X) run at once, against the stores as they
+        stand on entry.
+
+        Three products test every state: the shortcut polytope, the
+        certificate rows and every stored region's membership rows (each
+        state with its own margin).  A state that one of them answers gets
+        `solve`'s own expressions for that answer; every other state goes,
+        in order, to `solve`, which tests the stores as they stand then, so
+        the same states reach the QP, in the same order, as in the loop.
+        The stores only grow, and the first stored region that holds a
+        state stays the first, so each answer is the loop's too.
+        """
+        X = np.asarray(X, dtype=float)
+        shortcut = np.all(X @ self._H_u.T <= self._h_u, axis=1).tolist()
+        certified = np.any(X @ self._cert_a.T + self._cert_b > _CERT_MARGIN, axis=1).tolist()
+        held = [-1] * len(X)
+        if self._regions:
+            Y = np.column_stack([X, np.ones(len(X))])
+            scale = np.maximum(1.0, np.max(np.abs(Y @ self._qg_aug.T), axis=1))
+            inside = np.all((Y @ self._region_rows.T >= _REGION_MARGIN * scale[:, None])
+                            .reshape(len(X), len(self._regions), -1), axis=2)
+            held = np.where(np.any(inside, axis=1), np.argmax(inside, axis=1), -1).tolist()
+        steps = []
+        for x0, short, cert, i in zip(X, shortcut, certified, held):
+            if short:
+                # as in `solve`
+                steps.append(MpcStep(True, self._policy_gain.L @ x0,
+                                     float(x0 @ self._value_matrix @ x0)))
+            elif cert:
+                steps.append(MpcStep(False, None, math.inf))
+            elif i >= 0:
+                steps.append(self._region_step(self._regions[i], x0))
+            else:
+                steps.append(self.solve(x0))
+        return steps
 
     def _stored_region(self, x0) -> Optional[CriticalRegion]:
         """The stored region whose membership rows all reach the margin at
@@ -557,7 +600,9 @@ def _grid_axes(prob: ConstrainedProblem, grid_spec) -> tuple[np.ndarray, np.ndar
 
 def _run_sweep(prob, design, ell, grid_spec, kind) -> CostMapGrid:
     """One pass over the grid, row by row, on fresh controllers, so a sweep's
-    results do not depend on earlier calls."""
+    results do not depend on earlier calls.  A region sweep passes each row
+    to `MpcController._solve_rows`, which tests all its cells against the
+    controller's stores at once; the submap runs one closed loop per cell."""
     xs, ys = _grid_axes(prob, grid_spec or {})
     ctl = MpcController(prob, design, ell)
     feas = np.zeros((ys.size, xs.size), dtype=bool)
@@ -566,8 +611,8 @@ def _run_sweep(prob, design, ell, grid_spec, kind) -> CostMapGrid:
         # no gap is computed: one read-only NaN stands for every cell
         rel = np.broadcast_to(math.nan, feas.shape)
         for iy, y in enumerate(ys):
-            for ix, x in enumerate(xs):
-                step = ctl.solve(np.array([x, y]))
+            row = np.column_stack([xs, np.full(xs.size, y)])
+            for ix, step in enumerate(ctl._solve_rows(row)):
                 feas[iy, ix] = step.feasible
                 if step.feasible:
                     cost[iy, ix] = step.value
@@ -597,8 +642,12 @@ def feasible_region_grid(
 ) -> CostMapGrid:
     """Feasibility verdict (and QP value) of the ell-step problem per grid point.
 
-    The sweep runs in the calling process.  `workers` is accepted and
-    ignored, for callers that still pass it; it selects nothing.
+    The sweep runs in the calling process, one grid row at a time: the
+    cells that the shortcut, a stored certificate or a stored region
+    answers at the start of the row are answered together, and the rest go
+    through `MpcController.solve` in order, so the grid and the QPs it runs
+    are those of one `solve` per cell.  `workers` is accepted and ignored,
+    for callers that still pass it; it selects nothing.
     """
     return _run_sweep(prob, design, ell, grid_spec, "region")
 

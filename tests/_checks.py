@@ -36,6 +36,7 @@ from lqmpc import (
     symmetrize,
     zeta_dare,
 )
+from lqmpc.cmpc import _grid_axes
 from lqmpc.polytope import _chebyshev_centre, _hull_rows, _polar_points
 from lqmpc.qp import QP_DUAL_TOL, _TIKHONOV, _phase1
 
@@ -437,6 +438,22 @@ def reference_results(args):
     prob, design, ell, points = args
     ctl = MpcController(prob, design, ell)
     return [reference_solve_qp(ctl.qp_at(x0))[::2] for x0 in points]
+
+
+def reference_region_sweep(prob, design, ell, grid_spec):
+    """(feasible, cost) of the region sweep as one `solve` per cell, row by
+    row, on one controller: the loop that the batched row pass replaced."""
+    xs, ys = _grid_axes(prob, grid_spec)
+    ctl = MpcController(prob, design, ell)
+    feas = np.zeros((ys.size, xs.size), dtype=bool)
+    cost = np.full(feas.shape, math.inf)
+    for iy, y in enumerate(ys):
+        for ix, x in enumerate(xs):
+            step = ctl.solve(np.array([x, y]))
+            feas[iy, ix] = step.feasible
+            if step.feasible:
+                cost[iy, ix] = step.value
+    return feas, cost
 
 
 def ball_loop_cost(ctl, x0, rtol=1e-6, cap=10_000):

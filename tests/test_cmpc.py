@@ -31,8 +31,8 @@ from lqmpc import (
 )
 from lqmpc import cmpc, polytope, qp
 from _checks import (ball_loop_cost, check_policy_cost_below_value, controller_arrays,
-                     lp_verdicts, reference_condensation, reference_results,
-                     reference_vertices, sample_interior)
+                     lp_verdicts, reference_condensation, reference_region_sweep,
+                     reference_results, reference_vertices, sample_interior)
 
 
 SMALL_GRID = {"resolution": 21}
@@ -475,6 +475,173 @@ def test_submap_parallel_matches_serial(di2d_prob, di2d_design_eff, monkeypatch)
     assert a.feasible.tobytes() == np.isfinite(J_pol).tobytes()
     assert a.cost.tobytes() == J_pol.tobytes()
     assert a.rel_gap.tobytes() == rel.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the region sweep's row pass
+# ---------------------------------------------------------------------------
+
+def _recording_solve_qp(monkeypatch) -> list:
+    """Patch `cmpc.solve_qp` to record, in call order, the bytes of each
+    QP's q and g (which fix its cell)."""
+    seen = []
+
+    def recording_solve_qp(p, *args, **kwargs):
+        seen.append(np.concatenate([p.q, p.g]).tobytes())
+        return solve_qp(p, *args, **kwargs)
+
+    monkeypatch.setattr(cmpc, "solve_qp", recording_solve_qp)
+    return seen
+
+
+def _region_lattice(prob, seed, resolution=41):
+    """The seeded lattice of the benchmark's `region` workload, as
+    `perfbench/workloads.lattice_spec` builds it: cell-centred points over
+    the state box, offset by the seed's first two uniform draws."""
+    lo, hi = prob.box
+    w = (hi - lo) / resolution
+    first = lo + np.random.default_rng(seed).uniform(0.0, 1.0, size=2) * w
+    last = first + (resolution - 1) * w
+    return {"resolution": resolution, "bounds": (tuple(first), tuple(last))}
+
+
+@pytest.mark.parametrize("which", ["eff", "opt"])
+@pytest.mark.parametrize("seed, ell", [(None, 3), (None, 10), (2, 3), (5, 3), (11, 3)],
+                         ids=["example3-ell3", "example3-ell10", "lattice-seed2",
+                              "lattice-seed5", "lattice-seed11"])
+def test_region_sweep_matches_the_cell_loop(di2d_prob, request, which, seed, ell,
+                                            monkeypatch):
+    """The row pass of `feasible_region_grid` against one `solve` per cell
+    (`_checks.reference_region_sweep`), on the four example-3 grids
+    (101x101) and three of the benchmark's seeded 41x41 lattices: the same
+    bits of every verdict and cost, and the same cells reaching the QP in
+    the same order.  The pass leaves few cells to `solve`."""
+    design = request.getfixturevalue(f"di2d_design_{which}")
+    spec = (load_scenario("di-2d").grid_spec() if seed is None
+            else _region_lattice(di2d_prob, seed))
+    qps = _recording_solve_qp(monkeypatch)
+    feas, cost = reference_region_sweep(di2d_prob, design, ell, spec)
+    loop_qps = list(qps)
+    qps.clear()
+    solved = []
+    solve = MpcController.solve
+    monkeypatch.setattr(MpcController, "solve",
+                        lambda self, x0: solved.append(x0) or solve(self, x0))
+    grid = feasible_region_grid(di2d_prob, design, ell, spec)
+    assert feas.any() and not feas.all()
+    assert grid.feasible.tobytes() == feas.tobytes()
+    assert grid.cost.tobytes() == cost.tobytes()
+    assert len(qps) == len(loop_qps) > 0
+    first = next((k for k, (a, b) in enumerate(zip(qps, loop_qps)) if a != b), None)
+    assert first is None, f"QP {first} of {len(qps)} is at another cell"
+    assert len(qps) <= len(solved) < feas.size / 10
+
+
+def _answer_paths(ctl, X) -> str:
+    """Per row of X, what answers it from the controller's stores as they
+    stand: S (shortcut), C (certificate), R (stored region) or Q (none)."""
+    paths = ""
+    for x0 in X:
+        if np.all(ctl._H_u @ x0 <= ctl._h_u):
+            paths += "S"
+        elif ctl._cert_b.size and np.max(ctl._cert_a @ x0 + ctl._cert_b) > cmpc._CERT_MARGIN:
+            paths += "C"
+        else:
+            paths += "Q" if ctl._stored_region(x0) is None else "R"
+    return paths
+
+
+def _rows_against_the_loop(prob, design, history, X, monkeypatch):
+    """`_solve_rows(X)` and `[solve(x0) for x0 in X]`, each on a controller
+    at ell = 3 that first solved the states in `history`: every step must
+    have the same verdict and the same bits of value and u0, and the same
+    cells must reach the QP in the same order.  Returns the answer paths at
+    the start of the row, the steps and the row's QPs."""
+    X = np.asarray(X, dtype=float)
+    qps = _recording_solve_qp(monkeypatch)
+    runs = []
+    for batched in (False, True):
+        ctl = MpcController(prob, design, 3)
+        for x0 in history:
+            ctl.solve(np.asarray(x0, dtype=float))
+        paths = _answer_paths(ctl, X)
+        qps.clear()
+        steps = ctl._solve_rows(X) if batched else [ctl.solve(x0) for x0 in X]
+        runs.append((paths, steps, list(qps)))
+    (_, loop, loop_qps), (paths, steps, row_qps) = runs
+    assert len(steps) == len(X)
+    for x0, a, b in zip(X, steps, loop):
+        assert _same_step(a, b), x0
+    assert row_qps == loop_qps
+    return paths, steps, row_qps
+
+
+@pytest.mark.parametrize("history, paths",
+                         [([], "SQQ"), ([(-3.0, 2.5), (6.0, 0.0)], "SRC")],
+                         ids=["empty-stores", "stored"])
+def test_row_pass_of_one_cell(di2d_prob, di2d_design_eff, history, paths, monkeypatch):
+    for x0, path in zip([(0.0, 0.0), (-3.0, 2.5), (6.0, 0.0)], paths):
+        got, _, qps = _rows_against_the_loop(di2d_prob, di2d_design_eff, history,
+                                             [x0], monkeypatch)
+        assert got == path and len(qps) == (path == "Q"), x0
+
+
+@pytest.mark.parametrize("bounds", [None, ((-3.0, 2.5), (4.0, 4.0))],
+                         ids=["box-corner", "feasible-cell"])
+def test_one_by_one_region_grid(di2d_prob, di2d_design_eff, bounds):
+    spec = {"resolution": 1} if bounds is None else {"resolution": 1, "bounds": bounds}
+    grid = feasible_region_grid(di2d_prob, di2d_design_eff, 3, spec)
+    feas, cost = reference_region_sweep(di2d_prob, di2d_design_eff, 3, spec)
+    assert grid.feasible.shape == (1, 1)
+    assert grid.feasible[0, 0] == (bounds is not None)
+    assert grid.feasible.tobytes() == feas.tobytes()
+    assert grid.cost.tobytes() == cost.tobytes()
+
+
+@pytest.mark.parametrize("history", [[], [(-3.0, 2.5), (6.0, 0.0)]],
+                         ids=["empty-stores", "stored"])
+def test_row_pass_through_the_origin(di2d_prob, di2d_design_eff, history, monkeypatch):
+    X = np.column_stack([np.linspace(-5.0, 5.0, 41), np.zeros(41)])
+    assert X[20].tolist() == [0.0, 0.0]
+    paths, steps, _ = _rows_against_the_loop(di2d_prob, di2d_design_eff, history, X,
+                                             monkeypatch)
+    assert paths[20] == "S" and steps[20].value == 0.0 and not np.any(steps[20].u0)
+
+
+def test_row_pass_across_all_four_answers(di2d_prob, di2d_design_eff, monkeypatch):
+    """With a certificate (from (-5, 5)) and two regions (from (-3, 2.5)
+    and (-1, 2.5)) stored, the row x2 = 2.5 runs from the shortcut through
+    the regions and the QP to the certificate."""
+    X = np.column_stack([np.linspace(-5.0, 5.0, 21), np.full(21, 2.5)])
+    history = [(-5.0, 5.0), (-3.0, 2.5), (-1.0, 2.5)]
+    paths, steps, qps = _rows_against_the_loop(di2d_prob, di2d_design_eff, history, X,
+                                               monkeypatch)
+    assert set(paths) == set("SCRQ")
+    assert 0 < len(qps) < paths.count("Q")
+    assert all(s.feasible == (p != "C") for s, p in zip(steps, paths) if p != "Q")
+
+
+def test_row_outside_the_state_set_after_its_first_certificate(di2d_prob, di2d_design_eff,
+                                                               monkeypatch):
+    """The row x2 = 6 lies outside Xhat: its first cell's QP is infeasible,
+    and the certificate stored then answers every later cell."""
+    X = np.column_stack([np.linspace(-6.0, 6.0, 25), np.full(25, 6.0)])
+    paths, steps, qps = _rows_against_the_loop(di2d_prob, di2d_design_eff, [], X,
+                                               monkeypatch)
+    assert paths == "Q" * 25
+    assert len(qps) == 1 and not any(s.feasible for s in steps)
+
+
+def test_region_stored_in_a_row_answers_its_later_cells(di2d_prob, di2d_design_eff,
+                                                        monkeypatch):
+    """From (-4.5, 2.5) to (-3.25, 2.5) the same two input bounds are
+    active: the region that the first cell's QP stores answers the rest of
+    the row, with no second QP."""
+    X = np.column_stack([np.linspace(-4.5, -3.25, 6), np.full(6, 2.5)])
+    paths, steps, qps = _rows_against_the_loop(di2d_prob, di2d_design_eff, [], X,
+                                               monkeypatch)
+    assert paths == "Q" * 6
+    assert len(qps) == 1 and all(s.feasible for s in steps)
 
 
 def test_grid_requires_2d(ac4d_prob, ac4d_design_eff):
