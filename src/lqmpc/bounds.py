@@ -114,15 +114,22 @@ def newton_gamma(sys: LqSystem, Kbar) -> float:
 
 
 def _power_norms(D: np.ndarray, count: int):
-    """Yield ||D^i|| for i = 1, ..., count, forming the powers D^(i+1) = D^i D
-    in blocks of `_GAMMA_SERIES_BLOCK` whose norms take one LAPACK call."""
-    M = D
-    for start in range(0, count, _GAMMA_SERIES_BLOCK):
-        block = []
-        for _ in range(min(_GAMMA_SERIES_BLOCK, count - start)):
-            block.append(M)
-            M = M @ D
-        yield from induced_two_norm(np.stack(block)).tolist()
+    """Yield ||D^i|| for i = 1, ..., count.  Each power is one product
+    D^(i+1) = D^i D, written into a preallocated stack, in blocks of 16,
+    then 32, then `_GAMMA_SERIES_BLOCK` powers; the norms of a block take one
+    LAPACK call.  A series that stops early has formed at most one block past
+    its last term, and no power past `count`."""
+    stack = np.empty((_GAMMA_SERIES_BLOCK,) + D.shape)
+    prev, size, start = D, 16, 0
+    while start < count:
+        block = stack[: min(size, count - start)]
+        block[0] = D if start == 0 else prev @ D
+        for i in range(1, len(block)):
+            np.matmul(block[i - 1], D, out=block[i])
+        prev = block[-1]
+        yield from induced_two_norm(block).tolist()
+        start += len(block)
+        size = min(2 * size, _GAMMA_SERIES_BLOCK)
 
 
 def _newton_gamma(sys: LqSystem, Kbar: np.ndarray, Dt: np.ndarray) -> float:

@@ -2,13 +2,17 @@
 
 A polytope is stored as ``{x | Hx <= h}``.  Row i is a facet exactly when
 its polar point H_i / (h_i - H_i c) about an interior point c is a vertex of
-the polar points' convex hull (Qhull).  That one test decides when the
-maximal admissible invariant set of a stable linear loop is determined (and
-leaves its rows without redundant ones), and gives the vertices: each facet of the polar hull is one
-(Qhull measures their hull for exact volumes above 2-D), and in 2-D adjacent
-facet rows meet at one (shoelace area).  LPs give support values, bounding
-boxes and the Chebyshev centre.
-"""
+the polar points' convex hull (Qhull).  That one test gives:
+
+* the maximal admissible invariant set of a stable linear loop, without
+  redundant rows: one incremental hull per set takes each step's new polar
+  points, and the set is determined at the first step none of whose points
+  is a vertex;
+* the vertices: each facet of the polar hull is one (Qhull measures their
+  hull for exact volumes above 2-D), and in 2-D adjacent facet rows meet at
+  one (shoelace area).
+
+LPs give support values, bounding boxes and the Chebyshev centre."""
 
 from __future__ import annotations
 
@@ -159,29 +163,68 @@ def _polar_points(P: HPolytope) -> Optional[tuple[np.ndarray, np.ndarray]]:
     return None if c is None else (c, P.H / (P.h - P.H @ c)[:, None])
 
 
-def _hull_rows(G: np.ndarray) -> np.ndarray:
-    """Sorted indices of the rows of G that are vertices of their convex hull
-    (in 1-D: the two extreme points), counting the last of identical rows.
+def _last_copies(G: np.ndarray) -> np.ndarray:
+    """Sorted indices of the distinct rows of G, the last of identical rows
+    counting."""
+    _, first_reversed = np.unique(G[::-1], axis=0, return_index=True)
+    return np.sort(G.shape[0] - 1 - first_reversed)
+
+
+class _Hull1d:
+    """The hull of 1-D points, with the part of `ConvexHull`'s interface
+    that this module uses: its vertices are the two extreme points."""
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+
+    def add_points(self, points: np.ndarray) -> None:
+        self.points = np.vstack([self.points, points])
+
+    @property
+    def vertices(self) -> np.ndarray:
+        return np.array([np.argmin(self.points[:, 0]), np.argmax(self.points[:, 0])])
+
+    @property
+    def equations(self) -> np.ndarray:
+        # -y + min <= 0 and y - max <= 0
+        return np.array([[-1.0, self.points[:, 0].min()], [1.0, -self.points[:, 0].max()]])
+
+    def close(self) -> None:
+        pass
+
+
+def _polar_hull(pts: np.ndarray, incremental: bool = False):
+    """Convex hull of the polar points pts: Qhull's, or `_Hull1d` in 1-D.
+    Raises ValueError when the points span no full-dimensional hull."""
+    if pts.shape[1] == 1:
+        return _Hull1d(pts)
+    try:
+        return ConvexHull(pts, incremental=incremental)
+    except QhullError:
+        raise ValueError("polytope is unbounded") from None
+
+
+def _require_origin_inside(hull, scale: float) -> None:
+    """Raise ValueError unless the origin is inside the polar hull (the
+    polytope bounded), by a margin relative to scale, the points' largest
+    absolute entry."""
+    # facets a'y + b <= 0 with unit a: -b is the origin's distance to each
+    if np.any(hull.equations[:, -1] >= -LP_TOL * scale):
+        raise ValueError("polytope is unbounded (origin not inside the polar hull)")
+
+
+def _hull_rows(G: np.ndarray):
+    """(rows, hull): the sorted indices of the rows of G that are vertices of
+    their convex hull (in 1-D: the two extreme points), counting the last of
+    identical rows, and the hull of those distinct rows.
 
     For the polar points of a polytope these are its facet rows.  Raises
     ValueError unless the origin is inside the hull (the polytope bounded).
     """
-    _, first_reversed = np.unique(G[::-1], axis=0, return_index=True)
-    idx = np.sort(G.shape[0] - 1 - first_reversed)
-    pts = G[idx]
-    if G.shape[1] == 1:
-        verts = [np.argmin(pts[:, 0]), np.argmax(pts[:, 0])]
-        offsets = pts[verts, 0] * [1.0, -1.0]
-    else:
-        try:
-            hull = ConvexHull(pts)
-        except QhullError:  # the points span no full-dimensional hull
-            raise ValueError("polytope is unbounded") from None
-        verts, offsets = hull.vertices, hull.equations[:, -1]
-    # facets a'y + b <= 0 with unit a: -b is the origin's distance to each
-    if np.any(offsets >= -LP_TOL * np.abs(pts).max()):
-        raise ValueError("polytope is unbounded (origin not inside the polar hull)")
-    return np.sort(idx[verts])
+    idx = _last_copies(G)
+    hull = _polar_hull(G[idx])
+    _require_origin_inside(hull, np.abs(G).max())
+    return np.sort(idx[hull.vertices]), hull
 
 
 def maximal_invariant_set(closed_loop, Xhat: HPolytope, U: HPolytope, L) -> HPolytope:
@@ -189,9 +232,14 @@ def maximal_invariant_set(closed_loop, Xhat: HPolytope, U: HPolytope, L) -> HPol
 
     Returns S = {x | D^k x in Xhat and L D^k x in U for all k <= k_det}
     without redundant rows, where D = closed_loop and k_det is the first step
-    whose new rows are all redundant given the accumulated ones (read from the
-    polar hull, so no LP is solved).  The offsets of Xhat and U must be
-    positive; k_det is finite for stable D and compact constraint sets.
+    whose new rows are all redundant given the accumulated ones.  That is
+    read from one polar hull, grown by Qhull's incremental algorithm: its
+    first batch is the rows of steps 0 and 1, each later step adds only its
+    own rows' polar points, and the loop stops at the first step none of
+    whose points is a hull vertex.  So no LP is solved, and a step costs its
+    new points, not all the accumulated ones.  The rows come in the order
+    they were accumulated.  The offsets of Xhat and U must be positive;
+    k_det is finite for stable D and compact constraint sets.
     """
     D = np.atleast_2d(np.asarray(closed_loop, dtype=float))
     L = np.atleast_2d(np.asarray(getattr(L, "L", L), dtype=float))
@@ -204,17 +252,33 @@ def maximal_invariant_set(closed_loop, Xhat: HPolytope, U: HPolytope, L) -> HPol
     if not np.all(base_h > 0):
         raise ValueError("constraint offsets must be positive (origin in the interior)")
     m = base_h.size
-    H, h = np.vstack([Xhat.H, U.H @ L]), base_h
     M = D.copy()
-    for _ in range(_INVSET_CAP):
-        candH = np.vstack([Xhat.H @ M, U.H @ L @ M])
-        # candidates first: of identical rows the accumulated one counts; a
-        # zero row has polar point 0, inside the hull, and is never a facet
-        keep = _hull_rows(np.vstack([candH / base_h[:, None], H / h[:, None]]))
-        if keep[0] >= m:
-            return HPolytope(H[keep - m], h[keep - m])
-        H, h = np.vstack([H, candH]), np.concatenate([h, base_h])
-        M = M @ D
+    # blocks[k] holds the rows of step k: D^k x in Xhat and L D^k x in U
+    blocks = [np.vstack([Xhat.H, U.H @ L]), np.vstack([Xhat.H @ M, U.H @ L @ M])]
+    # step 1's rows first: of identical rows the accumulated one counts
+    G = np.vstack([blocks[1], blocks[0]]) / np.tile(base_h, 2)[:, None]
+    new = _last_copies(G)
+    pos = (new + m) % (2 * m)  # the index of each hull point in the stacked blocks
+    scale = np.abs(G).max()
+    hull = _polar_hull(G[new], incremental=True)
+    try:
+        for k in range(1, _INVSET_CAP + 1):
+            if k > 1:
+                M = M @ D
+                blocks.append(np.vstack([Xhat.H @ M, U.H @ L @ M]))
+                # a point identical to one already in the hull is no new
+                # vertex, and a zero row's polar point 0 is never one
+                G = blocks[k] / base_h[:, None]
+                hull.add_points(G)
+                pos = np.concatenate([pos, k * m + np.arange(m)])
+                scale = max(scale, np.abs(G).max())
+            _require_origin_inside(hull, scale)
+            rows = pos[hull.vertices]
+            if rows.max() < k * m:  # no row of step k is a facet
+                rows = np.sort(rows)
+                return HPolytope(np.vstack(blocks)[rows], np.tile(base_h, k + 1)[rows])
+    finally:
+        hull.close()
     raise ArithmeticError(
         f"invariant set not finitely determined within {_INVSET_CAP} steps "
         "(closed loop may be marginally stable)"
@@ -234,7 +298,7 @@ def vertices_2d(P: HPolytope) -> np.ndarray:
     if polar is None:
         return np.zeros((0, 2))
     G = polar[1]
-    rows = _hull_rows(G)
+    rows, _ = _hull_rows(G)
     # facets in polar-angle order; neighbours meet at a vertex
     rows = rows[np.argsort(np.arctan2(G[rows, 1], G[rows, 0]))]
     pairs = sorted(tuple(sorted(p)) for p in zip(rows, np.roll(rows, -1)))
@@ -253,10 +317,11 @@ def _vertex_offsets(P: HPolytope) -> Optional[tuple[np.ndarray, np.ndarray]]:
     if polar is None:
         return None
     c, G = polar
-    rows = _hull_rows(G)  # rejects an unbounded P
+    rows, hull = _hull_rows(G)  # rejects an unbounded P
     if P.dim == 1:
         return c, 1.0 / G[rows]
-    facets = ConvexHull(G[rows]).equations
+    # when every distinct row is a facet, G[rows] is the hull's own input
+    facets = (hull if rows.size == hull.points.shape[0] else ConvexHull(G[rows])).equations
     return c, -facets[:, :-1] / facets[:, -1:]
 
 

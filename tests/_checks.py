@@ -66,7 +66,7 @@ def remove_redundancy(P):
     polar = _polar_points(P)
     if polar is None:
         raise ValueError("polytope has empty interior")
-    keep = _hull_rows(polar[1])
+    keep, _ = _hull_rows(polar[1])
     return HPolytope(P.H[keep], P.h[keep])
 
 
@@ -522,6 +522,26 @@ def lp_maximal_invariant_set(D, Xhat, U, L, cap=500):
                for i in range(candh.size)):
             return lp_remove_redundancy(cur)
         H, h = np.vstack([H, candH]), np.concatenate([h, candh])
+        M = M @ D
+    raise ArithmeticError(f"not determined within {cap} steps")
+
+
+def reference_maximal_invariant_set(D, Xhat, U, L, cap=500):
+    """O-infinity by one fresh polar hull per step over every accumulated
+    row and the step's candidates (candidates first, so of identical rows the
+    accumulated one counts); k_det is the first step with no candidate among
+    the hull's vertices."""
+    L = getattr(L, "L", L)
+    base_h = np.concatenate([Xhat.h, U.h])
+    m = base_h.size
+    H, h = np.vstack([Xhat.H, U.H @ L]), base_h
+    M = D.copy()
+    for _ in range(cap):
+        candH = np.vstack([Xhat.H @ M, U.H @ L @ M])
+        keep, _ = _hull_rows(np.vstack([candH / base_h[:, None], H / h[:, None]]))
+        if keep[0] >= m:
+            return HPolytope(H[keep - m], h[keep - m])
+        H, h = np.vstack([H, candH]), np.concatenate([h, base_h])
         M = M @ D
     raise ArithmeticError(f"not determined within {cap} steps")
 

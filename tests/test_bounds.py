@@ -1,6 +1,7 @@
 """Performance-bound layer: the alpha/beta constants, the three bounds,
 the exact gap, and the aggregated report."""
 
+import itertools
 import pickle
 
 import numpy as np
@@ -229,6 +230,71 @@ def test_newton_gamma_of_design_reports_matches_reference(name, zetas):
             Kbar = iterate_bellman(sys, K, ell - 1)
             Dt = greedy_gain(sys, Kbar).closed_loop
             assert full_report(sys, K, ell).gamma == reference_newton_gamma(sys, Kbar, Dt)
+
+
+_POWER_NORM_LOOPS = {
+    "stable": np.array([[0.99, 0.3, 0.0], [-0.2, 0.9, 0.1], [0.0, 0.05, 0.95]]),
+    "nilpotent": 0.8 * np.eye(4, k=1),
+}
+
+
+@pytest.mark.parametrize("loop", sorted(_POWER_NORM_LOOPS))
+@pytest.mark.parametrize("count", [1, 15, 16, 17, 48, 49, 200])
+def test_power_norms_match_one_power_at_a_time(loop, count):
+    D = _POWER_NORM_LOOPS[loop]
+    expected, M = [], D
+    for _ in range(count):
+        expected.append(float(np.linalg.norm(M, 2)))
+        M = M @ D
+    assert list(bounds._power_norms(D, count)) == expected
+
+
+def _counting_blocks(monkeypatch):
+    """Patch `bounds.induced_two_norm` to record the size of each block of
+    powers it takes the norms of."""
+    blocks = []
+
+    def counting_norm(M):
+        if np.ndim(M) == 3:
+            blocks.append(len(M))
+        return induced_two_norm(M)
+
+    monkeypatch.setattr(bounds, "induced_two_norm", counting_norm)
+    return blocks
+
+
+def _assert_blocks_end_at_the_last_used_power(blocks, used):
+    # the block sizes double from 16 (the last one may be cut at the
+    # count), and every block formed holds a used power
+    sizes = [min(16 * 2**i, bounds._GAMMA_SERIES_BLOCK) for i in range(len(blocks))]
+    assert blocks[:-1] == sizes[:-1] and blocks[-1] <= sizes[-1]
+    assert sum(blocks[:-1]) < used <= sum(blocks)
+
+
+@pytest.mark.parametrize("used", [1, 15, 16, 17, 48, 49, 200])
+def test_power_norms_form_at_most_one_block_past_the_last_used_power(monkeypatch, used):
+    blocks = _counting_blocks(monkeypatch)
+    norms = list(itertools.islice(bounds._power_norms(_POWER_NORM_LOOPS["stable"], 200), used))
+    assert len(norms) == used
+    _assert_blocks_end_at_the_last_used_power(blocks, used)
+
+
+def test_gamma_series_forms_at_most_one_block_past_its_last_term(monkeypatch, di2d_sys,
+                                                                 di2d_K_eff):
+    power_norms = bounds._power_norms
+    used = []
+
+    def counting_power_norms(D, count):
+        used.append(0)
+        for norm in power_norms(D, count):
+            used[-1] += 1
+            yield norm
+
+    monkeypatch.setattr(bounds, "_power_norms", counting_power_norms)
+    for ell in (1, 3, 10, 20):
+        blocks = _counting_blocks(monkeypatch)
+        full_report(di2d_sys, di2d_K_eff, ell)
+        _assert_blocks_end_at_the_last_used_power(blocks, used[-1])
 
 
 def test_newton_scalar(scalar_sys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lqmpc import (
     HPolytope,
     LqSystem,
+    MpcController,
     TerminalDesign,
     bounding_box,
     contains,
@@ -22,12 +23,13 @@ from lqmpc import (
     volume,
     zeta_dare,
 )
-from conftest import ZEFF_2D
+from conftest import ZEFF_2D, ZEFF_4D
 from _checks import (
     check_terminal_invariance,
     lp_maximal_invariant_set,
     lp_remove_redundancy,
     pairwise_vertices_2d,
+    reference_maximal_invariant_set,
     reference_volume_mc_in_box,
     remove_redundancy,
     sample_interior,
@@ -310,6 +312,28 @@ def test_volume_of_ac4d_terminal_sets_matches_monte_carlo(ac4d_prob, zeta):
     _assert_near_monte_carlo(S, 1_000_000, 1382612245)
 
 
+def test_volume_of_a_4d_terminal_set_builds_two_hulls(monkeypatch, ac4d_design_eff):
+    from lqmpc import polytope
+
+    # every polar point of an irredundant S is a hull vertex, so the facets
+    # of the first hull are those a second hull of the same rows would give
+    S = ac4d_design_eff.S
+    G = polytope._polar_points(S)[1]
+    rows, _ = polytope._hull_rows(G)
+    facets = polytope.ConvexHull(G[rows]).equations
+    expected = polytope.ConvexHull(-facets[:, :-1] / facets[:, -1:]).volume
+    built = []
+
+    class CountingHull(polytope.ConvexHull):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "ConvexHull", CountingHull)
+    assert volume(S) == expected
+    assert len(built) == 2
+
+
 def test_volume_2d_solves_no_lp(monkeypatch, di2d_design_eff):
     from lqmpc import polytope
 
@@ -565,6 +589,157 @@ def test_origin_outside_uses_one_lp(monkeypatch):
     _assert_same_rows(kept, HPolytope(P.H[[0, 1, 3, 4]], P.h[[0, 1, 3, 4]]))
     np.testing.assert_array_equal(V, pairwise_vertices_2d(P))
     np.testing.assert_allclose(V, [[10.0, 3.0], [12.0, 3.0], [12.0, 4.0], [10.0, 4.0]])
+
+
+# ---------------------------------------------------------------------------
+# the incremental polar hull against one fresh hull per step
+# ---------------------------------------------------------------------------
+
+def _terminal_gains(prob, zeta_scenario):
+    """The gains of the optimal design and of zeta = 1.5, 2, 5, 12 and the
+    scenario's amplification."""
+    return [prob.sys.optimal[1]] + [
+        prob.sys.amplified(z).optimal[1] for z in (1.5, 2.0, 5.0, 12.0, zeta_scenario)]
+
+
+def _assert_matches_one_hull_per_step(D, Xhat, U, L):
+    _assert_same_rows(maximal_invariant_set(D, Xhat, U, L),
+                      reference_maximal_invariant_set(D, Xhat, U, L))
+
+
+@pytest.mark.parametrize("study", ["di2d", "ac4d"])
+def test_terminal_set_matches_one_hull_per_step(request, study):
+    prob = request.getfixturevalue(f"{study}_prob")
+    for gain in _terminal_gains(prob, ZEFF_2D if study == "di2d" else ZEFF_4D):
+        _assert_matches_one_hull_per_step(gain.closed_loop, prob.Xhat, prob.U, gain)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(1.0, 60.0))
+def test_terminal_set_matches_one_hull_per_step_di2d(di2d_prob, zeta):
+    gain = _zeta_design_gain(di2d_prob.sys, zeta)
+    _assert_matches_one_hull_per_step(gain.closed_loop, di2d_prob.Xhat, di2d_prob.U, gain)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(1.0, 14.0))
+def test_terminal_set_matches_one_hull_per_step_ac4d(ac4d_prob, zeta):
+    gain = _zeta_design_gain(ac4d_prob.sys, zeta)
+    _assert_matches_one_hull_per_step(gain.closed_loop, ac4d_prob.Xhat, ac4d_prob.U, gain)
+
+
+def _assert_same_rows_up_to(P, Q, tol=1e-12):
+    """The same row count, and every row of each within tol of a row of the
+    other once both are normalized by their offsets: near-duplicate rows of
+    a tail set may swap their representatives."""
+    assert P.H.shape == Q.H.shape
+    A, B = P.H / P.h[:, None], Q.H / Q.h[:, None]
+    gap = np.abs(A[:, None, :] - B[None, :, :]).max(axis=2)
+    assert gap.min(axis=1).max() <= tol and gap.min(axis=0).max() <= tol
+
+
+@pytest.mark.parametrize("study", ["di2d", "ac4d"])
+@pytest.mark.parametrize("ell", [1, 3, 10, 100])
+def test_tail_set_rows_match_one_hull_per_step(request, study, ell):
+    prob = request.getfixturevalue(f"{study}_prob")
+    zeta = ZEFF_2D if study == "di2d" else ZEFF_4D
+    for design in (TerminalDesign.for_optimal_cost(prob),
+                   TerminalDesign.for_amplified_cost(prob, zeta)):
+        ctl = MpcController(prob, design, ell)
+        # the shortcut polytope as `tail_set` builds it
+        keep = np.any(ctl._H_u != 0.0, axis=1)
+        shortcut = HPolytope(ctl._H_u[keep], ctl._g_const[keep])
+        gain = ctl._policy_gain
+        _assert_same_rows_up_to(ctl.tail_set, reference_maximal_invariant_set(
+            gain.closed_loop, shortcut, prob.U, gain))
+
+
+@st.composite
+def _stable_3d_4d_loops(draw):
+    """(D, Xhat, U, L): a stable 3-D or 4-D loop, a box cut by up to 7
+    random half-spaces, an input box and a random gain."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, nu = draw(st.sampled_from([3, 4])), draw(st.integers(1, 2))
+    M = rng.standard_normal((n, n))
+    D = M * (draw(st.floats(0.2, 0.95)) / np.max(np.abs(np.linalg.eigvals(M))))
+    k = draw(st.integers(0, 7))
+    Xhat = HPolytope(np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((k, n))]),
+                     np.concatenate([rng.uniform(0.5, 3.0, 2 * n), rng.uniform(0.2, 2.0, k)]))
+    return D, Xhat, HPolytope.symmetric_box(rng.uniform(0.5, 2.0, nu)), rng.standard_normal((nu, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stable_3d_4d_loops())
+def test_tail_set_rows_match_one_hull_per_step_random_loops(loop):
+    _assert_same_rows_up_to(maximal_invariant_set(*loop), reference_maximal_invariant_set(*loop))
+
+
+def test_invariant_set_bounded_only_with_the_step_1_rows():
+    # the strip |x2| <= 1 is unbounded; x+ = 0.5 (x2, x1) turns its rows into
+    # |x1| <= 2 at step 1, and step 2 adds 0.25 of the strip's rows again
+    D = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    strip = HPolytope(np.array([[0.0, 1.0], [0.0, -1.0]]), np.ones(2))
+    U, L = HPolytope.symmetric_box([1.0]), np.zeros((1, 2))
+    S = maximal_invariant_set(D, strip, U, L)
+    _assert_same_rows(S, HPolytope(np.array([[0.0, 1.0], [0.0, -1.0], [0.5, 0.0], [-0.5, 0.0]]),
+                                   np.ones(4)))
+    _assert_same_rows(S, reference_maximal_invariant_set(D, strip, U, L))
+    _assert_same_rows(S, lp_maximal_invariant_set(D, strip, U, L))
+
+
+def test_invariant_set_of_a_nilpotent_loop():
+    # D^3 = 0: the rows of step 3 are zero, polar point 0, which the
+    # incremental hull gets as added points
+    D = 0.7 * np.eye(3, k=1)
+    Xhat = HPolytope.symmetric_box([1.0, 2.0, 3.0])
+    U, L = HPolytope.symmetric_box([1.0]), np.array([[0.4, -0.3, 0.2]])
+    S = maximal_invariant_set(D, Xhat, U, L)
+    _assert_same_rows(S, reference_maximal_invariant_set(D, Xhat, U, L))
+    _assert_same_rows(S, lp_maximal_invariant_set(D, Xhat, U, L))
+
+
+def test_invariant_set_of_a_marginally_stable_loop_raises_at_the_cap(monkeypatch):
+    from lqmpc import polytope
+
+    # a rotation by 1 rad, shrunk by 1e-12 a step: every new row is tangent
+    # to the (nearly) unit circle, so each step adds facets
+    c, s = np.cos(1.0), np.sin(1.0)
+    D = (1.0 - 1e-12) * np.array([[c, -s], [s, c]])
+    added = []
+
+    class CountingHull(polytope.ConvexHull):
+        def add_points(self, points, restart=False):
+            added.append(len(points))
+            super().add_points(points, restart)
+
+    monkeypatch.setattr(polytope, "ConvexHull", CountingHull)
+    with pytest.raises(ArithmeticError, match=f"within {polytope._INVSET_CAP} steps"):
+        maximal_invariant_set(D, BOX5, HPolytope.symmetric_box([1.0]), np.zeros((1, 2)))
+    # steps 2 to the cap, each adding its own 6 rows' points
+    assert added == [6] * (polytope._INVSET_CAP - 1)
+
+
+def test_invariant_set_with_the_origin_on_the_polar_hull_raises():
+    # x1 <= 1, |x2| <= 1 is unbounded to the left: the polar points span a
+    # triangle, but the origin lies on its edge
+    half_strip = HPolytope(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.ones(3))
+    with pytest.raises(ValueError, match="unbounded"):
+        maximal_invariant_set(0.5 * np.eye(2), half_strip, HPolytope.symmetric_box([1.0]),
+                              np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("d", [-0.95, -0.5, 0.0, 0.9])
+def test_invariant_set_1d_matches_one_hull_per_step(d):
+    Xhat, U = HPolytope.box([-1.0], [3.0]), HPolytope.symmetric_box([2.0])
+    D, L = np.array([[d]]), np.array([[-0.5]])
+    _assert_matches_one_hull_per_step(D, Xhat, U, L)
+
+
+def test_invariant_set_1d_unbounded_raises():
+    # x <= 3 and u = 0.5 x <= 2 under x+ = 0.5 x: every row bounds x above
+    with pytest.raises(ValueError, match="unbounded"):
+        maximal_invariant_set(np.array([[0.5]]), HPolytope(np.array([[1.0]]), np.array([3.0])),
+                              HPolytope(np.array([[1.0]]), np.array([2.0])), np.array([[0.5]]))
 
 
 STRIP = HPolytope(np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]]), np.array([1.0, 1.0, 1.0]))
