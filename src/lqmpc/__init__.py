@@ -43,7 +43,6 @@ from .polytope import (
     lp_solve,
     maximal_invariant_set,
     vertices,
-    vertices_2d,
     volume,
 )
 from .qp import QpProblem, QpSolution, solve_qp
@@ -53,8 +52,8 @@ from .cmpc import (
     MpcController,
     MpcStep,
     TerminalDesign,
-    boundary_points,
     feasible_region_grid,
+    feasible_set_2d,
     suboptimality_map,
 )
 from .scenarios import Scenario, ScenarioError, builtin_names, load_scenario

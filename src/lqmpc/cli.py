@@ -27,8 +27,8 @@ from .cmpc import (
     CostMapGrid,
     MpcController,
     TerminalDesign,
-    boundary_points,
     feasible_region_grid,
+    feasible_set_2d,
     suboptimality_map,
 )
 from .matcore import induced_two_norm
@@ -352,15 +352,15 @@ def cmd_region(args) -> int:
     tag = f"{sc.name}-ell{ell}-{args.terminal}"
     csv_path = _write_grid(grid, os.path.join(out, f"region-{tag}"),
                            f"feasible region (ell={ell})", 3)
-    bpts = boundary_points(prob, design, ell, grid)
+    V = feasible_set_2d(prob, design, ell)
     bpath = os.path.join(out, f"region-boundary-{tag}.csv")
     with open(bpath, "w", encoding="utf-8") as f:
         f.write("x1,x2\n")
-        for p in bpts:
+        for p in V:
             f.write(f"{_fmt(p[0])},{_fmt(p[1])}\n")
     n_feas = int(grid.feasible.sum())
     print(f"{n_feas} of {grid.feasible.size} grid points feasible")
-    print(f"wrote {csv_path} ({len(bpts)} refined boundary points)")
+    print(f"wrote {csv_path} and {bpath} ({len(V)} vertices of the feasible set)")
     return EXIT_OK
 
 

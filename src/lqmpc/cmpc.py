@@ -2,8 +2,9 @@
 
 The finite-horizon problem with terminal cost x'Kx and terminal set S is
 solved as a condensed QP.  The engine evaluates the receding-horizon policy,
-simulates closed loops to measure realized infinite-horizon cost, and sweeps
-feasibility / suboptimality maps over 2-D grids.
+simulates closed loops to measure realized infinite-horizon cost, sweeps
+feasibility / suboptimality maps over 2-D grids, and gives the exact
+feasible set of a 2-D problem by support LPs.
 
 Infeasibility is identified with infinite cost (indicator-function semantics
 of the state constraint set).
@@ -37,11 +38,13 @@ __all__ = [
     "CostMapGrid",
     "feasible_region_grid",
     "suboptimality_map",
-    "boundary_points",
+    "feasible_set_2d",
 ]
 
 _SIM_CAP = 10_000
-_BISECTIONS = 5
+# `feasible_set_2d` splits an edge when the support LP in its outward normal
+# passes the edge by more than this, relative to max(1, the edge's offset)
+_EDGE_RTOL = 1e-9
 # the horizon whose closed loop stands in for the optimal cost J_opt
 APPROX_OPT_HORIZON = 100
 # a stored infeasibility certificate answers a query only when its lower
@@ -363,10 +366,7 @@ class MpcController:
     def solve(self, x0) -> MpcStep:
         x0 = np.asarray(x0, dtype=float).ravel()
         if np.all(self._H_u @ x0 <= self._h_u):
-            # the first move as the policy gain rounds it; (Z x0)[:m] is the
-            # same move, rounded by a longer product
-            value = float(x0 @ self._value_matrix @ x0)
-            return MpcStep(True, self._policy_gain.L @ x0, value)
+            return self._shortcut_step(x0)
         if self._cert_b.size and np.max(self._cert_a @ x0 + self._cert_b) > _CERT_MARGIN:
             return MpcStep(False, None, math.inf)
         region = self._stored_region(x0)
@@ -421,9 +421,7 @@ class MpcController:
         steps = []
         for x0, short, cert, i in zip(X, shortcut, certified, held):
             if short:
-                # as in `solve`
-                steps.append(MpcStep(True, self._policy_gain.L @ x0,
-                                     float(x0 @ self._value_matrix @ x0)))
+                steps.append(self._shortcut_step(x0))
             elif cert:
                 steps.append(MpcStep(False, None, math.inf))
             elif i >= 0:
@@ -431,6 +429,12 @@ class MpcController:
             else:
                 steps.append(self.solve(x0))
         return steps
+
+    def _shortcut_step(self, x0) -> MpcStep:
+        """The answer inside the shortcut polytope: the first move as the
+        policy gain rounds it ((Z x0)[:m] is the same move, rounded by a
+        longer product) and the value x0' F^ell(K) x0."""
+        return MpcStep(True, self._policy_gain.L @ x0, float(x0 @ self._value_matrix @ x0))
 
     def _stored_region(self, x0) -> Optional[CriticalRegion]:
         """The stored region whose membership rows all reach the margin at
@@ -666,37 +670,57 @@ def suboptimality_map(
     return _run_sweep(prob, design, ell, grid_spec, "submap")
 
 
-def boundary_points(
-    prob: ConstrainedProblem,
-    design: TerminalDesign,
-    ell: int,
-    grid: CostMapGrid,
-) -> np.ndarray:
-    """Feasibility-boundary refinement along grid edges (`_BISECTIONS`
-    bisection steps per edge)."""
+def feasible_set_2d(prob: ConstrainedProblem, design: TerminalDesign, ell: int) -> np.ndarray:
+    """Counterclockwise vertices of the feasible set X_ell of a 2-D problem.
+
+    X_ell = {x0 | G z - g_map x0 <= g_const for some z} is the projection
+    onto x0 of a polytope in (x0, z), built from the controller's rows (less
+    its zero rows, which hold everywhere).  A support LP on that polytope
+    (`lp_solve`) gives a point of X_ell that is extreme in any direction, so
+    its hull is exact after finitely many LPs (Lassez & Lassez 1992): start
+    from the supports in the 4 axis directions, solve one LP in each edge's
+    outward normal, and split the edge at the LP's point when that passes
+    the edge by more than `_EDGE_RTOL`.  Points within the same margin of
+    the line through their neighbours are dropped at the end.  Raises
+    ValueError unless the state is 2-D.
+    """
+    if prob.sys.n != 2:
+        raise ValueError("feasible_set_2d needs a 2-D state")
     ctl = MpcController(prob, design, ell)
+    lifted = np.hstack([-ctl._g_map, ctl._qp.G])
+    keep = np.any(lifted != 0.0, axis=1)
+    P = HPolytope(lifted[keep], ctl._g_const[keep])
 
-    def feas(pt) -> bool:
-        return ctl.solve(pt).feasible
+    def support(c) -> np.ndarray:
+        r = lp_solve(np.concatenate([c, np.zeros(P.dim - 2)]), P)
+        if r.status != "optimal":
+            raise ValueError(f"support LP of the feasible set {r.status}")
+        return r.x[:2] + 0.0  # clears the sign of a zero
 
-    pts = []
-    F = grid.feasible
-    for iy in range(F.shape[0]):
-        for ix in range(F.shape[1]):
-            for dy, dx in ((0, 1), (1, 0)):
-                jy, jx = iy + dy, ix + dx
-                if jy >= F.shape[0] or jx >= F.shape[1]:
-                    continue
-                if F[iy, ix] == F[jy, jx]:
-                    continue
-                a = np.array([grid.xs[ix], grid.ys[iy]])
-                b = np.array([grid.xs[jx], grid.ys[jy]])
-                fa = F[iy, ix]
-                for _ in range(_BISECTIONS):
-                    mid = 0.5 * (a + b)
-                    if feas(mid) == fa:
-                        a = mid
-                    else:
-                        b = mid
-                pts.append(0.5 * (a + b))
-    return np.array(pts) if pts else np.zeros((0, 2))
+    def outward(a, b) -> tuple[np.ndarray, float]:
+        # the unit outward normal n of the counterclockwise edge a -> b, and
+        # the value of n'x that a point x must pass to lie beyond the edge
+        n = np.array([b[1] - a[1], a[0] - b[0]])
+        n /= np.hypot(n[0], n[1])
+        return n, n @ a + _EDGE_RTOL * max(1.0, abs(n @ a))
+
+    def between(a, b) -> list:
+        n, beyond = outward(a, b)
+        p = support(n)
+        return between(a, p) + [p] + between(p, b) if n @ p > beyond else []
+
+    # the axis supports, counterclockwise; a point extreme in two comes once
+    seeds = [support(np.array(c)) for c in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))]
+    seeds = [p for p, q in zip(seeds, seeds[1:] + seeds[:1])
+             if np.max(np.abs(p - q)) > _EDGE_RTOL * max(1.0, np.max(np.abs(p)))]
+    V = []
+    for a, b in zip(seeds, seeds[1:] + seeds[:1]):
+        V += [a] + between(a, b)
+    i = 0
+    while i < len(V) and len(V) > 3:
+        n, beyond = outward(V[i - 1], V[(i + 1) % len(V)])
+        if n @ V[i] > beyond:
+            i += 1
+        else:  # V[i] lies on the line through its neighbours
+            del V[i]
+    return np.array(V)

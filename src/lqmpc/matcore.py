@@ -82,9 +82,10 @@ def spectral_radius(M) -> float:
     return float(np.max(np.abs(ev))) if ev.size else 0.0
 
 
-def is_stable(M, tol: float = STABILITY_TOL) -> bool:
-    """True iff every eigenvalue lies strictly inside the unit circle."""
-    return spectral_radius(M) < 1.0 - tol
+def is_stable(M) -> bool:
+    """True iff every eigenvalue lies strictly inside the unit circle, by
+    more than STABILITY_TOL."""
+    return spectral_radius(M) < 1.0 - STABILITY_TOL
 
 
 def min_eigenvalue(K) -> float:
@@ -138,17 +139,17 @@ def solve_dlyap(D, Q, tol: float = DLYAP_TOL) -> np.ndarray:
     )
 
 
-def psd_order_holds(K1, K2, tol: float = PSD_TOL) -> bool:
-    """True iff K1 >= K2 in the positive-semidefinite order (up to tol).
+def psd_order_holds(K1, K2) -> bool:
+    """True iff K1 >= K2 in the positive-semidefinite order (up to PSD_TOL).
 
-    The comparison is ``min eig(K1 - K2) >= -tol * max(1, ||K1 - K2||)``.
+    The comparison is ``min eig(K1 - K2) >= -PSD_TOL * max(1, ||K1 - K2||)``.
     """
     K1 = symmetrize(K1)
     K2 = symmetrize(K2)
     if K1.shape != K2.shape:
         raise ValueError(f"dimension mismatch: {K1.shape} vs {K2.shape}")
     Delta = K1 - K2
-    return min_eigenvalue(Delta) >= -tol * max(1.0, induced_two_norm(Delta))
+    return min_eigenvalue(Delta) >= -PSD_TOL * max(1.0, induced_two_norm(Delta))
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,8 @@ the polar points' convex hull (Qhull).  That one test gives:
   redundant rows: one incremental hull per set takes each step's new polar
   points, and the set is determined at the first step none of whose points
   is a vertex;
-* the vertices: each facet of the polar hull is one (Qhull measures their
-  hull for exact volumes above 2-D), and in 2-D adjacent facet rows meet at
-  one (shoelace area).
+* the vertices: each facet of the polar hull is one, and Qhull's volume of
+  their hull is the polytope's exact volume in every dimension above 1-D.
 
 LPs give support values, bounding boxes and the Chebyshev centre."""
 
@@ -32,7 +31,6 @@ __all__ = [
     "contains",
     "maximal_invariant_set",
     "vertices",
-    "vertices_2d",
     "volume",
     "bounding_box",
 ]
@@ -285,29 +283,6 @@ def maximal_invariant_set(closed_loop, Xhat: HPolytope, U: HPolytope, L) -> HPol
     )
 
 
-def vertices_2d(P: HPolytope) -> np.ndarray:
-    """Counterclockwise vertex array of a bounded 2-D polytope.
-
-    Each vertex is solved from two facet rows adjacent on the polar hull, in
-    index order.  Empty interior yields an empty array; an unbounded P raises
-    ValueError.
-    """
-    if P.dim != 2:
-        raise ValueError("vertex enumeration implemented for dim = 2 only")
-    polar = _polar_points(P)
-    if polar is None:
-        return np.zeros((0, 2))
-    G = polar[1]
-    rows, _ = _hull_rows(G)
-    # facets in polar-angle order; neighbours meet at a vertex
-    rows = rows[np.argsort(np.arctan2(G[rows, 1], G[rows, 0]))]
-    pairs = sorted(tuple(sorted(p)) for p in zip(rows, np.roll(rows, -1)))
-    V = np.array([np.linalg.solve(P.H[[i, j]], P.h[[i, j]]) for i, j in pairs])
-    # ordered by angle about the vertex mean, the mean summed in pair order
-    center = V.mean(axis=0)
-    return V[np.argsort(np.arctan2(V[:, 1] - center[1], V[:, 0] - center[0]))]
-
-
 def _vertex_offsets(P: HPolytope) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """(c, Y): an interior point c and the vertices of P less c, one per
     facet of the polar hull about c (the facet a'y + b = 0 gives the vertex
@@ -350,23 +325,15 @@ def bounding_box(P: HPolytope) -> tuple[np.ndarray, np.ndarray]:
 def volume(P: HPolytope, n_samples: Optional[int] = None, seed: Optional[int] = None) -> float:
     """Exact volume of a bounded polytope; 0.0 when its interior is empty.
 
-    dim = 1: interval length.  dim = 2: shoelace area of `vertices_2d`.
-    dim >= 3: Qhull's volume of the hull of P's vertices, taken about an
-    interior point (see `_vertex_offsets`), which does not change it.  Above
-    1-D no LP is solved when the origin is interior.  `n_samples` and `seed`
-    are accepted and ignored; they select nothing.  Raises ValueError for an
-    unbounded or empty P.
+    dim = 1: interval length.  dim >= 2: Qhull's volume (in 2-D, the area)
+    of the hull of P's vertices, taken about an interior point (see
+    `_vertex_offsets`), which does not change it; no LP is solved when the
+    origin is interior.  `n_samples` and `seed` are accepted and ignored;
+    they select nothing.  Raises ValueError for an unbounded or empty P.
     """
     if P.dim == 1:
         lo, hi = bounding_box(P)  # also rejects an unbounded or empty P
         return float(max(hi[0] - lo[0], 0.0))
-    if P.dim == 2:
-        V = vertices_2d(P)  # rejects an unbounded P with an interior
-        if V.size == 0:
-            bounding_box(P)  # no interior: rejects an unbounded or empty P
-            return 0.0
-        x, y = V[:, 0], V[:, 1]
-        return float(0.5 * abs(np.dot(x, np.roll(y, 1)) - np.dot(np.roll(x, 1), y)))
     offsets = _vertex_offsets(P)
     if offsets is None:
         bounding_box(P)  # no interior: rejects an unbounded or empty P

@@ -201,13 +201,14 @@ def _dare_residual(sys: LqSystem, K) -> float:
     return induced_two_norm(bellman_op(sys, K) - K)
 
 
-def solve_dare(sys: LqSystem, tol: float = DARE_TOL) -> tuple[np.ndarray, GainPolicy]:
+def solve_dare(sys: LqSystem) -> tuple[np.ndarray, GainPolicy]:
     """Stabilizing solution of the Riccati equation K = F(K), with its gain.
 
     Value iteration from Q is globally convergent; once the greedy closed loop
     is stable the tail is finished by Kleinman (policy-iteration) steps, which
-    converge quadratically.  Each iterate takes one `_riccati_step`, which
-    gives its greedy gain and its Bellman step (the residual) together.
+    converge quadratically, until a Kleinman step's residual |F(K) - K| is
+    within DARE_TOL of max(1, |K|).  Each iterate takes one `_riccati_step`,
+    which gives its greedy gain and its Bellman step (the residual) together.
     """
     K = sys.Q.copy()
     for _ in range(_MAX_VALUE_ITERS):
@@ -229,7 +230,7 @@ def solve_dare(sys: LqSystem, tol: float = DARE_TOL) -> tuple[np.ndarray, GainPo
         K = closed_loop_cost(sys, policy) if kleinman else check_square(FK, "F(K)")
         L, FK = _riccati_step(sys, K)
         if kleinman and (induced_two_norm(check_square(FK, "F(K)") - K)
-                         <= tol * max(1.0, induced_two_norm(K))):
+                         <= DARE_TOL * max(1.0, induced_two_norm(K))):
             return K, GainPolicy.from_system(sys, L)
     raise ArithmeticError(
         f"Riccati refinement stalled; last residual {_dare_residual(sys, K):.3e}"
@@ -266,4 +267,4 @@ def in_region_of_decreasing(sys: LqSystem, K) -> bool:
     """
     K = _check_cost(sys, K)
     FK = bellman_op(sys, K)
-    return psd_order_holds(K, FK, tol=PSD_TOL)
+    return psd_order_holds(K, FK)

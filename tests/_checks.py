@@ -546,6 +546,14 @@ def reference_maximal_invariant_set(D, Xhat, U, L, cap=500):
     raise ArithmeticError(f"not determined within {cap} steps")
 
 
+def assert_same_vertices(V, W, tol=1e-12):
+    """V and W hold the same vertices, in any order, each within tol
+    relative to max(1, |w|)."""
+    assert V.shape == W.shape
+    for w in W:
+        assert np.min(np.abs(V - w).max(axis=1)) <= tol * max(1.0, np.abs(w).max()), w
+
+
 def pairwise_vertices_2d(P, tol=1e-9):
     """Vertices of a bounded 2-D polytope from every pair of rows: the pair's
     intersection when it satisfies all rows, sorted by angle about the mean

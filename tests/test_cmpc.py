@@ -17,10 +17,10 @@ from lqmpc import (
     HPolytope,
     MpcController,
     TerminalDesign,
-    boundary_points,
     closed_loop_cost,
     contains,
     feasible_region_grid,
+    feasible_set_2d,
     greedy_gain,
     in_region_of_decreasing,
     iterate_bellman,
@@ -28,11 +28,13 @@ from lqmpc import (
     lp_solve,
     solve_qp,
     suboptimality_map,
+    vertices,
 )
 from lqmpc import cmpc, polytope, qp
-from _checks import (ball_loop_cost, check_policy_cost_below_value, controller_arrays,
-                     lp_verdicts, reference_condensation, reference_region_sweep,
-                     reference_results, reference_vertices, sample_interior)
+from _checks import (assert_same_vertices, ball_loop_cost, check_policy_cost_below_value,
+                     controller_arrays, lp_verdicts, pairwise_vertices_2d,
+                     reference_condensation, reference_region_sweep, reference_results,
+                     reference_vertices, sample_interior)
 
 
 SMALL_GRID = {"resolution": 21}
@@ -141,9 +143,9 @@ def test_design_terminal_matrix_in_region(di2d_sys, di2d_design_eff):
 
 
 def test_design_terminal_set_inside_state_set(di2d_prob, di2d_design_eff):
-    from lqmpc import vertices_2d
-
-    for v in vertices_2d(di2d_design_eff.S):
+    V = vertices(di2d_design_eff.S)
+    assert_same_vertices(V, pairwise_vertices_2d(di2d_design_eff.S))
+    for v in V:
         assert contains(di2d_prob.Xhat, v)
 
 
@@ -364,27 +366,74 @@ def test_region_shrunken_terminal_subset(di2d_prob, di2d_design_opt):
                 assert contains(di2d_prob.Xhat, np.array([x, y]))
 
 
+def _polygon_facets(V):
+    """Unit outward normals N and offsets h of the counterclockwise polygon
+    V, one per edge V[i] -> V[i + 1]: the polygon is {x | N x <= h}."""
+    nxt = np.roll(V, -1, axis=0)
+    N = np.column_stack([nxt[:, 1] - V[:, 1], V[:, 0] - nxt[:, 0]])
+    N /= np.hypot(N[:, 0], N[:, 1])[:, None]
+    return N, np.sum(N * V, axis=1)
+
+
 @pytest.mark.parametrize("which", ["eff", "opt"])
-@pytest.mark.parametrize("ell", [3, 10])
-def test_boundary_points_bracket_each_verdict_change(di2d_prob, request, which, ell):
-    # one refined point per grid edge whose two end verdicts differ, in the
-    # order of the edges, and a fresh controller's verdicts differ h/64 to
-    # either side of it along the edge
+@pytest.mark.parametrize("ell", [1, 3, 10])
+def test_feasible_set_2d_matches_the_grid_verdicts(di2d_prob, request, which, ell):
+    """Membership in X_ell, with slack 1e-9, against the region sweep's
+    verdict on every cell of the example-3 grid (101x101)."""
     design = request.getfixturevalue(f"di2d_design_{which}")
-    grid = feasible_region_grid(di2d_prob, design, ell, grid_spec={"resolution": 9})
-    F, xs, ys = grid.feasible, grid.xs, grid.ys
-    edges = [(np.array([xs[ix], ys[iy]]), np.array([xs[ix + dx], ys[iy + dy]]))
-             for iy in range(9) for ix in range(9) for dy, dx in ((0, 1), (1, 0))
-             if iy + dy < 9 and ix + dx < 9 and F[iy, ix] != F[iy + dy, ix + dx]]
-    pts = boundary_points(di2d_prob, design, ell, grid)
-    assert len(edges) > 0 and pts.shape == (len(edges), 2)
-    for p, (a, b) in zip(pts, edges):
-        t = (p - a) @ (b - a) / ((b - a) @ (b - a))
-        assert 0.0 < t < 1.0
-        np.testing.assert_allclose(p, a + t * (b - a), rtol=0, atol=1e-12)
-        ctl = MpcController(di2d_prob, design, ell)
-        step = (b - a) / 64
-        assert ctl.solve(p - step).feasible != ctl.solve(p + step).feasible
+    N, h = _polygon_facets(feasible_set_2d(di2d_prob, design, ell))
+    grid = feasible_region_grid(di2d_prob, design, ell, load_scenario("di-2d").grid_spec())
+    assert grid.feasible.shape == (101, 101)
+    assert 0 < grid.feasible.sum() < grid.feasible.size
+    X, Y = np.meshgrid(grid.xs, grid.ys)
+    points = np.column_stack([X.ravel(), Y.ravel()])
+    inside = np.all(points @ N.T <= h + 1e-9, axis=1)
+    mismatched = inside != grid.feasible.ravel()
+    assert not mismatched.any(), points[mismatched]
+
+
+@pytest.mark.parametrize("which", ["eff", "opt"])
+@pytest.mark.parametrize("ell", [1, 3, 10])
+def test_feasible_set_2d_is_exact(di2d_prob, request, which, ell):
+    """Each vertex of X_ell, pulled in by 1e-9 relative, is feasible, and
+    each edge's midpoint, moved 1e-6 outward, is not."""
+    design = request.getfixturevalue(f"di2d_design_{which}")
+    V = feasible_set_2d(di2d_prob, design, ell)
+    N, _ = _polygon_facets(V)
+    ctl = MpcController(di2d_prob, design, ell)
+    for v in V:
+        assert ctl.solve((1.0 - 1e-9) * v).feasible, v
+    for a, b, n in zip(V, np.roll(V, -1, axis=0), N):
+        assert not ctl.solve(0.5 * (a + b) + 1e-6 * n).feasible, (a, b)
+
+
+@pytest.mark.parametrize("which, ell, area", [
+    ("eff", 1, 35.3973), ("opt", 1, 26.9291),
+    ("eff", 3, 48.2183), ("opt", 3, 43.9668),
+    ("eff", 10, 50.0), ("opt", 10, 50.0),
+])
+def test_feasible_set_2d_is_a_counterclockwise_polygon(di2d_prob, request, which, ell, area):
+    # every turn is strictly to the left, so no vertex is collinear with its
+    # neighbours; the shoelace area is pinned to 4 decimals
+    V = feasible_set_2d(di2d_prob, request.getfixturevalue(f"di2d_design_{which}"), ell)
+    edges = np.roll(V, -1, axis=0) - V
+    turns = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
+    assert len(V) >= 3 and np.all(turns > 0.0)
+    x, y = V[:, 0], V[:, 1]
+    assert round(0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)), 4) == area
+
+
+@pytest.mark.parametrize("ell", [1, 3, 10])
+def test_amplified_feasible_set_contains_the_optimal(di2d_prob, di2d_design_eff,
+                                                     di2d_design_opt, ell):
+    N, h = _polygon_facets(feasible_set_2d(di2d_prob, di2d_design_eff, ell))
+    V = feasible_set_2d(di2d_prob, di2d_design_opt, ell)
+    assert np.max(V @ N.T - h) <= 1e-9
+
+
+def test_feasible_set_2d_needs_a_2d_state(ac4d_prob, ac4d_design_eff):
+    with pytest.raises(ValueError, match="2-D state"):
+        feasible_set_2d(ac4d_prob, ac4d_design_eff, 2)
 
 
 def test_submap_properties(di2d_prob, di2d_design_eff):

@@ -19,12 +19,12 @@ from lqmpc import (
     lp_solve,
     maximal_invariant_set,
     vertices,
-    vertices_2d,
     volume,
     zeta_dare,
 )
 from conftest import ZEFF_2D, ZEFF_4D
 from _checks import (
+    assert_same_vertices,
     check_terminal_invariance,
     lp_maximal_invariant_set,
     lp_remove_redundancy,
@@ -128,24 +128,22 @@ def test_lp_unbounded_status():
 
 
 # ---------------------------------------------------------------------------
-# vertices_2d
+# vertices
 # ---------------------------------------------------------------------------
 
 def test_vertices_unit_square():
-    V = vertices_2d(UNIT_SQUARE)
+    V = vertices(UNIT_SQUARE)
     assert len(V) == 4
     expected = {(0, 0), (1, 0), (1, 1), (0, 1)}
     got = {(round(v[0]), round(v[1])) for v in V}
     assert got == expected
 
 
-def test_vertices_triangle_ccw():
-    V = vertices_2d(TRIANGLE)
+def test_vertices_triangle():
+    # `vertices` keeps no order; `feasible_set_2d`'s counterclockwise order
+    # is tested in tests/test_cmpc.py
+    V = vertices(TRIANGLE)
     assert len(V) == 3
-    # shoelace signed area positive <=> counterclockwise
-    x, y = V[:, 0], V[:, 1]
-    signed = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-    assert signed > 0
     np.testing.assert_allclose(sorted(V.sum(axis=1)), [0.0, 1.0, 1.0], atol=1e-9)
 
 
@@ -154,11 +152,11 @@ def test_vertices_empty_interior():
         np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
         np.array([1.0, -2.0, 1.0, 1.0]),
     )
-    assert len(vertices_2d(empty)) == 0
+    assert len(vertices(empty)) == 0
 
 
 def test_vertices_inside_polytope():
-    V = vertices_2d(TRIANGLE)
+    V = vertices(TRIANGLE)
     for v in V:
         assert contains(TRIANGLE, v)
 
@@ -177,12 +175,9 @@ def test_vertices_of_a_box_are_its_corners(lo, hi):
         assert np.min(np.abs(V - c).max(axis=1)) <= 1e-12
 
 
-def test_vertices_match_vertices_2d():
-    V = vertices(TRIANGLE)
-    W = vertices_2d(TRIANGLE)
-    assert V.shape == W.shape
-    for w in W:
-        assert np.min(np.abs(V - w).max(axis=1)) <= 1e-12
+def test_vertices_match_pairwise_vertices_2d(di2d_design_eff):
+    for P in (TRIANGLE, BOX5, di2d_design_eff.S):
+        assert_same_vertices(vertices(P), pairwise_vertices_2d(P))
 
 
 def test_vertices_empty_interior_and_unbounded():
@@ -340,12 +335,12 @@ def test_volume_2d_solves_no_lp(monkeypatch, di2d_design_eff):
     S = di2d_design_eff.S
     expected = float(polytope.volume(S))
     calls = _lp_counting(monkeypatch)
-    # the shoelace area of the hull vertices, bit for bit, without an LP
+    # the shoelace area of the pair-loop vertices, within 1e-15, without an LP
     for P in (S, BOX5, HPolytope.box(np.array([-1.0, -2.0]), np.array([3.0, 1.0]))):
-        V = vertices_2d(P)
+        V = pairwise_vertices_2d(P)
         x, y = V[:, 0], V[:, 1]
         area = float(0.5 * abs(np.dot(x, np.roll(y, 1)) - np.dot(np.roll(x, 1), y)))
-        assert volume(P) == area
+        assert abs(volume(P) - area) <= 1e-15 * area
     assert volume(S) == expected
     assert calls == []
 
@@ -382,7 +377,7 @@ def test_invariant_set_optimal_design(di2d_sys, di2d_dare, di2d_sets):
     _, Lstar = di2d_dare
     S = maximal_invariant_set(Lstar.closed_loop, Xhat, U, Lstar.L)
     assert volume(S) == pytest.approx(16.0780899464, rel=1e-9)
-    V = vertices_2d(S)
+    V = vertices(S)
     # the binding faces cross the state box at x1 = +-5
     top = sorted(v[1] for v in V if abs(v[0] - 5.0) < 1e-7)
     np.testing.assert_allclose(top, [-2.50047435765, -0.892665363009], rtol=1e-8)
@@ -469,7 +464,7 @@ def test_invariant_set_maximality(di2d_sys, di2d_dare, di2d_sets):
     _, Lstar = di2d_dare
     D, L = Lstar.closed_loop, Lstar.L
     S = maximal_invariant_set(D, Xhat, U, L)
-    for v in vertices_2d(S):
+    for v in vertices(S):
         y = 1.001 * v
         if contains(S, y):
             continue  # vertex direction still inside at this inflation
@@ -485,7 +480,7 @@ def test_invariant_set_maximality(di2d_sys, di2d_dare, di2d_sets):
 
 def test_invariant_set_subset_of_state_box(di2d_design_eff, di2d_sets):
     Xhat, _ = di2d_sets
-    for v in vertices_2d(di2d_design_eff.S):
+    for v in vertices(di2d_design_eff.S):
         assert contains(Xhat, v)
 
 
@@ -509,9 +504,7 @@ def _assert_invariant_set_matches_lp(prob, zeta):
 @given(st.floats(1.0, 60.0))
 def test_invariant_set_matches_lp_reference_di2d(di2d_prob, zeta):
     S = _assert_invariant_set_matches_lp(di2d_prob, zeta)
-    V = vertices_2d(S)
-    W = pairwise_vertices_2d(S)
-    assert V.shape == W.shape and np.array_equal(V, W)
+    assert_same_vertices(vertices(S), pairwise_vertices_2d(S))
 
 
 @settings(max_examples=3, deadline=None)
@@ -583,12 +576,12 @@ def test_origin_outside_uses_one_lp(monkeypatch):
 
     monkeypatch.setattr(polytope, "linprog", counting_linprog)
     kept = remove_redundancy(P)
-    V = vertices_2d(P)
+    V = vertices(P)
     assert len(calls) == 2  # one Chebyshev centre each
     _assert_same_rows(kept, reference)
     _assert_same_rows(kept, HPolytope(P.H[[0, 1, 3, 4]], P.h[[0, 1, 3, 4]]))
-    np.testing.assert_array_equal(V, pairwise_vertices_2d(P))
-    np.testing.assert_allclose(V, [[10.0, 3.0], [12.0, 3.0], [12.0, 4.0], [10.0, 4.0]])
+    assert_same_vertices(V, pairwise_vertices_2d(P))
+    assert_same_vertices(V, np.array([[10.0, 3.0], [12.0, 3.0], [12.0, 4.0], [10.0, 4.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -763,12 +756,12 @@ def test_remove_redundancy_rejects_unbounded_or_flat(P):
 def test_unbounded_inputs_raise_elsewhere(di2d_sets):
     _, U = di2d_sets
     with pytest.raises(ValueError):
-        vertices_2d(STRIP)
+        vertices(STRIP)
     with pytest.raises(ValueError):  # state set unbounded
         maximal_invariant_set(0.5 * np.eye(2), STRIP, U, np.zeros((1, 2)))
     with pytest.raises(ValueError):  # origin on the boundary
         maximal_invariant_set(0.5 * np.eye(2), SEGMENT, U, np.zeros((1, 2)))
-    assert len(vertices_2d(SEGMENT)) == 0
+    assert len(vertices(SEGMENT)) == 0
 
 
 # ---------------------------------------------------------------------------
