@@ -53,7 +53,7 @@ from .cmpc import (
     MpcStep,
     TerminalDesign,
     feasible_region_grid,
-    feasible_set_2d,
+    feasible_set,
     suboptimality_map,
 )
 from .scenarios import Scenario, ScenarioError, builtin_names, load_scenario

@@ -28,7 +28,7 @@ from .cmpc import (
     MpcController,
     TerminalDesign,
     feasible_region_grid,
-    feasible_set_2d,
+    feasible_set,
     suboptimality_map,
 )
 from .matcore import induced_two_norm
@@ -149,17 +149,20 @@ def _parse_list(text: str, cast, what: str, repeats: bool = False) -> list:
         raise ScenarioError(f"could not parse {what} list '{text}'") from None
     if not items:
         raise ScenarioError(f"empty {what} list")
-    if not repeats:
-        seen = set()
-        for v in items:
-            if v in seen:
-                raise ScenarioError(f"{what} {v:g} given twice in '{text}'")
-            seen.add(v)
+    seen = set()
+    for v in items:
+        if not math.isfinite(v):
+            raise ScenarioError(f"{what} must be finite, got {v:g}")
+        if v in seen and not repeats:
+            raise ScenarioError(f"{what} {v:g} given twice in '{text}'")
+        seen.add(v)
     return items
 
 
 def _amplifications(zetas: list) -> list:
     for z in zetas:
+        if not math.isfinite(z):
+            raise ScenarioError(f"zeta must be finite, got {z:g}")
         if not z >= 1.0:
             raise ScenarioError(f"zeta must be >= 1, got {z:g}")
     return zetas
@@ -352,7 +355,7 @@ def cmd_region(args) -> int:
     tag = f"{sc.name}-ell{ell}-{args.terminal}"
     csv_path = _write_grid(grid, os.path.join(out, f"region-{tag}"),
                            f"feasible region (ell={ell})", 3)
-    V = feasible_set_2d(prob, design, ell)
+    V = feasible_set(prob, design, ell)
     bpath = os.path.join(out, f"region-boundary-{tag}.csv")
     with open(bpath, "w", encoding="utf-8") as f:
         f.write("x1,x2\n")

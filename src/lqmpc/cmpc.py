@@ -4,7 +4,7 @@ The finite-horizon problem with terminal cost x'Kx and terminal set S is
 solved as a condensed QP.  The engine evaluates the receding-horizon policy,
 simulates closed loops to measure realized infinite-horizon cost, sweeps
 feasibility / suboptimality maps over 2-D grids, and gives the exact
-feasible set of a 2-D problem by support LPs.
+feasible set in any dimension by support LPs.
 
 Infeasibility is identified with infinite cost (indicator-function semantics
 of the state constraint set).
@@ -12,12 +12,14 @@ of the state constraint set).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.spatial import ConvexHull
 
 from .matcore import check_square, symmetrize
 from .polytope import HPolytope, bounding_box, lp_solve, maximal_invariant_set, vertices
@@ -38,13 +40,13 @@ __all__ = [
     "CostMapGrid",
     "feasible_region_grid",
     "suboptimality_map",
-    "feasible_set_2d",
+    "feasible_set",
 ]
 
 _SIM_CAP = 10_000
-# `feasible_set_2d` splits an edge when the support LP in its outward normal
-# passes the edge by more than this, relative to max(1, the edge's offset)
-_EDGE_RTOL = 1e-9
+# `feasible_set` adds a support LP's point when it passes the facet in whose
+# outward normal it was found by more than this, relative to max(1, offset)
+_FACET_RTOL = 1e-9
 # the horizon whose closed loop stands in for the optimal cost J_opt
 APPROX_OPT_HORIZON = 100
 # a stored infeasibility certificate answers a query only when its lower
@@ -670,57 +672,46 @@ def suboptimality_map(
     return _run_sweep(prob, design, ell, grid_spec, "submap")
 
 
-def feasible_set_2d(prob: ConstrainedProblem, design: TerminalDesign, ell: int) -> np.ndarray:
-    """Counterclockwise vertices of the feasible set X_ell of a 2-D problem.
+def feasible_set(prob: ConstrainedProblem, design: TerminalDesign, ell: int) -> np.ndarray:
+    """Vertices of the feasible set X_ell, counterclockwise in 2-D.
 
     X_ell = {x0 | G z - g_map x0 <= g_const for some z} is the projection
     onto x0 of a polytope in (x0, z), built from the controller's rows (less
     its zero rows, which hold everywhere).  A support LP on that polytope
     (`lp_solve`) gives a point of X_ell that is extreme in any direction, so
-    its hull is exact after finitely many LPs (Lassez & Lassez 1992): start
-    from the supports in the 4 axis directions, solve one LP in each edge's
-    outward normal, and split the edge at the LP's point when that passes
-    the edge by more than `_EDGE_RTOL`.  Points within the same margin of
-    the line through their neighbours are dropped at the end.  Raises
-    ValueError unless the state is 2-D.
+    the hull of such points is exact after finitely many LPs (Lassez &
+    Lassez 1992): seed it in the 2n axis and 2^n diagonal directions, then
+    solve one LP in the outward normal of each facet not yet confirmed and
+    rebuild it, until no LP passes its facet by more than `_FACET_RTOL`.
+    A 1-D state raises ValueError, from Qhull.
     """
-    if prob.sys.n != 2:
-        raise ValueError("feasible_set_2d needs a 2-D state")
+    n = prob.sys.n
     ctl = MpcController(prob, design, ell)
     lifted = np.hstack([-ctl._g_map, ctl._qp.G])
     keep = np.any(lifted != 0.0, axis=1)
     P = HPolytope(lifted[keep], ctl._g_const[keep])
 
     def support(c) -> np.ndarray:
-        r = lp_solve(np.concatenate([c, np.zeros(P.dim - 2)]), P)
+        r = lp_solve(np.concatenate([c, np.zeros(P.dim - n)]), P)
         if r.status != "optimal":
             raise ValueError(f"support LP of the feasible set {r.status}")
-        return r.x[:2] + 0.0  # clears the sign of a zero
+        return r.x[:n] + 0.0  # clears the sign of a zero
 
-    def outward(a, b) -> tuple[np.ndarray, float]:
-        # the unit outward normal n of the counterclockwise edge a -> b, and
-        # the value of n'x that a point x must pass to lie beyond the edge
-        n = np.array([b[1] - a[1], a[0] - b[0]])
-        n /= np.hypot(n[0], n[1])
-        return n, n @ a + _EDGE_RTOL * max(1.0, abs(n @ a))
-
-    def between(a, b) -> list:
-        n, beyond = outward(a, b)
-        p = support(n)
-        return between(a, p) + [p] + between(p, b) if n @ p > beyond else []
-
-    # the axis supports, counterclockwise; a point extreme in two comes once
-    seeds = [support(np.array(c)) for c in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))]
-    seeds = [p for p, q in zip(seeds, seeds[1:] + seeds[:1])
-             if np.max(np.abs(p - q)) > _EDGE_RTOL * max(1.0, np.max(np.abs(p)))]
-    V = []
-    for a, b in zip(seeds, seeds[1:] + seeds[:1]):
-        V += [a] + between(a, b)
-    i = 0
-    while i < len(V) and len(V) > 3:
-        n, beyond = outward(V[i - 1], V[(i + 1) % len(V)])
-        if n @ V[i] > beyond:
-            i += 1
-        else:  # V[i] lies on the line through its neighbours
-            del V[i]
-    return np.array(V)
+    seeds = np.vstack([np.eye(n), -np.eye(n), list(itertools.product((1.0, -1.0), repeat=n))])
+    points = [support(c) for c in seeds]
+    confirmed = set()  # facet planes of X_ell, by their equation to 12 digits
+    while True:
+        hull = ConvexHull(points)
+        kept = []
+        # one LP per unconfirmed plane, normal' x + eq[n] <= 0 inside the hull;
+        # a rounded key that misses costs one LP more, never a wrong answer
+        for key, eq in {tuple(np.round(eq, 12)): eq for eq in hull.equations}.items():
+            if key not in confirmed:
+                p = support(eq[:n])
+                if eq[:n] @ p + eq[n] > _FACET_RTOL * max(1.0, abs(eq[n])):
+                    kept.append(p)
+                else:
+                    confirmed.add(key)
+        if not kept:
+            return hull.points[hull.vertices]
+        points += kept

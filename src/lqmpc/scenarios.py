@@ -216,7 +216,7 @@ def _as_matrix(field: str, value) -> np.ndarray:
         for j, v in enumerate(row):
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ScenarioError(f"field '{field}': row {i}, entry {j} is not a number")
-    return np.asarray(value, dtype=float)
+    return _finite(field, np.asarray(value, dtype=float))
 
 
 def _as_vector(field: str, value) -> np.ndarray:
@@ -224,7 +224,13 @@ def _as_vector(field: str, value) -> np.ndarray:
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
     ):
         raise ScenarioError(f"field '{field}': expected an array of numbers")
-    return np.asarray(value, dtype=float)
+    return _finite(field, np.asarray(value, dtype=float))
+
+
+def _finite(field: str, value):
+    if not np.all(np.isfinite(value)):
+        raise ScenarioError(f"field '{field}': non-finite value")
+    return value
 
 
 def _parse_lines(text: str) -> dict:
@@ -297,13 +303,13 @@ def load_scenario(path_or_name: str) -> Scenario:
     if "terminal_kind" in data:
         kw["terminal_kind"] = str(data["terminal_kind"])
     if "zeta" in data:
-        kw["zeta"] = float(data["zeta"])
+        kw["zeta"] = _finite("zeta", float(data["zeta"]))
     if "zeta_effective" in data:
-        kw["zeta_effective"] = float(data["zeta_effective"])
+        kw["zeta_effective"] = _finite("zeta_effective", float(data["zeta_effective"]))
     if "horizon" in data:
-        kw["horizon"] = int(data["horizon"])
+        kw["horizon"] = int(_finite("horizon", float(data["horizon"])))
     if "grid_resolution" in data:
-        kw["grid_resolution"] = int(data["grid_resolution"])
+        kw["grid_resolution"] = int(_finite("grid_resolution", float(data["grid_resolution"])))
     if "grid_bounds" in data:
         gb = data["grid_bounds"]
         if not (isinstance(gb, list) and len(gb) == 2):

@@ -422,15 +422,6 @@ def check_policy_cost_below_value(prob, design, ell, n_states=500, seed=17):
     return f"{collected} feasible states satisfy the policy-value inequality"
 
 
-def lp_verdicts(args):
-    """Feasibility verdicts of the ell-step QP at each point, each from its
-    own Phase-1 LP: no shortcut and no stored certificate.  Takes one
-    (prob, design, ell, points) tuple, so that a process pool can map it."""
-    prob, design, ell, points = args
-    ctl = MpcController(prob, design, ell)
-    return [_phase1(ctl.qp_at(x0))[1] is None for x0 in points]
-
-
 def reference_results(args):
     """(status, objective) of `reference_solve_qp` on the ell-step QP at
     each point.  Takes one (prob, design, ell, points) tuple, so that a

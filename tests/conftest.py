@@ -85,3 +85,8 @@ def ac4d_prob(ac4d_sys):
 @pytest.fixture(scope="session")
 def ac4d_design_eff(ac4d_prob):
     return TerminalDesign.for_amplified_cost(ac4d_prob, ZEFF_4D)
+
+
+@pytest.fixture(scope="session")
+def ac4d_design_opt(ac4d_prob):
+    return TerminalDesign.for_optimal_cost(ac4d_prob)

@@ -269,6 +269,31 @@ def test_input_errors_exit_2_with_an_error_line(tmp_path, capsys, argv, message)
     assert not any(tmp_path.iterdir())  # no CSV, not even an empty one
 
 
+@pytest.mark.parametrize("argv, scenario_edit, message", [
+    (["simulate", "--scenario", "di-2d", "--x0", "nan,0"], None, "x0 must be finite, got nan"),
+    (["terminal-set", "--scenario", "di-2d", "--zeta", "inf"], None,
+     "zeta must be finite, got inf"),
+    (["bounds", "--scenario", "di-2d", "--zeta", "inf"], None, "zeta must be finite, got inf"),
+    (["simulate"], ("x0: [1, 0]", "x0: [NaN, 0.0]"), "field 'x0': non-finite value"),
+    (["bounds"], ("zeta: 10", "zeta: Infinity"), "field 'zeta': non-finite value"),
+    (["region"], ("horizon: 4", "horizon: Infinity"), "field 'horizon': non-finite value"),
+    (["region"], ("horizon: 4", "grid_resolution: NaN"),
+     "field 'grid_resolution': non-finite value"),
+])
+def test_non_finite_numbers_exit_2_with_an_error_line(tmp_path, capsys, argv, scenario_edit,
+                                                      message):
+    # from the command line or from a scenario file, which JSON lets hold
+    # NaN and Infinity
+    if scenario_edit is not None:
+        f = tmp_path / "toy.scn"
+        f.write_text(GOOD.replace(*scenario_edit))
+        argv = argv + ["--scenario", str(f)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bounds"])  # missing required --scenario

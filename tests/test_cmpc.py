@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from lqmpc import (
     ConstrainedProblem,
@@ -20,7 +22,7 @@ from lqmpc import (
     closed_loop_cost,
     contains,
     feasible_region_grid,
-    feasible_set_2d,
+    feasible_set,
     greedy_gain,
     in_region_of_decreasing,
     iterate_bellman,
@@ -32,7 +34,7 @@ from lqmpc import (
 )
 from lqmpc import cmpc, polytope, qp
 from _checks import (assert_same_vertices, ball_loop_cost, check_policy_cost_below_value,
-                     controller_arrays, lp_verdicts, pairwise_vertices_2d,
+                     controller_arrays, pairwise_vertices_2d,
                      reference_condensation, reference_region_sweep, reference_results,
                      reference_vertices, sample_interior)
 
@@ -381,7 +383,7 @@ def test_feasible_set_2d_matches_the_grid_verdicts(di2d_prob, request, which, el
     """Membership in X_ell, with slack 1e-9, against the region sweep's
     verdict on every cell of the example-3 grid (101x101)."""
     design = request.getfixturevalue(f"di2d_design_{which}")
-    N, h = _polygon_facets(feasible_set_2d(di2d_prob, design, ell))
+    N, h = _polygon_facets(feasible_set(di2d_prob, design, ell))
     grid = feasible_region_grid(di2d_prob, design, ell, load_scenario("di-2d").grid_spec())
     assert grid.feasible.shape == (101, 101)
     assert 0 < grid.feasible.sum() < grid.feasible.size
@@ -398,7 +400,7 @@ def test_feasible_set_2d_is_exact(di2d_prob, request, which, ell):
     """Each vertex of X_ell, pulled in by 1e-9 relative, is feasible, and
     each edge's midpoint, moved 1e-6 outward, is not."""
     design = request.getfixturevalue(f"di2d_design_{which}")
-    V = feasible_set_2d(di2d_prob, design, ell)
+    V = feasible_set(di2d_prob, design, ell)
     N, _ = _polygon_facets(V)
     ctl = MpcController(di2d_prob, design, ell)
     for v in V:
@@ -415,7 +417,7 @@ def test_feasible_set_2d_is_exact(di2d_prob, request, which, ell):
 def test_feasible_set_2d_is_a_counterclockwise_polygon(di2d_prob, request, which, ell, area):
     # every turn is strictly to the left, so no vertex is collinear with its
     # neighbours; the shoelace area is pinned to 4 decimals
-    V = feasible_set_2d(di2d_prob, request.getfixturevalue(f"di2d_design_{which}"), ell)
+    V = feasible_set(di2d_prob, request.getfixturevalue(f"di2d_design_{which}"), ell)
     edges = np.roll(V, -1, axis=0) - V
     turns = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
     assert len(V) >= 3 and np.all(turns > 0.0)
@@ -426,14 +428,63 @@ def test_feasible_set_2d_is_a_counterclockwise_polygon(di2d_prob, request, which
 @pytest.mark.parametrize("ell", [1, 3, 10])
 def test_amplified_feasible_set_contains_the_optimal(di2d_prob, di2d_design_eff,
                                                      di2d_design_opt, ell):
-    N, h = _polygon_facets(feasible_set_2d(di2d_prob, di2d_design_eff, ell))
-    V = feasible_set_2d(di2d_prob, di2d_design_opt, ell)
+    N, h = _polygon_facets(feasible_set(di2d_prob, di2d_design_eff, ell))
+    V = feasible_set(di2d_prob, di2d_design_opt, ell)
     assert np.max(V @ N.T - h) <= 1e-9
 
 
-def test_feasible_set_2d_needs_a_2d_state(ac4d_prob, ac4d_design_eff):
-    with pytest.raises(ValueError, match="2-D state"):
-        feasible_set_2d(ac4d_prob, ac4d_design_eff, 2)
+@pytest.fixture(scope="module")
+def ac4d_feasible_sets(ac4d_prob, ac4d_design_eff, ac4d_design_opt):
+    """X_ell of ac-4d at the scenario's horizon ell = 2, per design."""
+    return {"eff": feasible_set(ac4d_prob, ac4d_design_eff, 2),
+            "opt": feasible_set(ac4d_prob, ac4d_design_opt, 2)}
+
+
+@pytest.mark.parametrize("case", [
+    ("di-2d", "eff", 1), ("di-2d", "opt", 1), ("di-2d", "eff", 3), ("di-2d", "opt", 3),
+    ("di-2d", "eff", 10), ("di-2d", "opt", 10), ("ac-4d", "eff", 2),
+], ids=lambda case: "-".join(map(str, case)))
+def test_feasible_set_facets_are_supporting(request, case):
+    """No support LP on the lifted polytope, built from the reference
+    condensation, passes a facet plane of X_ell's hull by more than 1e-9
+    relative to max(1, the facet's offset)."""
+    scenario, which, ell = case
+    name = scenario.replace("-", "")
+    prob = request.getfixturevalue(f"{name}_prob")
+    design = request.getfixturevalue(f"{name}_design_{which}")
+    if scenario == "ac-4d":
+        V = request.getfixturevalue("ac4d_feasible_sets")[which]
+    else:
+        V = feasible_set(prob, design, ell)
+    ref = reference_condensation(prob, design, ell)
+    n, nz = prob.sys.n, ref["G"].shape[1]
+    A_ub = np.hstack([-ref["g_map"], ref["G"]])
+    planes = np.unique(np.round(ConvexHull(V).equations, 12), axis=0)
+    worst = 0.0
+    for eq in planes:
+        lp = linprog(np.r_[-eq[:n], np.zeros(nz)], A_ub=A_ub, b_ub=ref["g_const"],
+                     bounds=[(None, None)] * (n + nz), method="highs")
+        assert lp.status == 0, lp.message
+        worst = max(worst, (-lp.fun + eq[n]) / max(1.0, abs(eq[n])))
+    assert worst <= 1e-9, worst
+
+
+def test_amplified_feasible_set_of_ac4d_is_smaller(ac4d_prob, ac4d_design_eff,
+                                                   ac4d_design_opt, ac4d_feasible_sets):
+    """On ac-4d, at its own zeta_eff = 8 and ell = 2, the amplified design's
+    X_ell is the smaller set and misses part of the optimal design's: a
+    counterexample to "can have a larger feasible region"."""
+    V_eff, V_opt = ac4d_feasible_sets["eff"], ac4d_feasible_sets["opt"]
+    hull = ConvexHull(V_eff)
+    assert f"{hull.volume:.4g}" == "2.971e+04"
+    assert f"{ConvexHull(V_opt).volume:.4g}" == "3.29e+04"
+    excess = np.max(V_opt @ hull.equations[:, :-1].T + hull.equations[:, -1], axis=1)
+    assert round(float(np.max(excess)), 2) == 1.77
+    # the vertex of largest excess, pulled in by 1e-9 relative, is a witness
+    # by the controllers alone, apart from the projection
+    witness = (1.0 - 1e-9) * V_opt[np.argmax(excess)]
+    assert MpcController(ac4d_prob, ac4d_design_opt, 2).solve(witness).feasible
+    assert not MpcController(ac4d_prob, ac4d_design_eff, 2).solve(witness).feasible
 
 
 def test_submap_properties(di2d_prob, di2d_design_eff):
@@ -1155,49 +1206,64 @@ def test_query_on_a_region_boundary_is_answered_by_the_qp(di2d_prob, di2d_design
 
 
 @pytest.fixture(scope="module")
-def lp_pool():
+def grid_reference(di2d_prob, di2d_design_eff, di2d_design_opt):
+    """`reference_results` on every cell of the example-3 grid (101x101), row
+    by row, as (xs, ys, [(status, objective)]), per (design, ell): one
+    Phase-1 LP of its own per cell, and on a feasible cell the primal
+    active-set solver.  Each grid is computed once, in a pool of 2
+    processes, and read by both grid tests below."""
+    designs = {"eff": di2d_design_eff, "opt": di2d_design_opt}
+    xs, ys = cmpc._grid_axes(di2d_prob, load_scenario("di-2d").grid_spec())
+    points = np.array([(x, y) for y in ys for x in xs])
+    references = {}
     with multiprocessing.get_context("spawn").Pool(2) as pool:
-        yield pool
+        def reference(which, ell):
+            if (which, ell) not in references:
+                chunks = [(di2d_prob, designs[which], ell, c) for c in np.array_split(points, 2)]
+                references[which, ell] = (
+                    xs, ys, [r for part in pool.map(reference_results, chunks) for r in part])
+            return references[which, ell]
+        yield reference
 
 
 @pytest.mark.parametrize("which", ["eff", "opt"])
 @pytest.mark.parametrize("ell", [3, 10])
-def test_certificates_match_lp_on_every_grid_cell(di2d_prob, request, which, ell, lp_pool):
+def test_certificates_match_lp_on_every_grid_cell(di2d_prob, request, which, ell,
+                                                  grid_reference):
     """The example-3 grid (101x101) of the sweep against the LP-every-time
     path.
 
     The store only ever answers "infeasible", and a cell it does not answer
     runs the same QP as a controller without a store.  So the two can differ
     only on cells the sweep calls infeasible, and each of those gets a
-    Phase-1 LP of its own.
+    Phase-1 LP of its own, in the reference.
     """
     design = request.getfixturevalue(f"di2d_design_{which}")
     grid = feasible_region_grid(di2d_prob, design, ell, load_scenario("di-2d").grid_spec())
     assert grid.feasible.shape == (101, 101)
+    xs, ys, reference = grid_reference(which, ell)
+    assert np.array_equal(grid.xs, xs) and np.array_equal(grid.ys, ys)
     iy, ix = np.nonzero(~grid.feasible)
     assert iy.size > 5000
     assert np.all(grid.cost[iy, ix] == math.inf)
-    points = np.column_stack([grid.xs[ix], grid.ys[iy]])
-    chunks = [(di2d_prob, design, ell, c) for c in np.array_split(points, 2)]
-    verdicts = np.concatenate(lp_pool.map(lp_verdicts, chunks))
-    assert not verdicts.any(), points[verdicts]
+    lp_feasible = np.array([status != "infeasible" for status, _ in reference])
+    lp_feasible = lp_feasible.reshape(grid.feasible.shape)[iy, ix]
+    assert not lp_feasible.any(), np.column_stack([xs[ix], ys[iy]])[lp_feasible]
 
 
 @pytest.mark.parametrize("which", ["eff", "opt"])
 @pytest.mark.parametrize("ell", [3, 10])
 def test_dual_qp_matches_reference_on_every_grid_cell(di2d_prob, request, which, ell,
-                                                      lp_pool):
+                                                      grid_reference):
     """The example-3 grid (101x101) against the Phase-1 LP and primal
     active-set solver that the dual method replaced: the controller's verdict
     on every cell, and on every feasible cell both the controller's value
     and the dual method's own objective (no shortcut), within 1e-12 of the
     reference's, relative to max(1, |reference|)."""
     design = request.getfixturevalue(f"di2d_design_{which}")
-    xs, ys = cmpc._grid_axes(di2d_prob, load_scenario("di-2d").grid_spec())
+    xs, ys, reference = grid_reference(which, ell)
     points = np.array([(x, y) for y in ys for x in xs])
     assert len(points) == 101 * 101
-    chunks = [(di2d_prob, design, ell, c) for c in np.array_split(points, 2)]
-    reference = [r for part in lp_pool.map(reference_results, chunks) for r in part]
     ctl = MpcController(di2d_prob, design, ell)
     n_feasible = 0
     n_stored = 0

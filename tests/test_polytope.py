@@ -140,8 +140,8 @@ def test_vertices_unit_square():
 
 
 def test_vertices_triangle():
-    # `vertices` keeps no order; `feasible_set_2d`'s counterclockwise order
-    # is tested in tests/test_cmpc.py
+    # `vertices` keeps no order; the counterclockwise order of a 2-D
+    # `feasible_set` is tested in tests/test_cmpc.py
     V = vertices(TRIANGLE)
     assert len(V) == 3
     np.testing.assert_allclose(sorted(V.sum(axis=1)), [0.0, 1.0, 1.0], atol=1e-9)
