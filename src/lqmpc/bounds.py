@@ -25,17 +25,11 @@ from .matcore import (
     induced_two_norm,
     is_stable,
     min_eigenvalue,
+    psd_order_holds,
     solve_dlyap,
     spectral_radius,
 )
-from .riccati import (
-    GainPolicy,
-    LqSystem,
-    bellman_op,
-    greedy_gain,
-    in_region_of_decreasing,
-    iterate_bellman,
-)
+from .riccati import GainPolicy, LqSystem, _horizon_ladder, greedy_gain
 
 __all__ = [
     "BoundsReport",
@@ -66,16 +60,6 @@ class BoundsReport:
     bound_newton: float
     actual_gap: float
     design_distance: float  # ||K - K*||
-
-
-def _require_in_region(sys: LqSystem, K) -> None:
-    if not in_region_of_decreasing(sys, K):
-        FK = bellman_op(sys, K)
-        margin = min_eigenvalue(np.asarray(K) - FK)
-        raise ValueError(
-            "K is not in the region of decreasing: "
-            f"min eig(K - F(K)) = {margin:.3e} < 0"
-        )
 
 
 def alpha_const(sys: LqSystem, Lstar: GainPolicy) -> float:
@@ -190,21 +174,27 @@ def gap_of_policy(sys: LqSystem, policy: GainPolicy) -> float:
 
 def full_report(sys: LqSystem, K, ell: int) -> BoundsReport:
     """Compute every constant, all three bounds, and the exact gap at (K, ell),
-    from K*, L* (the system's cached pair), Kbar = F^(ell-1)(K) and the greedy
-    gain L~ at Kbar.  The contraction bound is
+    from K*, L* (the system's cached pair) and one receding-horizon ladder
+    from K: F(K) for the region-of-decreasing check, Kbar = F^(ell-1)(K) and
+    the greedy gain L~ at Kbar.  The contraction bound is
 
         (c2 / (c1 (1 - rho))) * (rho + (c2/c1) alpha) * beta_ell * ||K - K*||,
 
     with (rho, c1, c2) from the weighted norm built for the closed loop of L~.
     """
     K = np.asarray(K, dtype=float)
-    _require_in_region(sys, K)
     Kstar, Lstar = sys.optimal
+    beta = beta_const(sys, Lstar, ell)
+    gains, iterates = _horizon_ladder(sys, K, ell)
+    if not psd_order_holds(iterates[0], iterates[1]):
+        raise ValueError(
+            "K is not in the region of decreasing: "
+            f"min eig(K - F(K)) = {min_eigenvalue(K - iterates[1]):.3e} < 0"
+        )
     dist = induced_two_norm(K - Kstar)
     alpha = alpha_const(sys, Lstar)
-    beta = beta_const(sys, Lstar, ell)
-    Kbar = iterate_bellman(sys, K, ell - 1)
-    Lt = greedy_gain(sys, Kbar)
+    Kbar = iterates[ell - 1]
+    Lt = GainPolicy.from_system(sys, gains[ell - 1])
     wn = build_weighted_norm(Lt.closed_loop)
     ratio = wn.c2 / wn.c1
     gamma = _newton_gamma(sys, Kbar, Lt.closed_loop)

@@ -446,21 +446,17 @@ def _apply_cell(cs: CheckSet, name: str, value: float, cell: tuple) -> None:
 
 def _reproduce_example1(cs: CheckSet, out: str) -> list[str]:
     sc = load_scenario("lqr-scalar")
-    t0 = time.perf_counter()
     rep = full_report(sc.system, sc.K0, 1)
-    elapsed = time.perf_counter() - t0
     _write_bounds_csv(
         os.path.join(out, "example1-bounds.csv"), [(1, "ok", rep)],
         "reconstructed K0 = 180 (reported only as an initial matrix of 180)",
     )
     for field, target in _EXAMPLE1_TARGETS.items():
         cs.rel(f"example1.{field}", getattr(rep, field), target, 0.05)
-    cs.runtime("example1.runtime", elapsed, 1.0)
     return ["example 1: scalar study with reconstructed K0 = 180"]
 
 
 def _reproduce_table1(cs: CheckSet, out: str) -> list[str]:
-    t0 = time.perf_counter()
     rows = []
     for name, ratio_target, dist_target in _TABLE1:
         sc = load_scenario(name)
@@ -472,17 +468,14 @@ def _reproduce_table1(cs: CheckSet, out: str) -> list[str]:
         rows.append((name, sc.amplification(), ratio, dist))
         cs.abs(f"table1.{name}.norm_ratio", ratio, ratio_target, 0.1)
         cs.rel(f"table1.{name}.distance", dist, dist_target, 0.01)
-    elapsed = time.perf_counter() - t0
     with open(os.path.join(out, "table1.csv"), "w", encoding="utf-8") as f:
         f.write("scenario,amplification,norm_ratio,distance\n")
         for name, amp, ratio, dist in rows:
             f.write(f"{name},{_fmt(amp)},{_fmt(ratio)},{_fmt(dist)}\n")
-    cs.runtime("table1.runtime", elapsed, 1.0)
     return ["table 1: terminal matrix ratio/distance at the calibrated amplification"]
 
 
 def _reproduce_table2(cs: CheckSet, out: str) -> list[str]:
-    t0 = time.perf_counter()
     reports, cache = [], {}
     for name, ell, g_c, c_c, m_c, n_c in _TABLE2:
         if name not in cache:
@@ -495,36 +488,30 @@ def _reproduce_table2(cs: CheckSet, out: str) -> list[str]:
         _apply_cell(cs, f"table2.{name}.ell{ell}.contraction", rep.bound_contraction, c_c)
         _apply_cell(cs, f"table2.{name}.ell{ell}.monotone", rep.bound_monotone, m_c)
         _apply_cell(cs, f"table2.{name}.ell{ell}.newton", rep.bound_newton, n_c)
-    elapsed = time.perf_counter() - t0
     with open(os.path.join(out, "table2.csv"), "w", encoding="utf-8") as f:
         f.write("scenario," + _BOUNDS_HEADER + "\n")
         for name, ell, rep in reports:
             f.write(f"{name},{ell},ok,{_bounds_fields(rep)}\n")
-    cs.runtime("table2.runtime", elapsed, 10.0)
     return ["table 2: optimality gap and bounds across horizons"]
 
 
 def _reproduce_table3(cs: CheckSet, out: str) -> list[str]:
     sc = load_scenario("di-2d")
-    t0 = time.perf_counter()
     vol_base, rows = _terminal_sets(sc.constrained_problem(), [z for z, _ in _TABLE3], out)
     for (z, _, ratio, contained), (_, target) in zip(rows, _TABLE3):
         cs.abs(f"table3.zeta{z:g}.volume_ratio", ratio, target, 0.05)
         cs.flag(f"table3.zeta{z:g}.contained", contained, "terminal set inside state set")
-    elapsed = time.perf_counter() - t0
     with open(os.path.join(out, "table3.csv"), "w", encoding="utf-8") as f:
         f.write("zeta,volume,ratio\n")
         f.write(f"1,{_fmt(vol_base)},1\n")
         for z, v, ratio, _ in rows:
             f.write(f"{_fmt(z)},{_fmt(v)},{_fmt(ratio)}\n")
     cs.info("table3.base_volume", vol_base, "terminal set volume for the optimal design")
-    cs.runtime("table3.runtime", elapsed, 30.0)
     return ["table 3: terminal set volume ratios (2-D volumes computed exactly)"]
 
 
 def _reproduce_example3(cs: CheckSet, out: str) -> list[str]:
     sc = load_scenario("di-2d")
-    t0 = time.perf_counter()
     prob = sc.constrained_problem()
     amplified = _design(prob, sc, "scenario")
     optimal = TerminalDesign.for_optimal_cost(prob)
@@ -552,14 +539,11 @@ def _reproduce_example3(cs: CheckSet, out: str) -> list[str]:
     finite = submap.rel_gap[np.isfinite(submap.rel_gap)]
     max_gap = float(finite.max()) if finite.size else math.nan
     cs.upper("example3.max_relative_suboptimality", max_gap, 0.005)
-    elapsed = time.perf_counter() - t0
-    cs.runtime("example3.runtime", elapsed, 600.0)
     return ["example 3: feasible-region containment and suboptimality sweep"]
 
 
 def _reproduce_example4(cs: CheckSet, out: str) -> list[str]:
     sc = load_scenario("ac-4d")
-    t0 = time.perf_counter()
     prob = sc.constrained_problem()
     design = _design(prob, sc, "scenario")
     ell = sc.horizon
@@ -576,7 +560,6 @@ def _reproduce_example4(cs: CheckSet, out: str) -> list[str]:
         for r in steps:
             vals = [r["k"], *r["x"], *r["u"], r["stage"], r["policy"], r["optimal"]]
             f.write(",".join(_fmt(v) for v in vals) + "\n")
-    elapsed = time.perf_counter() - t0
     cs.flag("example4.recursive_feasibility", feasible,
             f"every step of the closed loop feasible ({len(records)} steps)")
     min_gap = min(gaps) if gaps else math.nan
@@ -586,7 +569,6 @@ def _reproduce_example4(cs: CheckSet, out: str) -> list[str]:
         cs.info("example4.max_cost_gap", max(gaps), "largest policy-minus-optimal gap")
         cs.info("example4.optimal_cost_at_x0", j_opt_x0,
                 "reported as approximately 293 for the undocumented start state")
-    cs.runtime("example4.runtime", elapsed, 300.0)
     return [
         "example 4: substitute study from a documented start state "
         f"x0 = {np.array2string(sc.x0, separator=', ')} (non-numeric acceptance; "
@@ -594,28 +576,30 @@ def _reproduce_example4(cs: CheckSet, out: str) -> list[str]:
     ]
 
 
+_TABLE1_STUDY = ("table1", _reproduce_table1, 1.0)
+_TABLE2_STUDY = ("table2", _reproduce_table2, 10.0)
+
+# the studies of each --example id, in order, as (name, function, runtime
+# budget in s); a study's runtime covers all of its function
+_STUDIES = {
+    "1": (("example1", _reproduce_example1, 1.0),),
+    "2": (_TABLE1_STUDY, _TABLE2_STUDY),
+    "3": (("example3", _reproduce_example3, 600.0),),
+    "4": (("example4", _reproduce_example4, 300.0),),
+    "table1": (_TABLE1_STUDY,),
+    "table2": (_TABLE2_STUDY,),
+    "table3": (("table3", _reproduce_table3, 30.0),),
+}
+
+
 def cmd_reproduce(args) -> int:
     out = _outdir(args)
     cs = CheckSet()
-    notes: list[str]
-    if args.example == "1":
-        notes = _reproduce_example1(cs, out)
-    elif args.example == "2":
-        notes = _reproduce_table1(cs, out)
-        notes += _reproduce_table2(cs, out)
-        notes.insert(0, "example 2: unconstrained studies (tables 1 and 2)")
-    elif args.example == "3":
-        notes = _reproduce_example3(cs, out)
-    elif args.example == "4":
-        notes = _reproduce_example4(cs, out)
-    elif args.example == "table1":
-        notes = _reproduce_table1(cs, out)
-    elif args.example == "table2":
-        notes = _reproduce_table2(cs, out)
-    elif args.example == "table3":
-        notes = _reproduce_table3(cs, out)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ScenarioError(f"unknown example id {args.example!r}")
+    notes = ["example 2: unconstrained studies (tables 1 and 2)"] if args.example == "2" else []
+    for name, study, budget in _STUDIES[args.example]:
+        t0 = time.perf_counter()
+        notes += study(cs, out)
+        cs.runtime(f"{name}.runtime", time.perf_counter() - t0, budget)
     cs.emit(out, notes)
     return EXIT_FAIL if cs.failed else EXIT_OK
 
@@ -673,8 +657,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_simulate)
 
     q = sub.add_parser("reproduce", help="run a study and check reported values")
-    q.add_argument("--example", required=True,
-                   choices=("1", "2", "3", "4", "table1", "table2", "table3"))
+    q.add_argument("--example", required=True, choices=tuple(_STUDIES))
     q.add_argument("--out", default="lqmpc-out", help="output directory")
     q.set_defaults(func=cmd_reproduce)
     return p

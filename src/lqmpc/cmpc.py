@@ -21,13 +21,12 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.spatial import ConvexHull
 
-from .matcore import check_square, symmetrize
 from .polytope import HPolytope, bounding_box, lp_solve, maximal_invariant_set, vertices
 from .qp import QP_COMP_TOL, QP_DUAL_TOL, QP_FEAS_TOL, QpProblem, QpSolution, solve_qp
 from .riccati import (
     GainPolicy,
     LqSystem,
-    _riccati_step,
+    _horizon_ladder,
     closed_loop_cost,
     in_region_of_decreasing,
 )
@@ -195,8 +194,9 @@ class MpcController:
 
     The prediction matrix is one gather from the ell products A^k B (its
     block (k, j) is A^(k-1-j) B below the diagonal), the input rows are one
-    Kronecker product, and the gain ladder that gives Z takes one Riccati
-    step (`riccati._riccati_step`) per rung, until its iterate repeats an
+    Kronecker product, and Z comes from the gains of the receding-horizon
+    ladder (`riccati._horizon_ladder`, the recursion `bounds.full_report`
+    reads too): one Riccati step per rung, until an iterate repeats an
     earlier one bit for bit; from there the rungs repeat.
 
     The controller also keeps the infeasibility certificates of its own
@@ -244,7 +244,7 @@ class MpcController:
         sys = prob.sys
         n, m = sys.n, sys.m
         A, B = sys.A, sys.B
-        K = symmetrize(design.K)
+        gains, iterates = _horizon_ladder(sys, design.K, ell)
 
         Apow = [np.eye(n)]
         for _ in range(ell):
@@ -259,7 +259,7 @@ class MpcController:
         Qbar = np.zeros(((ell + 1) * n, (ell + 1) * n))
         for k in range(ell):
             Qbar[k * n : (k + 1) * n, k * n : (k + 1) * n] = sys.Q
-        Qbar[ell * n :, ell * n :] = K
+        Qbar[ell * n :, ell * n :] = iterates[0]  # K, symmetrized
         Rbar = np.kron(np.eye(ell), sys.R)
 
         P = 2.0 * (Gamma.T @ Qbar @ Gamma + Rbar)
@@ -287,30 +287,14 @@ class MpcController:
         self._g_const = np.concatenate(gconst_rows)
         self._qp = QpProblem(P=P, q=np.zeros(ell * m), G=G, g=self._g_const)
 
-        # unconstrained finite-horizon solution: the gain ladder (greedy at
-        # F^j(K), applied from j = ell-1 down to 0) run once on the identity.
-        # The iterates F^j(K) converge, and in floating point they often end
-        # in a short cycle of last-bit changes; the step is a function of its
-        # input's bits, so once an iterate repeats an earlier one bit for
-        # bit, the rest of the ladder repeats that cycle's gains
-        iterates, ladder, seen = [K], [], {K.tobytes(): 0}
-        for j in range(1, ell + 1):
-            L, Kj = _riccati_step(sys, iterates[-1])
-            ladder.append(L)
-            first = seen.setdefault(Kj.tobytes(), j)
-            if first < j:
-                period = j - first
-                ladder += [ladder[first + (i - first) % period] for i in range(j, ell)]
-                iterates.append(iterates[first + (ell - first) % period])
-                break
-            iterates.append(Kj)
-        self._value_matrix = check_square(iterates[-1], "F^ell(K)")
-        # greedy at F^(ell-1)(K)
-        self._policy_gain = GainPolicy.from_system(sys, ladder[-1])
+        # unconstrained finite-horizon solution: gains[j], the greedy gain
+        # at F^j(K), applied from j = ell-1 down to 0 on the identity
+        self._value_matrix = iterates[-1]  # F^ell(K)
+        self._policy_gain = GainPolicy.from_system(sys, gains[-1])
         Z = np.empty((ell * m, n))
         X = np.eye(n)
         for k in range(ell):
-            Z[k * m : (k + 1) * m] = ladder[ell - 1 - k] @ X
+            Z[k * m : (k + 1) * m] = gains[ell - 1 - k] @ X
             X = A @ X + B @ Z[k * m : (k + 1) * m]
         self._Z = Z  # z_unc = Z @ x0
         # the shortcut polytope H_u x0 <= g_const, with 1e-10 of slack

@@ -6,9 +6,14 @@ terminal design (the DARE with R replaced by zeta * R).
 
 One Riccati step is written once, in `_riccati_step`: from B'K and
 B'KB + R, formed once, it gives both the greedy gain L at K and the Bellman
-step F(K).  `bellman_op`, `greedy_gain` and `iterate_bellman` validate K and
-call it; `solve_dare` and the MPC controller's gain ladder loop it on
-iterates that are already symmetric, without validating each one again.
+step F(K).  `bellman_op` and `greedy_gain` validate K and call it once;
+`solve_dare` loops it on iterates that are already symmetric, without
+validating each one again.
+
+The finite-horizon recursion, ell-step MPC read as ell - 1 Bellman steps
+from K and one greedy step, is written once, in `_horizon_ladder`: its
+callers are `iterate_bellman` (the last iterate), `bounds.full_report`
+(F(K), F^(ell-1)(K) and the last gain) and `cmpc.MpcController` (every gain).
 """
 
 from __future__ import annotations
@@ -249,14 +254,36 @@ def zeta_dare(sys: LqSystem, zeta: float) -> np.ndarray:
     return sys.amplified(zeta).optimal[0]
 
 
+def _horizon_ladder(sys: LqSystem, K, ell: int) -> tuple[list, list]:
+    """(gains, iterates): iterates[j] = F^j(K) for j <= ell and gains[j], the
+    greedy gain at F^j(K), for j < ell, one `_riccati_step` per rung.
+
+    The iterates converge, and in floating point they often end in a short
+    cycle of last-bit changes; the step is a function of its input's bits, so
+    once an iterate repeats an earlier one bit for bit, the remaining rungs
+    repeat that cycle.  The last iterate is checked for finite entries.
+    """
+    K = _check_cost(sys, K)
+    gains, iterates, seen = [], [K], {K.tobytes(): 0}
+    for j in range(1, ell + 1):
+        L, Kj = _riccati_step(sys, iterates[-1])
+        gains.append(L)
+        first = seen.setdefault(Kj.tobytes(), j)
+        if first < j:
+            period = j - first
+            gains += [gains[first + (i - first) % period] for i in range(j, ell)]
+            iterates += [iterates[first + (i - first) % period] for i in range(j, ell + 1)]
+            break
+        iterates.append(Kj)
+    check_square(iterates[-1], f"F^{ell}(K)")
+    return gains, iterates
+
+
 def iterate_bellman(sys: LqSystem, K, steps: int) -> np.ndarray:
     """steps-fold composition F^steps(K); steps = 0 returns K unchanged."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    K = _check_cost(sys, K)
-    for _ in range(steps):
-        K = _riccati_step(sys, K)[1]
-    return check_square(K, f"F^{steps}(K)")
+    return _horizon_ladder(sys, K, steps)[1][-1]
 
 
 def in_region_of_decreasing(sys: LqSystem, K) -> bool:
@@ -265,6 +292,4 @@ def in_region_of_decreasing(sys: LqSystem, K) -> bool:
     The tolerance scales with ||K - F(K)|| so that fixed points (where the
     difference is numerically zero) report True.
     """
-    K = _check_cost(sys, K)
-    FK = bellman_op(sys, K)
-    return psd_order_holds(K, FK)
+    return psd_order_holds(K, bellman_op(sys, K))

@@ -80,7 +80,10 @@ class Scenario:
     def constrained_problem(self) -> ConstrainedProblem:
         if not self.constrained:
             raise ScenarioError(f"scenario '{self.name}' has no constraint sets")
-        return ConstrainedProblem(self.system, self.Xhat, self.U)
+        try:
+            return ConstrainedProblem(self.system, self.Xhat, self.U)
+        except ValueError as e:  # e.g. a set that does not hold the origin
+            raise ScenarioError(f"scenario '{self.name}': {e}") from None
 
     def amplification(self) -> float:
         """Amplification to apply when building this scenario's terminal cost."""
@@ -233,6 +236,16 @@ def _finite(field: str, value):
     return value
 
 
+def _as_scalar(field: str, value, integer: bool = False):
+    """A finite number, not a bool, string, array or null; an int if `integer`."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ScenarioError(f"field '{field}': expected a number, got {json.dumps(value)}")
+    value = _finite(field, float(value))
+    if integer and not value.is_integer():
+        raise ScenarioError(f"field '{field}': expected an integer, got {value:g}")
+    return int(value) if integer else value
+
+
 def _parse_lines(text: str) -> dict:
     data: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -267,12 +280,45 @@ def _constraint_set(data: dict, prefix: str) -> Optional[HPolytope]:
             raise ScenarioError(f"field '{prefix}_box': expected [lower, upper] arrays")
         lo = _as_vector(f"{prefix}_box", box[0])
         hi = _as_vector(f"{prefix}_box", box[1])
+        if lo.size != hi.size:
+            raise ScenarioError(f"field '{prefix}_box': {lo.size} lower, {hi.size} upper bounds")
         return HPolytope.box(lo, hi)
     if (H is None) != (h is None):
         raise ScenarioError(f"{prefix}_H and {prefix}_h must be given together")
     if H is not None:
         return HPolytope(_as_matrix(f"{prefix}_H", H), _as_vector(f"{prefix}_h", h))
     return None
+
+
+def _scenario_fields(data: dict) -> dict:
+    kw = {
+        "name": str(data["name"]),
+        "A": _as_matrix("A", data["A"]),
+        "B": _as_matrix("B", data["B"]),
+        "Q": _as_matrix("Q", data["Q"]),
+        "R": _as_matrix("R", data["R"]),
+        "Xhat": _constraint_set(data, "state"),
+        "U": _constraint_set(data, "input"),
+    }
+    if "terminal_kind" in data:
+        kw["terminal_kind"] = str(data["terminal_kind"])
+    for key, integer in (("zeta", False), ("zeta_effective", False),
+                         ("horizon", True), ("grid_resolution", True)):
+        if key in data:
+            kw[key] = _as_scalar(key, data[key], integer)
+    if "grid_bounds" in data:
+        gb = data["grid_bounds"]
+        if not (isinstance(gb, list) and len(gb) == 2):
+            raise ScenarioError("field 'grid_bounds': expected [lower, upper] arrays")
+        kw["grid_bounds"] = (
+            tuple(_as_vector("grid_bounds", gb[0])),
+            tuple(_as_vector("grid_bounds", gb[1])),
+        )
+    if "x0" in data:
+        kw["x0"] = _as_vector("x0", data["x0"])
+    if "K0" in data:
+        kw["K0"] = _as_matrix("K0", data["K0"])
+    return kw
 
 
 def load_scenario(path_or_name: str) -> Scenario:
@@ -291,38 +337,7 @@ def load_scenario(path_or_name: str) -> Scenario:
     for req in ("name", "A", "B", "Q", "R"):
         if req not in data:
             raise ScenarioError(f"missing required field '{req}'")
-    kw = {
-        "name": str(data["name"]),
-        "A": _as_matrix("A", data["A"]),
-        "B": _as_matrix("B", data["B"]),
-        "Q": _as_matrix("Q", data["Q"]),
-        "R": _as_matrix("R", data["R"]),
-        "Xhat": _constraint_set(data, "state"),
-        "U": _constraint_set(data, "input"),
-    }
-    if "terminal_kind" in data:
-        kw["terminal_kind"] = str(data["terminal_kind"])
-    if "zeta" in data:
-        kw["zeta"] = _finite("zeta", float(data["zeta"]))
-    if "zeta_effective" in data:
-        kw["zeta_effective"] = _finite("zeta_effective", float(data["zeta_effective"]))
-    if "horizon" in data:
-        kw["horizon"] = int(_finite("horizon", float(data["horizon"])))
-    if "grid_resolution" in data:
-        kw["grid_resolution"] = int(_finite("grid_resolution", float(data["grid_resolution"])))
-    if "grid_bounds" in data:
-        gb = data["grid_bounds"]
-        if not (isinstance(gb, list) and len(gb) == 2):
-            raise ScenarioError("field 'grid_bounds': expected [lower, upper] arrays")
-        kw["grid_bounds"] = (
-            tuple(_as_vector("grid_bounds", gb[0])),
-            tuple(_as_vector("grid_bounds", gb[1])),
-        )
-    if "x0" in data:
-        kw["x0"] = _as_vector("x0", data["x0"])
-    if "K0" in data:
-        kw["K0"] = _as_matrix("K0", data["K0"])
     try:
-        return Scenario(**kw)
-    except ValueError as e:
+        return Scenario(**_scenario_fields(data))
+    except ValueError as e:  # also those of HPolytope and LqSystem
         raise ScenarioError(str(e)) from None

@@ -13,12 +13,16 @@ from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection
 
 from lqmpc import (
+    alpha_const,
     bellman_op,
+    beta_const,
     bounding_box,
+    BoundsReport,
     build_weighted_norm,
     closed_loop_cost,
     contains,
     full_report,
+    gap_of_policy,
     greedy_gain,
     induced_two_norm,
     in_region_of_decreasing,
@@ -686,6 +690,33 @@ def reference_iterate_bellman(sys, K, steps):
     for _ in range(steps):
         K = reference_bellman_op(sys, K)
     return K
+
+
+def reference_full_report(sys, K, ell):
+    """`full_report` composed from the public calls: the region check, ell - 1
+    plain Bellman steps for Kbar, and the greedy gain at Kbar."""
+    K = np.asarray(K, dtype=float)
+    if not in_region_of_decreasing(sys, K):
+        raise ValueError("K is not in the region of decreasing")
+    Kstar, Lstar = sys.optimal
+    dist = induced_two_norm(K - Kstar)
+    alpha = alpha_const(sys, Lstar)
+    beta = beta_const(sys, Lstar, ell)
+    Kbar = symmetrize(K)
+    for _ in range(ell - 1):
+        Kbar = bellman_op(sys, Kbar)
+    Lt = greedy_gain(sys, Kbar)
+    wn = build_weighted_norm(Lt.closed_loop)
+    ratio = wn.c2 / wn.c1
+    gamma = newton_gamma(sys, Kbar)
+    return BoundsReport(
+        ell=ell, alpha=alpha, beta_ell=beta, rho=wn.rho, c1=wn.c1, c2=wn.c2, gamma=gamma,
+        bound_contraction=ratio / (1.0 - wn.rho) * (wn.rho + ratio * alpha) * beta * dist,
+        bound_monotone=alpha * beta * dist,
+        bound_newton=gamma * beta**2 * dist**2,
+        actual_gap=gap_of_policy(sys, Lt),
+        design_distance=dist,
+    )
 
 
 def reference_solve_dare(sys, tol=1e-12, max_value_iters=100_000, max_newton_iters=50):

@@ -1,6 +1,7 @@
 """Performance-bound layer: the alpha/beta constants, the three bounds,
 the exact gap, and the aggregated report."""
 
+import dataclasses
 import itertools
 import pickle
 
@@ -31,6 +32,7 @@ from _checks import (
     check_inequality_chain,
     check_design_step_quadratic,
     check_monotone_le_contraction,
+    reference_full_report,
     reference_newton_gamma,
 )
 
@@ -371,6 +373,22 @@ def test_report_invariants(corpus):
         assert rep.beta_ell <= rep.alpha ** (ell - 1) + 1e-12
         assert 0 < rep.rho < 1
         assert 0 < rep.c1 <= rep.c2
+
+
+@pytest.mark.parametrize("ell", [1, 3, 10, 30, 60])
+@pytest.mark.parametrize("kind", ["eff", "opt"])
+@pytest.mark.parametrize("name", ["di2d", "ac4d"])
+def test_full_report_matches_the_composed_reference(request, name, kind, ell):
+    """Every field bit for bit against the region check, a plain Bellman
+    loop and the greedy gain, each called on its own; at ell = 30 and 60
+    the ladder of di-2d's amplified design runs through its cycle."""
+    sys = request.getfixturevalue(f"{name}_sys")
+    K = request.getfixturevalue(f"{name}_K_eff") if kind == "eff" else sys.optimal[0]
+    got = full_report(sys, K, ell)
+    ref = reference_full_report(sys, K, ell)
+    for field in dataclasses.fields(ref):
+        a, b = getattr(got, field.name), getattr(ref, field.name)
+        assert np.float64(a).tobytes() == np.float64(b).tobytes(), field.name
 
 
 def test_report_outside_region_raises(di2d_sys):

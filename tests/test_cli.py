@@ -294,6 +294,33 @@ def test_non_finite_numbers_exit_2_with_an_error_line(tmp_path, capsys, argv, sc
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("edit, message", [
+    (("horizon: 4", 'horizon: "abc"'), "field 'horizon': expected a number, got \"abc\""),
+    (("horizon: 4", 'grid_resolution: "x"'),
+     "field 'grid_resolution': expected a number, got \"x\""),
+    (("zeta: 10", "zeta: [1, 2]"), "field 'zeta': expected a number, got [1, 2]"),
+    (("zeta: 10", "zeta: null"), "field 'zeta': expected a number, got null"),
+    (("horizon: 4", "horizon: 2.5"), "field 'horizon': expected an integer, got 2.5"),
+    (("horizon: 4", "horizon: true"), "field 'horizon': expected a number, got true"),
+    (("zeta: 10", 'zeta: 10\nzeta_effective: "3"'),
+     "field 'zeta_effective': expected a number, got \"3\""),
+    (("state_box: [[-4, -4], [4, 4]]", "state_box: [[-4, -4], [4]]"),
+     "field 'state_box': 2 lower, 1 upper bounds"),
+    (("state_box: [[-4, -4], [4, 4]]", "state_box: [[4, 4], [-4, -4]]"),
+     "scenario 'toy': state constraint set must contain the origin strictly"),
+])
+def test_invalid_scenario_fields_exit_2_with_an_error_line(tmp_path, capsys, edit, message):
+    # a field of the wrong type or a constraint set that cannot be built is
+    # an input error, not a traceback, and no field is silently rounded
+    f = tmp_path / "toy.scn"
+    f.write_text(GOOD.replace(*edit))
+    out = tmp_path / "out"
+    argv = ["simulate", "--steps", "2", "--scenario", str(f), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bounds"])  # missing required --scenario

@@ -20,8 +20,10 @@ from lqmpc import (
     psd_order_holds,
     solve_dare,
     spectral_radius,
+    symmetrize,
     zeta_dare,
 )
+from lqmpc import riccati
 from conftest import ZEFF_2D, ZEFF_4D
 from _checks import (
     check_operator_monotonicity,
@@ -367,3 +369,23 @@ def test_iterate_bellman_names_an_overflowing_iterate():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="non-finite entries"):
             iterate_bellman(sys, np.eye(2), 10)
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 25, 26, 100])
+@pytest.mark.parametrize("kind", ["eff", "opt"])
+@pytest.mark.parametrize("name", ["di2d", "ac4d"])
+def test_horizon_ladder_matches_the_step_loop(request, name, kind, ell):
+    """Every gain and iterate bit for bit against one `_riccati_step` per
+    rung with no cycle shortcut.  The shortcut is taken where the iterates
+    repeat: on di-2d's amplified design from step 25, with period 4."""
+    sys = request.getfixturevalue(f"{name}_sys")
+    K = request.getfixturevalue(f"{name}_K_eff") if kind == "eff" else sys.optimal[0]
+    gains, iterates = riccati._horizon_ladder(sys, K, ell)
+    ref_gains, ref_iterates = [], [symmetrize(K)]
+    for _ in range(ell):
+        L, FK = riccati._riccati_step(sys, ref_iterates[-1])
+        ref_gains.append(L)
+        ref_iterates.append(FK)
+    assert len(gains) == ell and len(iterates) == ell + 1
+    for got, ref in zip(gains + iterates, ref_gains + ref_iterates):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
