@@ -1,10 +1,11 @@
 """Command-line driver: bound reports, terminal-set studies, grid sweeps,
 closed-loop simulation, and the self-checking reproduction harness.
 
-Outputs are plain CSV (plus gnuplot script stubs); reproduction runs also
-emit a machine-readable ``summary.json`` where every number carries its
-target, tolerance, and pass/fail flag.  Exit codes: 0 all checks passed,
-1 at least one check failed, 2 usage or input errors.
+Every output file is written here, none by the library: tables through
+`_write_csv`, polytopes through `np.savetxt`, and gnuplot script stubs;
+reproduction runs also emit a machine-readable ``summary.json`` where every
+number carries its target, tolerance, and pass/fail flag.  Exit codes: 0 all
+checks passed, 1 at least one check failed, 2 usage or input errors.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .cmpc import (
     suboptimality_map,
 )
 from .matcore import induced_two_norm
-from .polytope import volume
+from .polytope import HPolytope, volume
 from .riccati import LqSystem, zeta_dare
 from .scenarios import Scenario, ScenarioError, builtin_names, load_scenario
 
@@ -44,9 +45,19 @@ EXIT_USAGE = 2
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
+    # a bool is an int here, so a flag reads 1 or 0
     return f"{x:.12g}" if isinstance(x, (int, float, np.floating)) else str(x)
+
+
+def _write_csv(path: str, header, rows, comment: Optional[str] = None) -> None:
+    """Write `# comment` (if given), the header names and then one line per
+    row, each value formatted by `_fmt`."""
+    with open(path, "w", encoding="utf-8") as f:
+        if comment is not None:
+            f.write(f"# {comment}\n")
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(map(_fmt, row)) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -195,9 +206,8 @@ def _terminal_matrix(sc: Scenario, zeta_arg: Optional[float]) -> tuple[np.ndarra
 
 
 def _design(prob: ConstrainedProblem, sc: Scenario, terminal: str) -> TerminalDesign:
-    if terminal == "optimal" or sc.terminal_kind == "dare":
-        return TerminalDesign.for_optimal_cost(prob)
-    return TerminalDesign.for_amplified_cost(prob, sc.amplification())
+    return TerminalDesign.for_amplified_cost(
+        prob, 1.0 if terminal == "optimal" else sc.amplification())
 
 
 def _mpc_setup(args):
@@ -217,10 +227,24 @@ def _grid_spec(sc: Scenario, args) -> dict:
     return sc.grid_spec()
 
 
+def _write_grid_csv(grid: CostMapGrid, path: str) -> None:
+    """One row per cell, row-major from the lower-left corner."""
+    X, Y = np.meshgrid(grid.xs, grid.ys)
+    cells = [a.ravel().tolist() for a in (X, Y, grid.feasible, grid.cost, grid.rel_gap)]
+    _write_csv(path, ("x1", "x2", "feasible", "cost", "rel_gap"), zip(*cells),
+               ";".join(f"{k}={v}" for k, v in sorted(grid.meta.items())))
+
+
+def _write_polytope(S: HPolytope, path: str) -> None:
+    """One half-space per row: H entries, then h."""
+    header = ",".join([f"H{i+1}" for i in range(S.dim)] + ["h"])
+    np.savetxt(path, np.hstack([S.H, S.h[:, None]]), delimiter=",", header=header, comments="")
+
+
 def _write_grid(grid: CostMapGrid, stem: str, title: str, value_col: int) -> str:
     """Write `stem`.csv and a gnuplot script `stem`.gp; returns the CSV path."""
     csv_path = stem + ".csv"
-    grid.to_csv(csv_path)
+    _write_grid_csv(grid, csv_path)
     with open(stem + ".gp", "w", encoding="utf-8") as f:
         f.write(
             "set datafile separator ','\n"
@@ -249,44 +273,39 @@ _BOUNDS_FIELDS = (
     "actual_gap", "bound_contraction", "bound_monotone", "bound_newton",
     "alpha", "beta_ell", "rho", "c1", "c2", "gamma", "design_distance",
 )
-_BOUNDS_HEADER = "ell,status," + ",".join(_BOUNDS_FIELDS)
+_BOUNDS_HEADER = ("ell", "status", *_BOUNDS_FIELDS)
 
 
-def _bounds_fields(rep: BoundsReport) -> str:
-    return ",".join(_fmt(getattr(rep, name)) for name in _BOUNDS_FIELDS)
+def _bounds_row(ell: int, status: str, rep: Optional[BoundsReport]) -> list:
+    """ell, status and the report's fields, NaN for a horizon without one."""
+    return [ell, status, *(math.nan if rep is None else getattr(rep, name)
+                           for name in _BOUNDS_FIELDS)]
 
 
 def _write_bounds_csv(path: str, rows: list[tuple], note: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# terminal matrix: {note}\n{_BOUNDS_HEADER}\n")
-        for ell, status, rep in rows:
-            if rep is None:
-                f.write(f"{ell},{status}" + ",nan" * len(_BOUNDS_FIELDS) + "\n")
-            else:
-                f.write(f"{ell},{status},{_bounds_fields(rep)}\n")
+    _write_csv(path, _BOUNDS_HEADER, (_bounds_row(*row) for row in rows),
+               f"terminal matrix: {note}")
 
 
-def _terminal_sets(prob: ConstrainedProblem, zetas, out: str) -> tuple[float, list]:
+def _terminal_sets(prob: ConstrainedProblem, zetas, out: str) -> tuple[tuple, list]:
     """The optimal terminal set and one amplified set per zeta (zeta = 1 is
     the optimal one), each written to `out` as CSV.  Returns the optimal
-    set's volume and (zeta, volume, volume ratio, contained in Xhat) rows."""
+    set's row and one row per zeta: (zeta, volume, ratio, contained in Xhat)."""
     base = TerminalDesign.for_optimal_cost(prob)
     vol_base = volume(base.S)
-    base.S.to_csv(os.path.join(out, "terminal-set-optimal.csv"))
+    _write_polytope(base.S, os.path.join(out, "terminal-set-optimal.csv"))
     rows = []
     for z in zetas:
         design = base if z == 1.0 else TerminalDesign.for_amplified_cost(prob, z)
         v = volume(design.S)
-        design.S.to_csv(os.path.join(out, f"terminal-set-zeta-{z:g}.csv"))
+        _write_polytope(design.S, os.path.join(out, f"terminal-set-zeta-{z:g}.csv"))
         rows.append((z, v, v / vol_base, prob.state_set_contains(design.S)))
-    return vol_base, rows
+    return (1.0, vol_base, 1.0, prob.state_set_contains(base.S)), rows
 
 
-def _trajectory_header(sys_: LqSystem, costs: list[str]) -> str:
-    return ",".join(
-        ["k"] + [f"x{i + 1}" for i in range(sys_.n)] + [f"u{i + 1}" for i in range(sys_.m)]
-        + ["stage_cost"] + costs
-    ) + "\n"
+def _trajectory_header(sys_: LqSystem, costs: list[str]) -> list[str]:
+    return (["k"] + [f"x{i + 1}" for i in range(sys_.n)] + [f"u{i + 1}" for i in range(sys_.m)]
+            + ["stage_cost"] + costs)
 
 
 def _trajectory_costs(prob: ConstrainedProblem, design: TerminalDesign, ell: int,
@@ -334,14 +353,11 @@ def cmd_terminal_set(args) -> int:
     sc = load_scenario(args.scenario)
     out = _outdir(args)
     zetas = _amplifications(_parse_list(args.zeta, float, "zeta"))
-    vol_base, rows = _terminal_sets(sc.constrained_problem(), zetas, out)
+    base_row, rows = _terminal_sets(sc.constrained_problem(), zetas, out)
     if 1.0 not in zetas:  # the optimal set's row leads, once
-        rows.insert(0, (1.0, vol_base, 1.0, True))
+        rows.insert(0, base_row)
     csv_path = os.path.join(out, f"terminal-ratios-{sc.name}.csv")
-    with open(csv_path, "w", encoding="utf-8") as f:
-        f.write("zeta,volume,ratio,contained\n")
-        for z, v, r, c in rows:
-            f.write(f"{_fmt(z)},{_fmt(v)},{_fmt(r)},{int(c)}\n")
+    _write_csv(csv_path, ("zeta", "volume", "ratio", "contained"), rows)
     print(f"{'zeta':>8} {'volume':>14} {'ratio':>10} contained")
     for z, v, r, c in rows:
         print(f"{z:>8g} {v:>14.6f} {r:>10.6f} {'yes' if c else 'NO'}")
@@ -357,10 +373,7 @@ def cmd_region(args) -> int:
                            f"feasible region (ell={ell})", 3)
     V = feasible_set(prob, design, ell)
     bpath = os.path.join(out, f"region-boundary-{tag}.csv")
-    with open(bpath, "w", encoding="utf-8") as f:
-        f.write("x1,x2\n")
-        for p in V:
-            f.write(f"{_fmt(p[0])},{_fmt(p[1])}\n")
+    _write_csv(bpath, ("x1", "x2"), V)
     n_feas = int(grid.feasible.sum())
     print(f"{n_feas} of {grid.feasible.size} grid points feasible")
     print(f"wrote {csv_path} and {bpath} ({len(V)} vertices of the feasible set)")
@@ -399,16 +412,14 @@ def cmd_simulate(args) -> int:
         raise ScenarioError(f"x0 has {x0.size} entries, expected {sc.system.n}")
     records = _trajectory_costs(prob, design, ell, x0, args.steps)
     csv_path = os.path.join(out, f"trajectory-{sc.name}-ell{ell}.csv")
-    with open(csv_path, "w", encoding="utf-8") as f:
-        f.write(_trajectory_header(
-            sc.system, ["horizon_value", "policy_cost_to_go", "optimal_cost_to_go"]))
-        for r in records:
-            if not r["feasible"]:
-                f.write(f"{r['k']}," + ",".join([_fmt(v) for v in r["x"]])
-                        + ",nan" * (sc.system.m + 4) + "\n")
-                continue
-            vals = [r["k"], *r["x"], *r["u"], r["stage"], r["value"], r["policy"], r["optimal"]]
-            f.write(",".join(_fmt(v) for v in vals) + "\n")
+    _write_csv(
+        csv_path,
+        _trajectory_header(sc.system, ["horizon_value", "policy_cost_to_go",
+                                       "optimal_cost_to_go"]),
+        ([r["k"], *r["x"], *r["u"], r["stage"], r["value"], r["policy"], r["optimal"]]
+         if r["feasible"] else [r["k"], *r["x"], *[math.nan] * (sc.system.m + 4)]
+         for r in records),
+    )
     if records and not records[-1]["feasible"]:
         print(f"INFEASIBLE at step {records[-1]['k']} (state {records[-1]['x']})")
     else:
@@ -468,10 +479,8 @@ def _reproduce_table1(cs: CheckSet, out: str) -> list[str]:
         rows.append((name, sc.amplification(), ratio, dist))
         cs.abs(f"table1.{name}.norm_ratio", ratio, ratio_target, 0.1)
         cs.rel(f"table1.{name}.distance", dist, dist_target, 0.01)
-    with open(os.path.join(out, "table1.csv"), "w", encoding="utf-8") as f:
-        f.write("scenario,amplification,norm_ratio,distance\n")
-        for name, amp, ratio, dist in rows:
-            f.write(f"{name},{_fmt(amp)},{_fmt(ratio)},{_fmt(dist)}\n")
+    _write_csv(os.path.join(out, "table1.csv"),
+               ("scenario", "amplification", "norm_ratio", "distance"), rows)
     return ["table 1: terminal matrix ratio/distance at the calibrated amplification"]
 
 
@@ -488,25 +497,20 @@ def _reproduce_table2(cs: CheckSet, out: str) -> list[str]:
         _apply_cell(cs, f"table2.{name}.ell{ell}.contraction", rep.bound_contraction, c_c)
         _apply_cell(cs, f"table2.{name}.ell{ell}.monotone", rep.bound_monotone, m_c)
         _apply_cell(cs, f"table2.{name}.ell{ell}.newton", rep.bound_newton, n_c)
-    with open(os.path.join(out, "table2.csv"), "w", encoding="utf-8") as f:
-        f.write("scenario," + _BOUNDS_HEADER + "\n")
-        for name, ell, rep in reports:
-            f.write(f"{name},{ell},ok,{_bounds_fields(rep)}\n")
+    _write_csv(os.path.join(out, "table2.csv"), ("scenario", *_BOUNDS_HEADER),
+               ([name, *_bounds_row(ell, "ok", rep)] for name, ell, rep in reports))
     return ["table 2: optimality gap and bounds across horizons"]
 
 
 def _reproduce_table3(cs: CheckSet, out: str) -> list[str]:
     sc = load_scenario("di-2d")
-    vol_base, rows = _terminal_sets(sc.constrained_problem(), [z for z, _ in _TABLE3], out)
+    base_row, rows = _terminal_sets(sc.constrained_problem(), [z for z, _ in _TABLE3], out)
     for (z, _, ratio, contained), (_, target) in zip(rows, _TABLE3):
         cs.abs(f"table3.zeta{z:g}.volume_ratio", ratio, target, 0.05)
         cs.flag(f"table3.zeta{z:g}.contained", contained, "terminal set inside state set")
-    with open(os.path.join(out, "table3.csv"), "w", encoding="utf-8") as f:
-        f.write("zeta,volume,ratio\n")
-        f.write(f"1,{_fmt(vol_base)},1\n")
-        for z, v, ratio, _ in rows:
-            f.write(f"{_fmt(z)},{_fmt(v)},{_fmt(ratio)}\n")
-    cs.info("table3.base_volume", vol_base, "terminal set volume for the optimal design")
+    _write_csv(os.path.join(out, "table3.csv"), ("zeta", "volume", "ratio"),
+               (row[:3] for row in [base_row, *rows]))
+    cs.info("table3.base_volume", base_row[1], "terminal set volume for the optimal design")
     return ["table 3: terminal set volume ratios (2-D volumes computed exactly)"]
 
 
@@ -515,14 +519,14 @@ def _reproduce_example3(cs: CheckSet, out: str) -> list[str]:
     prob = sc.constrained_problem()
     amplified = _design(prob, sc, "scenario")
     optimal = TerminalDesign.for_optimal_cost(prob)
-    amplified.S.to_csv(os.path.join(out, "example3-terminal-amplified.csv"))
-    optimal.S.to_csv(os.path.join(out, "example3-terminal-optimal.csv"))
+    _write_polytope(amplified.S, os.path.join(out, "example3-terminal-amplified.csv"))
+    _write_polytope(optimal.S, os.path.join(out, "example3-terminal-optimal.csv"))
     spec = sc.grid_spec()
     ell = sc.horizon
     grid_amp = feasible_region_grid(prob, amplified, ell, spec)
     grid_opt = feasible_region_grid(prob, optimal, ell, spec)
-    grid_amp.to_csv(os.path.join(out, "example3-region-amplified.csv"))
-    grid_opt.to_csv(os.path.join(out, "example3-region-optimal.csv"))
+    _write_grid_csv(grid_amp, os.path.join(out, "example3-region-amplified.csv"))
+    _write_grid_csv(grid_opt, os.path.join(out, "example3-region-optimal.csv"))
     missing = int(np.sum(grid_opt.feasible & ~grid_amp.feasible))
     cs.flag(
         "example3.region_containment",
@@ -535,7 +539,7 @@ def _reproduce_example3(cs: CheckSet, out: str) -> list[str]:
     cs.info("example3.feasible_cells_optimal", float(grid_opt.feasible.sum()),
             "feasible cells with the optimal design")
     submap = suboptimality_map(prob, amplified, ell, spec)
-    submap.to_csv(os.path.join(out, "example3-submap.csv"))
+    _write_grid_csv(submap, os.path.join(out, "example3-submap.csv"))
     finite = submap.rel_gap[np.isfinite(submap.rel_gap)]
     max_gap = float(finite.max()) if finite.size else math.nan
     cs.upper("example3.max_relative_suboptimality", max_gap, 0.005)
@@ -555,11 +559,10 @@ def _reproduce_example4(cs: CheckSet, out: str) -> list[str]:
     if steps and steps[0]["optimal"] > 0:
         j_opt_x0 = steps[0]["optimal"]
         rel_at_x0 = (steps[0]["policy"] - j_opt_x0) / j_opt_x0
-    with open(os.path.join(out, "example4-trajectory.csv"), "w", encoding="utf-8") as f:
-        f.write(_trajectory_header(sc.system, ["policy_cost_to_go", "optimal_cost_to_go"]))
-        for r in steps:
-            vals = [r["k"], *r["x"], *r["u"], r["stage"], r["policy"], r["optimal"]]
-            f.write(",".join(_fmt(v) for v in vals) + "\n")
+    _write_csv(os.path.join(out, "example4-trajectory.csv"),
+               _trajectory_header(sc.system, ["policy_cost_to_go", "optimal_cost_to_go"]),
+               ([r["k"], *r["x"], *r["u"], r["stage"], r["policy"], r["optimal"]]
+                for r in steps))
     cs.flag("example4.recursive_feasibility", feasible,
             f"every step of the closed loop feasible ({len(records)} steps)")
     min_gap = min(gaps) if gaps else math.nan

@@ -7,7 +7,8 @@ feasibility / suboptimality maps over 2-D grids, and gives the exact
 feasible set in any dimension by support LPs.
 
 Infeasibility is identified with infinite cost (indicator-function semantics
-of the state constraint set).
+of the state constraint set).  The module returns arrays and grids and
+writes no files; `cli` owns every output format.
 """
 
 from __future__ import annotations
@@ -109,10 +110,8 @@ class TerminalDesign:
 
     @classmethod
     def for_optimal_cost(cls, prob: ConstrainedProblem) -> "TerminalDesign":
-        """K = K* with S the maximal admissible invariant set of u = L*x."""
-        Kstar, Lstar = prob.sys.optimal
-        S = maximal_invariant_set(Lstar.closed_loop, prob.Xhat, prob.U, Lstar)
-        return cls(K=Kstar, S=S, gain=Lstar, zeta=1.0)
+        """K = K*, S the maximal admissible invariant set of u = L*x: zeta = 1."""
+        return cls.for_amplified_cost(prob, 1.0)
 
     @classmethod
     def for_amplified_cost(cls, prob: ConstrainedProblem, zeta: float) -> "TerminalDesign":
@@ -558,20 +557,6 @@ class CostMapGrid:
     cost: np.ndarray  # float, +inf where infeasible
     rel_gap: np.ndarray  # float, NaN where not computed (read-only for a region)
     meta: dict
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            kv = ";".join(f"{k}={v}" for k, v in sorted(self.meta.items()))
-            f.write(f"# {kv}\n")
-            f.write("x1,x2,feasible,cost,rel_gap\n")
-            for iy, y in enumerate(self.ys):
-                for ix, x in enumerate(self.xs):
-                    c = self.cost[iy, ix]
-                    r = self.rel_gap[iy, ix]
-                    f.write(
-                        f"{x:.12g},{y:.12g},{int(self.feasible[iy, ix])},"
-                        f"{c:.12g},{r:.12g}\n"
-                    )
 
 
 def _grid_axes(prob: ConstrainedProblem, grid_spec) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,8 @@ the polar points' convex hull (Qhull).  That one test gives:
 * the vertices: each facet of the polar hull is one, and Qhull's volume of
   their hull is the polytope's exact volume in every dimension above 1-D.
 
-LPs give support values, bounding boxes and the Chebyshev centre."""
+LPs give support values, bounding boxes and the Chebyshev centre.  The
+module writes no files; `cli` writes a polytope's half-spaces."""
 
 from __future__ import annotations
 
@@ -91,12 +92,6 @@ class HPolytope:
 
     def origin_interior(self) -> bool:
         return bool(np.all(self.h > 0))
-
-    def to_csv(self, path) -> None:
-        """One half-space per row: H entries, then h."""
-        data = np.hstack([self.H, self.h[:, None]])
-        header = ",".join([f"H{i+1}" for i in range(self.dim)] + ["h"])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,7 @@ class LqSystem:
                 if k not in ("optimal", "_amplified")}
 
     def amplified(self, zeta: float) -> "LqSystem":
-        """The same system with input weight zeta * R, for zeta >= 1.
+        """The same system with input weight zeta * R, for zeta >= 1 (itself at 1).
 
         The last result is kept (not pickled): a call with the same zeta
         returns the same instance, whose `optimal` pair is then solved once
@@ -121,6 +121,8 @@ class LqSystem:
         """
         if zeta < 1.0:
             raise ValueError(f"zeta must be >= 1, got {zeta}")
+        if zeta == 1.0:
+            return self
         last = self.__dict__.get("_amplified")
         if last is None or last[0] != zeta:
             last = (zeta, LqSystem(self.A, self.B, self.Q, zeta * self.R))
@@ -214,13 +216,18 @@ def solve_dare(sys: LqSystem) -> tuple[np.ndarray, GainPolicy]:
     converge quadratically, until a Kleinman step's residual |F(K) - K| is
     within DARE_TOL of max(1, |K|).  Each iterate takes one `_riccati_step`,
     which gives its greedy gain and its Bellman step (the residual) together.
+    Raises ArithmeticError when no iterate stabilizes or one overflows first.
     """
     K = sys.Q.copy()
-    for _ in range(_MAX_VALUE_ITERS):
-        L, FK = _riccati_step(sys, K)
+    for j in range(_MAX_VALUE_ITERS):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            L, FK = _riccati_step(sys, K)
         if is_stable(GainPolicy.from_system(sys, L).closed_loop):
             break
-        K = check_square(FK, "F(K)")
+        if not np.all(np.isfinite(FK)):
+            raise ArithmeticError(f"value iteration overflowed at step {j + 1}; "
+                                  "(A, B) may not be stabilizable")
+        K = FK
     else:
         raise ArithmeticError(
             f"value iteration produced no stabilizing iterate in {_MAX_VALUE_ITERS} "

@@ -56,8 +56,10 @@ class Scenario:
             raise ScenarioError(
                 f"terminal_kind must be 'dare' or 'zeta_dare', got {self.terminal_kind!r}"
             )
-        if self.terminal_kind == "zeta_dare" and self.zeta < 1.0:
-            raise ScenarioError("zeta must be >= 1 for terminal_kind 'zeta_dare'")
+        for name, z in (("zeta", self.zeta), ("zeta_effective", self.zeta_effective)):
+            if self.terminal_kind == "zeta_dare" and z is not None and z < 1.0:
+                raise ScenarioError(f"field '{name}': must be >= 1 for terminal_kind "
+                                    f"'zeta_dare', got {z:g}")
         if self.horizon < 1:
             raise ScenarioError("horizon must be a positive integer")
         if self.grid_resolution < 2:
@@ -72,6 +74,10 @@ class Scenario:
             raise ScenarioError("x0 dimension mismatch")
         if self.K0 is not None and self.K0.shape != (sys.n, sys.n):
             raise ScenarioError("K0 must be n-by-n")
+        if self.grid_bounds is not None and any(len(b) != sys.n for b in self.grid_bounds):
+            lo, hi = self.grid_bounds
+            raise ScenarioError(f"field 'grid_bounds': {len(lo)} lower, {len(hi)} upper "
+                                f"bounds, expected {sys.n} each")
 
     @property
     def constrained(self) -> bool:
@@ -338,6 +344,8 @@ def load_scenario(path_or_name: str) -> Scenario:
         if req not in data:
             raise ScenarioError(f"missing required field '{req}'")
     try:
-        return Scenario(**_scenario_fields(data))
-    except ValueError as e:  # also those of HPolytope and LqSystem
+        sc = Scenario(**_scenario_fields(data))
+        sc.system.optimal  # solved here: an (A, B) that is not stabilizable raises
+    except (ValueError, ArithmeticError) as e:  # also those of HPolytope and LqSystem
         raise ScenarioError(str(e)) from None
+    return sc

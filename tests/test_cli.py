@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from lqmpc import ScenarioError, load_scenario, riccati
+from lqmpc import ConstrainedProblem, ScenarioError, load_scenario, riccati
 from lqmpc.cli import main
 from lqmpc.scenarios import builtin_names
 
@@ -182,6 +182,36 @@ def test_cmd_bounds_solves_the_riccati_pair_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_cmd_bounds_with_zeta_1_solves_one_dare(tmp_path, monkeypatch):
+    # zeta = 1 is the optimal design: its terminal matrix is the scenario's
+    # own Riccati solution, not a second solve of an equal system
+    calls = []
+    solve_dare = riccati.solve_dare
+
+    def counting_solve_dare(*args, **kwargs):
+        calls.append(1)
+        return solve_dare(*args, **kwargs)
+
+    monkeypatch.setattr(riccati, "solve_dare", counting_solve_dare)
+    rc = main(["bounds", "--scenario", "di-2d", "--zeta", "1", "--ell", "3",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "bounds-di-2d.csv").read_text().splitlines()
+    assert lines[0] == "# terminal matrix: zeta=1"
+    assert lines[2].split(",")[:2] == ["3", "ok"]
+    assert len(calls) == 1
+
+
+def test_cmd_terminal_set_checks_the_optimal_row(tmp_path, monkeypatch):
+    # the optimal set's leading row is checked like every other row
+    monkeypatch.setattr(ConstrainedProblem, "state_set_contains", lambda self, S: False)
+    rc = main(["terminal-set", "--scenario", "di-2d", "--zeta", "5", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "terminal-ratios-di-2d.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in lines[1:]] == ["1", "5"]
+    assert [row.split(",")[-1] for row in lines[1:]] == ["0", "0"]
+
+
 def test_cmd_terminal_set_unit_ratio(tmp_path):
     rc = main(
         ["terminal-set", "--scenario", "di-2d", "--zeta", "1", "--out", str(tmp_path)]
@@ -308,6 +338,15 @@ def test_non_finite_numbers_exit_2_with_an_error_line(tmp_path, capsys, argv, sc
      "field 'state_box': 2 lower, 1 upper bounds"),
     (("state_box: [[-4, -4], [4, 4]]", "state_box: [[4, 4], [-4, -4]]"),
      "scenario 'toy': state constraint set must contain the origin strictly"),
+    (("zeta: 10", "zeta: 5\nzeta_effective: 0.5"),
+     "field 'zeta_effective': must be >= 1 for terminal_kind 'zeta_dare', got 0.5"),
+    (("x0: [1, 0]", "x0: [1, 0]\ngrid_bounds: [[-1], [1]]"),
+     "field 'grid_bounds': 1 lower, 1 upper bounds, expected 2 each"),
+    (("x0: [1, 0]", "x0: [1, 0]\ngrid_bounds: [[-1, -1, -1], [1, 1, 1]]"),
+     "field 'grid_bounds': 3 lower, 3 upper bounds, expected 2 each"),
+    # B = 0 cannot steer the unstable modes: the Riccati iteration overflows
+    (("A: [[1, 1], [0, 1]]\nB: [[0], [1]]", "A: [[2, 0], [0, 2]]\nB: [[0], [0]]"),
+     "value iteration overflowed at step 512; (A, B) may not be stabilizable"),
 ])
 def test_invalid_scenario_fields_exit_2_with_an_error_line(tmp_path, capsys, edit, message):
     # a field of the wrong type or a constraint set that cannot be built is
@@ -350,3 +389,108 @@ def test_module_invocation_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "bounds-lqr-scalar.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the bytes of every table: its header and at least one data line, exactly
+# ---------------------------------------------------------------------------
+
+BOUNDS_HEADER = ("ell,status,actual_gap,bound_contraction,bound_monotone,bound_newton,"
+                 "alpha,beta_ell,rho,c1,c2,gamma,design_distance")
+GRID_HEADER = "x1,x2,feasible,cost,rel_gap"
+ZETA_DI2D = "zeta=10.132151874906384"
+
+# (command, {file: {line index: line}}); values are pinned where they sit
+# far from a 12-digit rounding boundary, so the last bits of BLAS do not
+# move them
+TABLES = [
+    (["bounds", "--scenario", "lqr-scalar", "--ell", "1"], {
+        "bounds-lqr-scalar.csv": {
+            0: "# terminal matrix: explicit K0 from scenario",
+            1: BOUNDS_HEADER,
+            2: "1,ok,3.25127212534,109.801127371,14.4267957395,42.9920281037,0.245895979472,"
+               "1,0.566115702479,1,1,0.0124896717023,58.6703197444",
+        },
+    }),
+    (["bounds", "--ell", "1,3"], {
+        "bounds-toy.csv": {
+            0: "# terminal matrix: explicit K0 from scenario",
+            1: BOUNDS_HEADER,
+            2: "1,error: K is not in the region of decreasing: min eig(K - F(K)) = -1.000e+00 < 0"
+               + ",nan" * 11,
+        },
+    }),
+    (["reproduce", "--example", "1"], {
+        "example1-bounds.csv": {
+            0: "# terminal matrix: reconstructed K0 = 180 (reported only as an initial "
+               "matrix of 180)",
+            1: BOUNDS_HEADER,
+        },
+    }),
+    (["reproduce", "--example", "2"], {
+        "table1.csv": {
+            0: "scenario,amplification,norm_ratio,distance",
+            1: "di-2d,10.1321518749,2.51215404562,9.9",
+        },
+        "table2.csv": {
+            0: "scenario," + BOUNDS_HEADER,
+            1: "di-2d,3,ok,0.0043931903202,1958.51185237,9.9,558.171293219,1,1,0.58622839671,"
+               "0.337886520707,2.95957352163,5.69504431404,9.9",
+        },
+    }),
+    (["reproduce", "--example", "table3"], {
+        "table3.csv": {0: "zeta,volume,ratio", 1: "1,16.0780899464,1",
+                       2: "5,21.8375993398,1.35822099594"},
+        "terminal-set-optimal.csv": {
+            0: "H1,H2,h",
+            1: "1.000000000000000000e+00,0.000000000000000000e+00,5.000000000000000000e+00",
+        },
+    }),
+    (["terminal-set", "--scenario", "di-2d", "--zeta", "5"], {
+        "terminal-ratios-di-2d.csv": {0: "zeta,volume,ratio,contained",
+                                      1: "1,16.0780899464,1,1",
+                                      2: "5,21.8375993398,1.35822099594,1"},
+    }),
+    (["region", "--scenario", "di-2d", "--grid", "21"], {
+        "region-di-2d-ell3-scenario.csv": {
+            0: f"# ell=3;kind=region;resolution=21;{ZETA_DI2D}",
+            1: GRID_HEADER,
+            2: "-5,-5,0,inf,nan",
+            2 + 10 * 21 + 10: "0,0,1,0,nan",
+        },
+        "region-boundary-di-2d-ell3-scenario.csv": {0: "x1,x2", 2: "-5,0", 3: "-4,-1"},
+    }),
+    (["submap", "--scenario", "di-2d", "--grid", "9"], {
+        "submap-di-2d-ell3-scenario.csv": {
+            0: f"# ell=3;kind=submap;resolution=9;{ZETA_DI2D}",
+            1: GRID_HEADER,
+            2: "-5,-5,0,inf,nan",
+        },
+    }),
+    (["simulate", "--scenario", "di-2d", "--x0=5,5", "--steps", "3"], {
+        "trajectory-di-2d-ell3.csv": {
+            0: "k,x1,x2,u1,stage_cost,horizon_value,policy_cost_to_go,optimal_cost_to_go",
+            1: "0,5,5,nan,nan,nan,nan,nan",
+        },
+    }),
+    (["reproduce", "--example", "4"], {
+        "example4-trajectory.csv": {
+            0: "k,x1,x2,x3,x4,u1,u2,stage_cost,policy_cost_to_go,optimal_cost_to_go",
+            1: "0,12.88,0.5,-1.33,0.23,-0.429202333842,7.49036530534,224.255987051,"
+               "293.068321217,292.660578941",
+        },
+    }),
+]
+
+
+@pytest.mark.parametrize("argv, files", TABLES, ids=lambda v: "-".join(v)
+                         if isinstance(v, list) else None)
+def test_table_bytes(tmp_path, argv, files):
+    if argv[0] == "bounds" and "--scenario" not in argv:  # the error rows
+        f = tmp_path / "toy.scn"
+        f.write_text(GOOD + "K0: [[0, 0], [0, 0]]\n")
+        argv = argv + ["--scenario", str(f)]
+    main(argv + ["--out", str(tmp_path)])  # reproduce exits 1 on a reference mismatch
+    for name, expected in files.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        assert {i: lines[i] for i in expected} == expected, name

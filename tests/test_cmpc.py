@@ -33,6 +33,7 @@ from lqmpc import (
     vertices,
 )
 from lqmpc import cmpc, polytope, qp
+from lqmpc.cli import _write_grid_csv
 from _checks import (assert_same_vertices, ball_loop_cost, check_policy_cost_below_value,
                      controller_arrays, pairwise_vertices_2d,
                      reference_condensation, reference_region_sweep, reference_results,
@@ -508,7 +509,7 @@ def test_grid_csv_round_trip(di2d_prob, di2d_design_eff, tmp_path):
         di2d_prob, di2d_design_eff, 3, grid_spec={"resolution": 9}
     )
     out = tmp_path / "grid.csv"
-    grid.to_csv(out)
+    _write_grid_csv(grid, str(out))
     lines = out.read_text().splitlines()
     assert lines[0].startswith("#")
     assert "ell=3" in lines[0]
@@ -1297,6 +1298,7 @@ _BITS_CODE = """\
 import sys
 import numpy as np
 from lqmpc import MpcController, TerminalDesign, cmpc, load_scenario, suboptimality_map
+from lqmpc.cli import _write_grid_csv
 qps = []
 solve_qp = cmpc.solve_qp
 cmpc.solve_qp = lambda p: qps.append(1) or solve_qp(p)
@@ -1306,7 +1308,7 @@ design = TerminalDesign.for_amplified_cost(prob, sc.amplification())
 ctl_opt = MpcController(prob, design, cmpc.APPROX_OPT_HORIZON)
 costs = [ctl_opt.simulate_cost(np.array(x0)) for x0 in ([-4.5, 2.9], [-2.0, 3.0])]
 print(len(qps), np.array(costs).tobytes().hex())
-suboptimality_map(prob, design, 3, {"resolution": 9}).to_csv(sys.argv[1])
+_write_grid_csv(suboptimality_map(prob, design, 3, {"resolution": 9}), sys.argv[1])
 """
 
 

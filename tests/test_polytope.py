@@ -22,6 +22,7 @@ from lqmpc import (
     volume,
     zeta_dare,
 )
+from lqmpc.cli import _write_polytope
 from conftest import ZEFF_2D, ZEFF_4D
 from _checks import (
     assert_same_vertices,
@@ -783,7 +784,7 @@ def test_sample_interior_stays_inside():
 
 def test_csv_serialization(tmp_path):
     out = tmp_path / "poly.csv"
-    BOX5.to_csv(out)
+    _write_polytope(BOX5, str(out))
     rows = out.read_text().strip().splitlines()
     # one half-space per row after the header: H entries then h
     assert len(rows) == 1 + BOX5.nrows

@@ -138,6 +138,15 @@ def test_dare_zero_dynamics():
     np.testing.assert_allclose(Lstar.L, np.zeros((2, 2)), atol=1e-12)
 
 
+def test_dare_names_a_pair_that_is_not_stabilizable():
+    # with B = 0 the unstable mode cannot be steered: value iteration grows
+    # as 4K + 1 until it overflows, which is reported as the documented
+    # arithmetic error rather than as an invalid matrix
+    sys = LqSystem(np.array([[2.0]]), np.array([[0.0]]), np.eye(1), np.eye(1))
+    with pytest.raises(ArithmeticError, match=r"\(A, B\) may not be stabilizable"):
+        solve_dare(sys)
+
+
 def test_dare_2d_design_distance(di2d_sys, di2d_dare, di2d_K_eff):
     Kstar, _ = di2d_dare
     assert induced_two_norm(di2d_K_eff - Kstar) == pytest.approx(9.9, rel=1e-9)
@@ -175,6 +184,18 @@ def test_dare_residual(ac4d_sys, ac4d_dare):
 def test_zeta_one_recovers_optimum(di2d_sys, di2d_dare):
     Kstar, _ = di2d_dare
     np.testing.assert_allclose(zeta_dare(di2d_sys, 1.0), Kstar, rtol=1e-9)
+
+
+def test_zeta_one_is_the_system_itself(di2d_prob):
+    # the optimal design is the amplified one at zeta = 1, with one solve
+    from lqmpc import TerminalDesign
+
+    sys = di2d_prob.sys
+    assert sys.amplified(1.0) is sys
+    assert zeta_dare(sys, 1.0) is sys.optimal[0]
+    design = TerminalDesign.for_optimal_cost(di2d_prob)
+    assert design.K is sys.optimal[0] and design.gain is sys.optimal[1]
+    assert design.zeta == 1.0
 
 
 def test_zeta_design_2d_ratio(di2d_dare, di2d_K_eff):
