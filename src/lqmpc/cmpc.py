@@ -4,7 +4,9 @@ The finite-horizon problem with terminal cost x'Kx and terminal set S is
 solved as a condensed QP.  The engine evaluates the receding-horizon policy,
 simulates closed loops to measure realized infinite-horizon cost, sweeps
 feasibility / suboptimality maps over 2-D grids, and gives the exact
-feasible set in any dimension by support LPs.
+feasible set in any dimension by support LPs.  One row pass tests queries,
+one state or a grid row, against the controller's stores (shortcut,
+infeasibility certificates, critical regions); the rest reach the QP.
 
 Infeasibility is identified with infinite cost (indicator-function semantics
 of the state constraint set).  The module returns arrays and grids and
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -157,6 +160,9 @@ class MpcStep:
     value: float
 
 
+_INFEASIBLE = MpcStep(False, None, math.inf)
+
+
 @dataclass(frozen=True)
 class CriticalRegion:
     """The ell-step QP's solution on one optimal active set W, affine in x0.
@@ -228,10 +234,13 @@ class MpcController:
     finds that region's W too.  Certificates only answer "infeasible", and
     regions only "feasible", so no verdict depends on either store.
 
-    A region sweep runs these tests for a whole grid row at once
-    (`_solve_rows`): one product each for the shortcut, the certificate
-    rows and the region rows, against the stores as they stand at the start
-    of the row, and `solve`, in row order, for the cells left over.
+    The three store tests are written once, for the rows of a state matrix
+    (`_stored_steps`): one product each for the shortcut, the certificate
+    rows and the region rows.  `solve` is that row pass on its one state,
+    then the QP (`_qp_step`) when no store answers; a region sweep passes a
+    whole grid row at once (`_solve_rows`), against the stores as they
+    stand at the start of the row, and `solve`, in row order, for the cells
+    left over.
     """
 
     def __init__(self, prob: ConstrainedProblem, design: TerminalDesign, ell: int):
@@ -349,18 +358,50 @@ class MpcController:
         )
 
     def solve(self, x0) -> MpcStep:
+        """The ell-step answer at x0: the row pass `_stored_steps` on the one
+        state, and the QP when no store answers it."""
         x0 = np.asarray(x0, dtype=float).ravel()
-        if np.all(self._H_u @ x0 <= self._h_u):
-            return self._shortcut_step(x0)
-        if self._cert_b.size and np.max(self._cert_a @ x0 + self._cert_b) > _CERT_MARGIN:
-            return MpcStep(False, None, math.inf)
-        region = self._stored_region(x0)
-        if region is not None:
-            return self._region_step(region, x0)
+        return self._stored_steps(x0[None])[0] or self._qp_step(x0)
+
+    def _solve_rows(self, X) -> list[MpcStep]:
+        """`[self.solve(x0) for x0 in X]`: the rows of X tested at once
+        against the stores as they stand on entry, and each state left over
+        passed, in order, to `solve`, which tests the stores as they stand
+        then.  So the same states reach the QP in the same order as in the
+        loop; and as the stores only grow, each answer is the loop's too."""
+        X = np.asarray(X, dtype=float)
+        return [step or self.solve(x0) for x0, step in zip(X, self._stored_steps(X))]
+
+    def _stored_steps(self, X: np.ndarray) -> list[Optional[MpcStep]]:
+        """Per row x0 of X, the answer of the stores as they stand: the
+        shortcut step, the certified infeasible step, the step of the first
+        stored region that holds x0 (each state with its own KKT-scale
+        margin, see the class docstring), or None.  One product each tests
+        every state against the shortcut polytope, the certificate rows and
+        every stored region's membership rows; the last is skipped when the
+        first two answer every state."""
+        k, n = X.shape
+        shortcut = (X @ self._H_u.T <= self._h_u).all(axis=1).tolist()
+        certified = (X @ self._cert_a.T + self._cert_b > _CERT_MARGIN).any(axis=1).tolist()
+        held = [-1] * k
+        if self._regions and not all(map(operator.or_, shortcut, certified)):
+            Y = np.ones((k, n + 1))
+            Y[:, :-1] = X
+            scale = np.abs(Y @ self._qg_aug.T).max(axis=1, initial=1.0)
+            inside = (Y @ self._region_rows.T >= _REGION_MARGIN * scale[:, None]).reshape(
+                k, len(self._regions), -1).all(axis=2)
+            held = np.where(inside.any(axis=1), inside.argmax(axis=1), -1).tolist()
+        return [self._shortcut_step(x0) if short else _INFEASIBLE if cert
+                else self._region_step(self._regions[i], x0) if i >= 0 else None
+                for x0, short, cert, i in zip(X, shortcut, certified, held)]
+
+    def _qp_step(self, x0: np.ndarray) -> MpcStep:
+        """The QP's answer at x0, which grows the certificate store when the
+        QP is infeasible and the region store when its active set is new."""
         sol: QpSolution = solve_qp(self.qp_at(x0))
         if sol.status == "infeasible":
             self._keep_certificate(sol.farkas)
-            return MpcStep(False, None, math.inf)
+            return _INFEASIBLE
         if sol.status != "optimal":
             over = _over_tolerance((("primal", sol.primal_residual, QP_FEAS_TOL),
                                     ("dual", sol.dual_residual, QP_DUAL_TOL),
@@ -379,59 +420,11 @@ class MpcController:
             self._region_rows = np.vstack([self._region_rows, region.rows])
         return self._region_step(region, x0)
 
-    def _solve_rows(self, X) -> list[MpcStep]:
-        """`[self.solve(x0) for x0 in X]`, with the store tests of all the
-        states x0 (the rows of X) run at once, against the stores as they
-        stand on entry.
-
-        Three products test every state: the shortcut polytope, the
-        certificate rows and every stored region's membership rows (each
-        state with its own margin).  A state that one of them answers gets
-        `solve`'s own expressions for that answer; every other state goes,
-        in order, to `solve`, which tests the stores as they stand then, so
-        the same states reach the QP, in the same order, as in the loop.
-        The stores only grow, and the first stored region that holds a
-        state stays the first, so each answer is the loop's too.
-        """
-        X = np.asarray(X, dtype=float)
-        shortcut = np.all(X @ self._H_u.T <= self._h_u, axis=1).tolist()
-        certified = np.any(X @ self._cert_a.T + self._cert_b > _CERT_MARGIN, axis=1).tolist()
-        held = [-1] * len(X)
-        if self._regions:
-            Y = np.column_stack([X, np.ones(len(X))])
-            scale = np.maximum(1.0, np.max(np.abs(Y @ self._qg_aug.T), axis=1))
-            inside = np.all((Y @ self._region_rows.T >= _REGION_MARGIN * scale[:, None])
-                            .reshape(len(X), len(self._regions), -1), axis=2)
-            held = np.where(np.any(inside, axis=1), np.argmax(inside, axis=1), -1).tolist()
-        steps = []
-        for x0, short, cert, i in zip(X, shortcut, certified, held):
-            if short:
-                steps.append(self._shortcut_step(x0))
-            elif cert:
-                steps.append(MpcStep(False, None, math.inf))
-            elif i >= 0:
-                steps.append(self._region_step(self._regions[i], x0))
-            else:
-                steps.append(self.solve(x0))
-        return steps
-
     def _shortcut_step(self, x0) -> MpcStep:
         """The answer inside the shortcut polytope: the first move as the
         policy gain rounds it ((Z x0)[:m] is the same move, rounded by a
         longer product) and the value x0' F^ell(K) x0."""
         return MpcStep(True, self._policy_gain.L @ x0, float(x0 @ self._value_matrix @ x0))
-
-    def _stored_region(self, x0) -> Optional[CriticalRegion]:
-        """The stored region whose membership rows all reach the margin at
-        x0 (see the class docstring), or None."""
-        if not self._regions:
-            return None
-        y = np.append(np.asarray(x0, dtype=float).ravel(), 1.0)
-        margin = _REGION_MARGIN * max(1.0, float(np.max(np.abs(self._qg_aug @ y))))
-        inside = np.all((self._region_rows @ y >= margin).reshape(len(self._regions), -1),
-                        axis=1)
-        i = int(np.argmax(inside))
-        return self._regions[i] if inside[i] else None
 
     def _region_step(self, region: CriticalRegion, x0) -> MpcStep:
         y = np.append(x0, 1.0)
@@ -573,58 +566,31 @@ def _grid_axes(prob: ConstrainedProblem, grid_spec) -> tuple[np.ndarray, np.ndar
     return xs, ys
 
 
-def _run_sweep(prob, design, ell, grid_spec, kind) -> CostMapGrid:
-    """One pass over the grid, row by row, on fresh controllers, so a sweep's
-    results do not depend on earlier calls.  A region sweep passes each row
-    to `MpcController._solve_rows`, which tests all its cells against the
-    controller's stores at once; the submap runs one closed loop per cell."""
-    xs, ys = _grid_axes(prob, grid_spec or {})
-    ctl = MpcController(prob, design, ell)
-    feas = np.zeros((ys.size, xs.size), dtype=bool)
-    cost = np.full((ys.size, xs.size), math.inf)
-    if kind == "region":
-        # no gap is computed: one read-only NaN stands for every cell
-        rel = np.broadcast_to(math.nan, feas.shape)
-        for iy, y in enumerate(ys):
-            row = np.column_stack([xs, np.full(xs.size, y)])
-            for ix, step in enumerate(ctl._solve_rows(row)):
-                feas[iy, ix] = step.feasible
-                if step.feasible:
-                    cost[iy, ix] = step.value
-    else:
-        rel = np.full(feas.shape, math.nan)
-        ctl_opt = MpcController(prob, design, APPROX_OPT_HORIZON)
-        for iy, y in enumerate(ys):
-            for ix, x in enumerate(xs):
-                pt = np.array([x, y])
-                J = ctl.simulate_cost(pt)
-                feas[iy, ix] = math.isfinite(J)
-                cost[iy, ix] = J
-                if not math.isfinite(J) or (x == 0.0 and y == 0.0):
-                    continue
-                Jopt = ctl_opt.simulate_cost(pt)
-                if Jopt > 0 and math.isfinite(Jopt):
-                    rel[iy, ix] = abs(J - Jopt) / Jopt
-    return CostMapGrid(
-        xs=xs, ys=ys, feasible=feas, cost=cost, rel_gap=rel,
-        meta={"kind": kind, "ell": ell, "zeta": design.zeta, "resolution": xs.size},
-    )
-
-
 def feasible_region_grid(
     prob: ConstrainedProblem, design: TerminalDesign, ell: int, grid_spec=None,
     workers: Optional[int] = None,
 ) -> CostMapGrid:
     """Feasibility verdict (and QP value) of the ell-step problem per grid point.
 
-    The sweep runs in the calling process, one grid row at a time: the
-    cells that the shortcut, a stored certificate or a stored region
-    answers at the start of the row are answered together, and the rest go
-    through `MpcController.solve` in order, so the grid and the QPs it runs
-    are those of one `solve` per cell.  `workers` is accepted and ignored,
-    for callers that still pass it; it selects nothing.
+    The sweep runs in the calling process on a fresh controller, so its
+    results do not depend on earlier calls, one grid row at a time
+    (`MpcController._solve_rows`): the cells that the shortcut, a stored
+    certificate or a stored region answers at the start of the row are
+    answered together, and the rest go through `MpcController.solve` in
+    order, so the grid and the QPs it runs are those of one `solve` per
+    cell.  No gap is computed: one read-only NaN stands for every cell.
+    `workers` is accepted and ignored, for callers that still pass it; it
+    selects nothing.
     """
-    return _run_sweep(prob, design, ell, grid_spec, "region")
+    xs, ys = _grid_axes(prob, grid_spec or {})
+    ctl = MpcController(prob, design, ell)
+    steps = [ctl._solve_rows(np.column_stack([xs, np.full(xs.size, y)])) for y in ys]
+    return CostMapGrid(
+        xs=xs, ys=ys, feasible=np.array([[s.feasible for s in row] for row in steps]),
+        cost=np.array([[s.value for s in row] for row in steps]),
+        rel_gap=np.broadcast_to(math.nan, (ys.size, xs.size)),
+        meta={"kind": "region", "ell": ell, "zeta": design.zeta, "resolution": xs.size},
+    )
 
 
 def suboptimality_map(
@@ -635,10 +601,28 @@ def suboptimality_map(
 
     J_pol is the realized ell-step receding-horizon cost; J_opt the ell=100
     approximation of the optimal cost.  The origin cell is excluded (0/0).
-    The sweep runs in the calling process.  `workers` is accepted and
-    ignored, for callers that still pass it; it selects nothing.
+    The sweep runs in the calling process on fresh controllers, one closed
+    loop per cell, row by row.  `workers` is accepted and ignored, for
+    callers that still pass it; it selects nothing.
     """
-    return _run_sweep(prob, design, ell, grid_spec, "submap")
+    xs, ys = _grid_axes(prob, grid_spec or {})
+    ctl = MpcController(prob, design, ell)
+    ctl_opt = MpcController(prob, design, APPROX_OPT_HORIZON)
+    cost = np.full((ys.size, xs.size), math.inf)
+    rel = np.full(cost.shape, math.nan)
+    for iy, y in enumerate(ys):
+        for ix, x in enumerate(xs):
+            pt = np.array([x, y])
+            J = cost[iy, ix] = ctl.simulate_cost(pt)
+            if not math.isfinite(J) or (x == 0.0 and y == 0.0):
+                continue
+            Jopt = ctl_opt.simulate_cost(pt)
+            if Jopt > 0 and math.isfinite(Jopt):
+                rel[iy, ix] = abs(J - Jopt) / Jopt
+    return CostMapGrid(
+        xs=xs, ys=ys, feasible=np.isfinite(cost), cost=cost, rel_gap=rel,
+        meta={"kind": "submap", "ell": ell, "zeta": design.zeta, "resolution": xs.size},
+    )
 
 
 def feasible_set(prob: ConstrainedProblem, design: TerminalDesign, ell: int) -> np.ndarray:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .matcore import (
     PSD_TOL,
+    STABILITY_TOL,
     check_square,
     induced_two_norm,
     is_stable,
@@ -60,7 +61,8 @@ class LqSystem:
 
     R must be positive definite and Q positive semidefinite.  Stabilizability
     of (A, B) is certified operationally: `solve_dare` succeeds and returns a
-    stabilizing gain, or raises.
+    stabilizing gain, or raises, at once when the PBH rank test finds an
+    eigenvalue of A on or outside the unit circle that B cannot steer.
     """
 
     A: np.ndarray
@@ -216,8 +218,17 @@ def solve_dare(sys: LqSystem) -> tuple[np.ndarray, GainPolicy]:
     converge quadratically, until a Kleinman step's residual |F(K) - K| is
     within DARE_TOL of max(1, |K|).  Each iterate takes one `_riccati_step`,
     which gives its greedy gain and its Bellman step (the residual) together.
-    Raises ArithmeticError when no iterate stabilizes or one overflows first.
+    Raises ArithmeticError when no iterate stabilizes or one overflows first,
+    and before any iterate when the PBH rank test fails: some eigenvalue
+    lam of A with |lam| >= 1 - STABILITY_TOL leaves [A - lam I, B] with a
+    smallest singular value within 1e-9 of max(1, its largest).
     """
+    for lam in np.linalg.eigvals(sys.A):
+        if abs(lam) >= 1.0 - STABILITY_TOL:
+            s = np.linalg.svd(np.hstack([sys.A - lam * np.eye(sys.n), sys.B]), compute_uv=False)
+            if s[-1] <= 1e-9 * max(1.0, s[0]):
+                raise ArithmeticError(f"eigenvalue {lam:.6g} of A is not controllable "
+                                      "(PBH rank test); (A, B) may not be stabilizable")
     K = sys.Q.copy()
     for j in range(_MAX_VALUE_ITERS):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below

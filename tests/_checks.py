@@ -40,7 +40,7 @@ from lqmpc import (
     symmetrize,
     zeta_dare,
 )
-from lqmpc.cmpc import _grid_axes
+from lqmpc.cmpc import _CERT_MARGIN, _REGION_MARGIN, _grid_axes
 from lqmpc.polytope import _chebyshev_centre, _hull_rows, _polar_points
 from lqmpc.qp import QP_DUAL_TOL, _TIKHONOV, _phase1
 
@@ -449,6 +449,32 @@ def reference_region_sweep(prob, design, ell, grid_spec):
             if step.feasible:
                 cost[iy, ix] = step.value
     return feas, cost
+
+
+def reference_stored_region(ctl, x0):
+    """The index of the first stored region of the controller whose
+    membership rows all reach the margin at x0, by the one-state test that
+    the row pass `MpcController._stored_steps` replaced, or None."""
+    if not ctl._regions:
+        return None
+    y = np.append(np.asarray(x0, dtype=float).ravel(), 1.0)
+    margin = _REGION_MARGIN * max(1.0, float(np.max(np.abs(ctl._qg_aug @ y))))
+    inside = np.all((ctl._region_rows @ y >= margin).reshape(len(ctl._regions), -1), axis=1)
+    i = int(np.argmax(inside))
+    return i if inside[i] else None
+
+
+def reference_store_answer(ctl, x0):
+    """What answers x0 from the controller's stores as they stand, by the
+    one-state tests that `MpcController._stored_steps` replaced:
+    "shortcut", "certificate", a region index (`reference_stored_region`),
+    or None (the QP answers)."""
+    x0 = np.asarray(x0, dtype=float).ravel()
+    if np.all(ctl._H_u @ x0 <= ctl._h_u):
+        return "shortcut"
+    if ctl._cert_b.size and np.max(ctl._cert_a @ x0 + ctl._cert_b) > _CERT_MARGIN:
+        return "certificate"
+    return reference_stored_region(ctl, x0)
 
 
 def ball_loop_cost(ctl, x0, rtol=1e-6, cap=10_000):

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -344,9 +345,15 @@ def test_non_finite_numbers_exit_2_with_an_error_line(tmp_path, capsys, argv, sc
      "field 'grid_bounds': 1 lower, 1 upper bounds, expected 2 each"),
     (("x0: [1, 0]", "x0: [1, 0]\ngrid_bounds: [[-1, -1, -1], [1, 1, 1]]"),
      "field 'grid_bounds': 3 lower, 3 upper bounds, expected 2 each"),
-    # B = 0 cannot steer the unstable modes: the Riccati iteration overflows
+    # B cannot steer a mode on or outside the unit circle: the PBH rank test
+    # rejects the pair before any Riccati iterate, also where the iterates
+    # grow only polynomially and would take 100 000 steps to give up
     (("A: [[1, 1], [0, 1]]\nB: [[0], [1]]", "A: [[2, 0], [0, 2]]\nB: [[0], [0]]"),
-     "value iteration overflowed at step 512; (A, B) may not be stabilizable"),
+     "eigenvalue 2 of A is not controllable (PBH rank test); (A, B) may not be stabilizable"),
+    (("B: [[0], [1]]", "B: [[0], [0]]"),
+     "eigenvalue 1 of A is not controllable (PBH rank test); (A, B) may not be stabilizable"),
+    (("A: [[1, 1], [0, 1]]", "A: [[1, 0], [0, 0.5]]"),
+     "eigenvalue 1 of A is not controllable (PBH rank test); (A, B) may not be stabilizable"),
 ])
 def test_invalid_scenario_fields_exit_2_with_an_error_line(tmp_path, capsys, edit, message):
     # a field of the wrong type or a constraint set that cannot be built is
@@ -355,7 +362,9 @@ def test_invalid_scenario_fields_exit_2_with_an_error_line(tmp_path, capsys, edi
     f.write_text(GOOD.replace(*edit))
     out = tmp_path / "out"
     argv = ["simulate", "--steps", "2", "--scenario", str(f), "--out", str(out)]
+    start = time.perf_counter()
     assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists() or not any(out.iterdir())
 

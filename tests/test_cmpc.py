@@ -37,7 +37,8 @@ from lqmpc.cli import _write_grid_csv
 from _checks import (assert_same_vertices, ball_loop_cost, check_policy_cost_below_value,
                      controller_arrays, pairwise_vertices_2d,
                      reference_condensation, reference_region_sweep, reference_results,
-                     reference_vertices, sample_interior)
+                     reference_store_answer, reference_stored_region, reference_vertices,
+                     sample_interior)
 
 
 SMALL_GRID = {"resolution": 21}
@@ -638,17 +639,85 @@ def test_region_sweep_matches_the_cell_loop(di2d_prob, request, which, seed, ell
     assert len(qps) <= len(solved) < feas.size / 10
 
 
+def _check_store_answer(ctl, x0, step) -> str:
+    """Assert that `step`, an answer of `_stored_steps` at x0, comes from the
+    store that `reference_store_answer` picks, with the bits of u0 and value
+    that the one-state tests' own expressions give there; returns the
+    store's name ("region" for any region)."""
+    answer = reference_store_answer(ctl, x0)
+    if answer is None:
+        assert step is None, x0
+        return "qp"
+    if answer == "certificate":
+        assert not step.feasible and step.u0 is None and step.value == math.inf, x0
+        return answer
+    if answer == "shortcut":
+        u0, value = ctl._policy_gain.L @ x0, float(x0 @ ctl._value_matrix @ x0)
+    else:
+        region, y = ctl._regions[answer], np.append(x0, 1.0)
+        u0, value = region.law[: ctl.prob.sys.m] @ y, float(y @ region.value @ y)
+    assert step is not None and _same_step(step, cmpc.MpcStep(True, u0, value)), (x0, answer)
+    return "region" if isinstance(answer, int) else answer
+
+
+@pytest.mark.parametrize("which", ["eff", "opt"])
+@pytest.mark.parametrize("ell", [3, 10])
+def test_store_answers_match_the_one_state_tests_on_every_grid_cell(
+        di2d_prob, request, which, ell):
+    """`_stored_steps` against the one-state store tests it replaced
+    (`_checks.reference_store_answer`) on every cell of an example-3 grid
+    (101x101), in the sweep's order: each grid row against the stores as
+    they stand at its start, and each cell alone against the stores as
+    `solve` meets them.  Both pick the same store and region, with the same
+    bits of u0 and value, and every store answers some cells."""
+    design = request.getfixturevalue(f"di2d_design_{which}")
+    xs, ys = cmpc._grid_axes(di2d_prob, load_scenario("di-2d").grid_spec())
+    ctl = MpcController(di2d_prob, design, ell)
+    paths = {}
+    for y in ys:
+        row = np.column_stack([xs, np.full(xs.size, y)])
+        for x0, step in zip(row, ctl._stored_steps(row)):
+            _check_store_answer(ctl, x0, step)
+        for x0 in row:
+            path = _check_store_answer(ctl, x0, ctl._stored_steps(x0[None])[0])
+            paths[path] = paths.get(path, 0) + 1
+            ctl.solve(x0)
+    assert sum(paths.values()) == 101 * 101
+    assert set(paths) == {"shortcut", "certificate", "region", "qp"}, paths
+
+
+def test_store_answers_match_the_one_state_tests_in_closed_loops(
+        di2d_prob, di2d_design_eff, monkeypatch):
+    """Every state of the closed loops of a 15x15 di-2d suboptimality map,
+    at ell = 3 and at ell = 100, gets from `_stored_steps` the store,
+    region and bits that the one-state tests give (see the grid test
+    above), and the map is the one without the check."""
+    spec = {**load_scenario("di-2d").grid_spec(), "resolution": 15}
+    paths = {}
+    solve = MpcController.solve
+
+    def checked(self, x0):
+        path = _check_store_answer(self, x0, self._stored_steps(x0[None])[0])
+        paths[self.ell, path] = paths.get((self.ell, path), 0) + 1
+        return solve(self, x0)
+
+    plain = suboptimality_map(di2d_prob, di2d_design_eff, 3, spec)
+    monkeypatch.setattr(MpcController, "solve", checked)
+    grid = suboptimality_map(di2d_prob, di2d_design_eff, 3, spec)
+    for a, b in ((grid.cost, plain.cost), (grid.rel_gap, plain.rel_gap)):
+        assert a.tobytes() == b.tobytes()
+    for ell in (3, cmpc.APPROX_OPT_HORIZON):
+        assert paths.get((ell, "region"), 0) > 0 and paths.get((ell, "qp"), 0) > 0, paths
+    assert paths.get((3, "certificate"), 0) > 0, paths
+
+
 def _answer_paths(ctl, X) -> str:
     """Per row of X, what answers it from the controller's stores as they
     stand: S (shortcut), C (certificate), R (stored region) or Q (none)."""
     paths = ""
     for x0 in X:
-        if np.all(ctl._H_u @ x0 <= ctl._h_u):
-            paths += "S"
-        elif ctl._cert_b.size and np.max(ctl._cert_a @ x0 + ctl._cert_b) > cmpc._CERT_MARGIN:
-            paths += "C"
-        else:
-            paths += "Q" if ctl._stored_region(x0) is None else "R"
+        answer = reference_store_answer(ctl, x0)
+        paths += {"shortcut": "S", "certificate": "C", None: "Q"}.get(answer, "R")
     return paths
 
 
@@ -1201,7 +1270,7 @@ def test_query_on_a_region_boundary_is_answered_by_the_qp(di2d_prob, di2d_design
         lo, hi = (mid, hi) if active(x_a + mid * (x_b - x_a)) == w_a else (lo, mid)
     for t in (lo, hi):
         x0 = x_a + t * (x_b - x_a)
-        assert keeper._stored_region(x0) is None, x0
+        assert reference_stored_region(keeper, x0) is None, x0
         fresh = MpcController(di2d_prob, di2d_design_eff, 3)
         assert _same_step(keeper.solve(x0), fresh.solve(x0)), x0
 
@@ -1271,7 +1340,8 @@ def test_dual_qp_matches_reference_on_every_grid_cell(di2d_prob, request, which,
     for x0, (status, objective) in zip(points, reference):
         assert status in ("optimal", "infeasible"), (x0, status)
         shortcut = np.all(ctl._H_u @ x0 <= ctl._h_u)
-        region = None if shortcut else ctl._stored_region(x0)
+        i = None if shortcut else reference_stored_region(ctl, x0)
+        region = None if i is None else ctl._regions[i]
         step = ctl.solve(x0)
         assert step.feasible == (status == "optimal"), x0
         if step.feasible:

@@ -2,6 +2,7 @@
 of decreasing, and closed-loop cost matrices."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -139,12 +140,26 @@ def test_dare_zero_dynamics():
 
 
 def test_dare_names_a_pair_that_is_not_stabilizable():
-    # with B = 0 the unstable mode cannot be steered: value iteration grows
-    # as 4K + 1 until it overflows, which is reported as the documented
-    # arithmetic error rather than as an invalid matrix
+    # with B = 0 the unstable mode cannot be steered: the PBH rank test
+    # reports it as the documented arithmetic error rather than as an
+    # invalid matrix
     sys = LqSystem(np.array([[2.0]]), np.array([[0.0]]), np.eye(1), np.eye(1))
     with pytest.raises(ArithmeticError, match=r"\(A, B\) may not be stabilizable"):
         solve_dare(sys)
+
+
+@pytest.mark.parametrize("A, B", [([[1.0, 1.0], [0.0, 1.0]], [[0.0], [0.0]]),
+                                  ([[1.0, 0.0], [0.0, 0.5]], [[0.0], [1.0]])],
+                         ids=["double-integrator-B0", "unsteered-unit-mode"])
+def test_dare_rejects_an_unsteerable_unit_mode_at_once(A, B):
+    # the value iterates of these pairs grow only polynomially, so without
+    # the PBH rank test they run all 100 000 steps (seconds) before raising
+    sys = LqSystem(np.array(A), np.array(B), np.eye(2), np.eye(1))
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match=r"eigenvalue 1 of A is not controllable "
+                       r"\(PBH rank test\); \(A, B\) may not be stabilizable"):
+        solve_dare(sys)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_dare_2d_design_distance(di2d_sys, di2d_dare, di2d_K_eff):
