@@ -312,14 +312,17 @@ def _trajectory_costs(prob: ConstrainedProblem, design: TerminalDesign, ell: int
                       x0, steps: int) -> list[dict]:
     """`simulate_trajectory` records of the ell-step closed loop from x0; each
     feasible record also gets the cost-to-go from its state of that loop
-    ("policy") and of the ell=100 approximation of the optimum ("optimal")."""
+    ("policy") and of the ell=100 approximation of the optimum ("optimal"),
+    the loops from every record's state stepped together per controller."""
     ctl = MpcController(prob, design, ell)
     ctl_opt = MpcController(prob, design, APPROX_OPT_HORIZON)
     records = ctl.simulate_trajectory(x0, max_steps=steps)
-    for rec in records:
-        if rec["feasible"]:
-            rec["policy"] = ctl.simulate_cost(rec["x"])
-            rec["optimal"] = ctl_opt.simulate_cost(rec["x"])
+    feasible = [rec for rec in records if rec["feasible"]]
+    if feasible:
+        X = np.array([rec["x"] for rec in feasible])
+        for key, controller in (("policy", ctl), ("optimal", ctl_opt)):
+            for rec, J in zip(feasible, controller._closed_loop_costs(X)):
+                rec[key] = float(J)
     return records
 
 

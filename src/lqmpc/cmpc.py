@@ -5,8 +5,9 @@ solved as a condensed QP.  The engine evaluates the receding-horizon policy,
 simulates closed loops to measure realized infinite-horizon cost, sweeps
 feasibility / suboptimality maps over 2-D grids, and gives the exact
 feasible set in any dimension by support LPs.  One row pass tests queries,
-one state or a grid row, against the controller's stores (shortcut,
-infeasibility certificates, critical regions); the rest reach the QP.
+one state, a grid row or the live states of many closed loops stepped
+together, against the controller's stores (shortcut, infeasibility
+certificates, critical regions); the rest reach the QP.
 
 Infeasibility is identified with infinite cost (indicator-function semantics
 of the state constraint set).  The module returns arrays and grids and
@@ -237,10 +238,12 @@ class MpcController:
     The three store tests are written once, for the rows of a state matrix
     (`_stored_steps`): one product each for the shortcut, the certificate
     rows and the region rows.  `solve` is that row pass on its one state,
-    then the QP (`_qp_step`) when no store answers; a region sweep passes a
-    whole grid row at once (`_solve_rows`), against the stores as they
-    stand at the start of the row, and `solve`, in row order, for the cells
-    left over.
+    then the QP (`_qp_step`) when no store answers.  `_solve_rows` passes
+    many states at once, against the stores as they stand on entry, and
+    `solve`, in order, for the states left over, re-testing those still
+    left together after each QP that grows a store.  A region sweep passes
+    it a whole grid row; the closed loops (`_closed_loop_costs`) pass it
+    every live state of every loop at each lock-step.
     """
 
     def __init__(self, prob: ConstrainedProblem, design: TerminalDesign, ell: int):
@@ -366,11 +369,22 @@ class MpcController:
     def _solve_rows(self, X) -> list[MpcStep]:
         """`[self.solve(x0) for x0 in X]`: the rows of X tested at once
         against the stores as they stand on entry, and each state left over
-        passed, in order, to `solve`, which tests the stores as they stand
-        then.  So the same states reach the QP in the same order as in the
-        loop; and as the stores only grow, each answer is the loop's too."""
+        passed, in order, to `solve`; the states still left over are tested
+        at once again whenever that QP grows a store (a region or a
+        certificate).  So the same states reach the QP in the same order as
+        in the loop; and as the stores only grow, each answer is the loop's
+        too."""
         X = np.asarray(X, dtype=float)
-        return [step or self.solve(x0) for x0, step in zip(X, self._stored_steps(X))]
+        steps = self._stored_steps(X)
+        for i in range(len(steps)):
+            if steps[i] is None:
+                stored = len(self._regions) + self._cert_b.size
+                steps[i] = self.solve(X[i])
+                if len(self._regions) + self._cert_b.size > stored:
+                    rest = [j for j in range(i + 1, len(steps)) if steps[j] is None]
+                    for j, step in zip(rest, self._stored_steps(X[rest])):
+                        steps[j] = step
+        return steps
 
     def _stored_steps(self, X: np.ndarray) -> list[Optional[MpcStep]]:
         """Per row x0 of X, the answer of the stores as they stand: the
@@ -493,37 +507,52 @@ class MpcController:
         self._cert_a = np.vstack([self._cert_a, -(self._g_map.T @ y) / s])
         self._cert_b = np.append(self._cert_b, -(self._g_const @ y + slack) / s)
 
-    def _move(self, x) -> tuple[MpcStep, float, Optional[np.ndarray]]:
-        """One closed-loop move from x: (step, stage cost, successor state),
-        or (step, inf, None) when the step is infeasible."""
-        step = self.solve(x)
-        if not step.feasible:
-            return step, math.inf, None
+    def _move(self, x, u) -> tuple[float, np.ndarray]:
+        """One closed-loop move u from x: (stage cost, successor state)."""
         sys = self.prob.sys
-        u = step.u0
-        return step, float(x @ sys.Q @ x + u @ sys.R @ u), sys.A @ x + sys.B @ u
+        return float(x @ sys.Q @ x + u @ sys.R @ u), sys.A @ x + sys.B @ u
 
     def simulate_cost(self, x0) -> float:
         """Realized infinite-horizon closed-loop cost from x0 (inf if any
-        step is infeasible).
+        step is infeasible): the one-state case of `_closed_loop_costs`."""
+        return float(self._closed_loop_costs(np.reshape(x0, (1, -1)))[0])
 
-        Simulates x+ = Ax + B u(x) accumulating stage costs until the state
-        is inside `tail_set` (tested without slack, so inside the shortcut
-        polytope too), then adds the exact cost to go x' tail_cost x there.
+    def _closed_loop_costs(self, X) -> np.ndarray:
+        """The realized closed-loop cost from each row of X (inf if any step
+        is infeasible), all loops stepped together.
+
+        Each lock-step tests every live state against `tail_set` in one
+        product (without slack, so inside the shortcut polytope too) and
+        closes those inside with the exact cost to go x' tail_cost x; the
+        rest move by one row pass (`_solve_rows`), and an infeasible step
+        closes its loop at inf.  Each loop sums its own stage costs in its
+        own order, and each answer is the law of the state's own active set
+        whichever loop reached the QP first, so every cost has the bits of
+        its loop run alone.
         """
-        x = np.asarray(x0, dtype=float).ravel()
+        X = np.array(X, dtype=float)  # each row steps in place
+        cost = np.full(len(X), math.inf)
+        total = np.zeros(len(X))
+        live = np.arange(len(X))
         O = self.tail_set
-        total = 0.0
         for _ in range(_SIM_CAP):
-            if np.all(O.H @ x <= O.h):
-                return total + float(x @ self.tail_cost @ x)
-            step, stage, x = self._move(x)
-            if not step.feasible:
-                return math.inf
-            total += stage
-        raise ArithmeticError(
-            f"closed loop did not reach the tail set in {_SIM_CAP} steps"
-        )
+            inside = (X[live] @ O.H.T <= O.h).all(axis=1)
+            for i in live[inside]:
+                cost[i] = total[i] + float(X[i] @ self.tail_cost @ X[i])
+            live = live[~inside]
+            if not live.size:
+                return cost
+            steps = self._solve_rows(X[live])
+            feasible = [step.feasible for step in steps]
+            for i, step in zip(live[feasible], itertools.compress(steps, feasible)):
+                stage, X[i] = self._move(X[i], step.u0)
+                total[i] += stage
+            live = live[feasible]
+        if live.size:
+            raise ArithmeticError(
+                f"closed loop did not reach the tail set in {_SIM_CAP} steps"
+            )
+        return cost
 
     def simulate_trajectory(self, x0, max_steps: int = 200) -> list[dict]:
         """Step records (k, x, u, stage cost, horizon value) for exactly
@@ -531,7 +560,8 @@ class MpcController:
         x = np.asarray(x0, dtype=float).ravel()
         out = []
         for k in range(max_steps):
-            step, stage, x_next = self._move(x)
+            step = self.solve(x)
+            stage, x_next = self._move(x, step.u0) if step.feasible else (math.inf, None)
             out.append({"k": k, "x": x.copy(), "u": step.u0, "stage": stage,
                         "value": step.value, "feasible": step.feasible})
             if not step.feasible:
@@ -577,10 +607,11 @@ def feasible_region_grid(
     (`MpcController._solve_rows`): the cells that the shortcut, a stored
     certificate or a stored region answers at the start of the row are
     answered together, and the rest go through `MpcController.solve` in
-    order, so the grid and the QPs it runs are those of one `solve` per
-    cell.  No gap is computed: one read-only NaN stands for every cell.
-    `workers` is accepted and ignored, for callers that still pass it; it
-    selects nothing.
+    order, tested together again after each QP that grows a store, so the
+    grid and the QPs it runs are those of one `solve` per cell.  No gap is
+    computed: one read-only NaN stands for every cell.  `workers` is
+    accepted and ignored, for callers that still pass it; it selects
+    nothing.
     """
     xs, ys = _grid_axes(prob, grid_spec or {})
     ctl = MpcController(prob, design, ell)
@@ -601,24 +632,21 @@ def suboptimality_map(
 
     J_pol is the realized ell-step receding-horizon cost; J_opt the ell=100
     approximation of the optimal cost.  The origin cell is excluded (0/0).
-    The sweep runs in the calling process on fresh controllers, one closed
-    loop per cell, row by row.  `workers` is accepted and ignored, for
-    callers that still pass it; it selects nothing.
+    The sweep runs in the calling process on fresh controllers, every cell's
+    closed loop stepped together (`MpcController._closed_loop_costs`): the
+    ell-step loops of all cells in row-major order, then the ell=100 loops
+    of the feasible cells other than the origin.  `workers` is accepted and
+    ignored, for callers that still pass it; it selects nothing.
     """
     xs, ys = _grid_axes(prob, grid_spec or {})
-    ctl = MpcController(prob, design, ell)
-    ctl_opt = MpcController(prob, design, APPROX_OPT_HORIZON)
-    cost = np.full((ys.size, xs.size), math.inf)
+    X = np.column_stack([np.tile(xs, ys.size), np.repeat(ys, xs.size)])
+    cost = MpcController(prob, design, ell)._closed_loop_costs(X)
     rel = np.full(cost.shape, math.nan)
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            pt = np.array([x, y])
-            J = cost[iy, ix] = ctl.simulate_cost(pt)
-            if not math.isfinite(J) or (x == 0.0 and y == 0.0):
-                continue
-            Jopt = ctl_opt.simulate_cost(pt)
-            if Jopt > 0 and math.isfinite(Jopt):
-                rel[iy, ix] = abs(J - Jopt) / Jopt
+    asked = np.flatnonzero(np.isfinite(cost) & X.any(axis=1))
+    J_opt = MpcController(prob, design, APPROX_OPT_HORIZON)._closed_loop_costs(X[asked])
+    ok = (J_opt > 0) & np.isfinite(J_opt)
+    rel[asked[ok]] = np.abs(cost[asked[ok]] - J_opt[ok]) / J_opt[ok]
+    cost, rel = cost.reshape(ys.size, xs.size), rel.reshape(ys.size, xs.size)
     return CostMapGrid(
         xs=xs, ys=ys, feasible=np.isfinite(cost), cost=cost, rel_gap=rel,
         meta={"kind": "submap", "ell": ell, "zeta": design.zeta, "resolution": xs.size},

@@ -103,13 +103,16 @@ def solve_dlyap(D, Q, tol: float = DLYAP_TOL) -> np.ndarray:
 
     which converges quadratically for spectral_radius(D) < 1.  Both the
     stopping test and the residual check are relative to ||P||, so the
-    solution is accurate for any scale of Q (P is linear in Q).  Each test
-    takes its two norms in one `induced_two_norm` call on a stack.  A step
-    whose Frobenius norms already reject it, |incr|_F > sqrt(n) tol
-    |P_next|_F, skips that call: |incr|_2 >= |incr|_F / sqrt(n) and
-    |P_next|_2 <= |P_next|_F, so the 2-norm test would reject it too, with a
-    factor of 2 to spare for rounding, and every accepting decision is still
-    the 2-norm test's.
+    solution is accurate for any scale of Q (P is linear in Q).  The
+    residual check allows tol max(1, ||D||^2) ||P||, the size of the
+    rounding in D'PD: a converged P of a stable but far-from-normal D
+    (||D|| ~ 100) leaves a residual of ~1e-11 ||P|| that no further
+    doubling removes.  Each test takes its norms in one `induced_two_norm`
+    call on a stack.  A step whose Frobenius norms already reject it,
+    |incr|_F > sqrt(n) tol |P_next|_F, skips that call: |incr|_2 >=
+    |incr|_F / sqrt(n) and |P_next|_2 <= |P_next|_F, so the 2-norm test
+    would reject it too, with a factor of 2 to spare for rounding, and every
+    accepting decision is still the 2-norm test's.
     """
     D = check_square(D, "D")
     Q = symmetrize(Q)
@@ -129,8 +132,9 @@ def solve_dlyap(D, Q, tol: float = DLYAP_TOL) -> np.ndarray:
             incr_norm, P_next_norm = induced_two_norm(np.stack([incr, P_next]))
             if incr_norm <= 0.5 * tol * P_next_norm:
                 P = 0.5 * (P_next + P_next.T)
-                resid, P_norm = induced_two_norm(np.stack([P - D.T @ P @ D - Q, P]))
-                if resid <= tol * P_norm:
+                resid, P_norm, D_norm = induced_two_norm(
+                    np.stack([P - D.T @ P @ D - Q, P, D]))
+                if resid <= tol * max(1.0, D_norm * D_norm) * P_norm:
                     return P
         P = P_next
         Dk = Dk @ Dk

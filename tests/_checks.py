@@ -477,6 +477,27 @@ def reference_store_answer(ctl, x0):
     return reference_stored_region(ctl, x0)
 
 
+def reference_closed_loop_cost(ctl, x0, cap=10_000):
+    """Closed-loop cost from x0 by one `solve` per state, the per-state loop
+    that the lock-step `MpcController._closed_loop_costs` replaced: stage
+    costs of the controller's moves until the state is in its tail set
+    (`O.H @ x <= O.h`, one state at a time), plus the tail cost there (inf
+    on an infeasible step)."""
+    sys, O = ctl.prob.sys, ctl.tail_set
+    x = np.asarray(x0, dtype=float).ravel()
+    total = 0.0
+    for _ in range(cap):
+        if np.all(O.H @ x <= O.h):
+            return total + float(x @ ctl.tail_cost @ x)
+        step = ctl.solve(x)
+        if not step.feasible:
+            return math.inf
+        u = step.u0
+        total += float(x @ sys.Q @ x + u @ sys.R @ u)
+        x = sys.A @ x + sys.B @ u
+    raise ArithmeticError(f"closed loop did not reach the tail set in {cap} steps")
+
+
 def ball_loop_cost(ctl, x0, rtol=1e-6, cap=10_000):
     """Closed-loop cost from x0 by the stopping rule that the tail set
     replaced: stage costs of the controller's moves until the state is in

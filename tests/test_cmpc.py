@@ -36,9 +36,9 @@ from lqmpc import cmpc, polytope, qp
 from lqmpc.cli import _write_grid_csv
 from _checks import (assert_same_vertices, ball_loop_cost, check_policy_cost_below_value,
                      controller_arrays, pairwise_vertices_2d,
-                     reference_condensation, reference_region_sweep, reference_results,
-                     reference_store_answer, reference_stored_region, reference_vertices,
-                     sample_interior)
+                     reference_closed_loop_cost, reference_condensation,
+                     reference_region_sweep, reference_results, reference_store_answer,
+                     reference_stored_region, reference_vertices, sample_interior)
 
 
 SMALL_GRID = {"resolution": 21}
@@ -691,24 +691,54 @@ def test_store_answers_match_the_one_state_tests_in_closed_loops(
     """Every state of the closed loops of a 15x15 di-2d suboptimality map,
     at ell = 3 and at ell = 100, gets from `_stored_steps` the store,
     region and bits that the one-state tests give (see the grid test
-    above), and the map is the one without the check."""
+    above): every row of every pass, the lock-step passes of the loops and
+    the one-state passes of `solve` alike, against the stores as they stand
+    at that pass; and the map is the one without the check."""
     spec = {**load_scenario("di-2d").grid_spec(), "resolution": 15}
     paths = {}
-    solve = MpcController.solve
+    stored_steps = MpcController._stored_steps
 
-    def checked(self, x0):
-        path = _check_store_answer(self, x0, self._stored_steps(x0[None])[0])
-        paths[self.ell, path] = paths.get((self.ell, path), 0) + 1
-        return solve(self, x0)
+    def checked(self, X):
+        steps = stored_steps(self, X)
+        for x0, step in zip(X, steps):
+            path = _check_store_answer(self, x0, step)
+            paths[self.ell, path] = paths.get((self.ell, path), 0) + 1
+        return steps
 
     plain = suboptimality_map(di2d_prob, di2d_design_eff, 3, spec)
-    monkeypatch.setattr(MpcController, "solve", checked)
+    monkeypatch.setattr(MpcController, "_stored_steps", checked)
     grid = suboptimality_map(di2d_prob, di2d_design_eff, 3, spec)
     for a, b in ((grid.cost, plain.cost), (grid.rel_gap, plain.rel_gap)):
         assert a.tobytes() == b.tobytes()
     for ell in (3, cmpc.APPROX_OPT_HORIZON):
         assert paths.get((ell, "region"), 0) > 0 and paths.get((ell, "qp"), 0) > 0, paths
     assert paths.get((3, "certificate"), 0) > 0, paths
+
+
+@pytest.mark.parametrize("which", ["eff", "opt"])
+@pytest.mark.parametrize("ell", [3, 10])
+def test_submap_matches_the_per_cell_loop_on_every_grid_cell(di2d_prob, request, which, ell):
+    """`suboptimality_map`, every cell's closed loop stepped together,
+    against one closed loop per cell (`_checks.reference_closed_loop_cost`,
+    one `solve` per state) on fresh controllers at ell and at ell = 100,
+    cell by cell in row-major order, on an example-3 grid (101x101): the
+    same bits of every verdict, cost and gap."""
+    design = request.getfixturevalue(f"di2d_design_{which}")
+    grid = suboptimality_map(di2d_prob, design, ell, load_scenario("di-2d").grid_spec())
+    ctl, ctl_opt = (MpcController(di2d_prob, design, h) for h in (ell, cmpc.APPROX_OPT_HORIZON))
+    cost, rel = np.full((101, 101), math.inf), np.full((101, 101), math.nan)
+    for iy, y in enumerate(grid.ys):
+        for ix, x in enumerate(grid.xs):
+            pt = np.array([x, y])
+            J = cost[iy, ix] = reference_closed_loop_cost(ctl, pt)
+            if math.isfinite(J) and pt.any():
+                J_opt = reference_closed_loop_cost(ctl_opt, pt)
+                if J_opt > 0 and math.isfinite(J_opt):
+                    rel[iy, ix] = abs(J - J_opt) / J_opt
+    assert grid.feasible.tobytes() == np.isfinite(cost).tobytes()
+    assert grid.cost.tobytes() == cost.tobytes()
+    assert grid.rel_gap.tobytes() == rel.tobytes()
+    assert 3000 < np.isfinite(rel).sum() < np.isfinite(cost).sum() < 101 * 101 - 3000
 
 
 def _answer_paths(ctl, X) -> str:
@@ -812,6 +842,30 @@ def test_region_stored_in_a_row_answers_its_later_cells(di2d_prob, di2d_design_e
                                                monkeypatch)
     assert paths == "Q" * 6
     assert len(qps) == 1 and all(s.feasible for s in steps)
+
+
+def test_region_grown_mid_row_is_tested_against_the_cells_left_over(di2d_prob, di2d_design_eff,
+                                                                    monkeypatch):
+    """Along x2 = 1 the shortcut answers the first nine cells.  The tenth
+    cell's QP stores a region in mid-row, and the eleven cells left over are
+    tested against it at once; so are the seven left after the fourteenth
+    cell's QP stores another.  The nineteenth cell's QP stores nothing, so
+    the twentieth goes straight to `solve`; its QP is infeasible, and the
+    certificate it stores answers the last cell.  The same cells reach the
+    QP in the same order as with one `solve` per cell."""
+    X = np.column_stack([np.linspace(-5.0, 5.0, 21), np.full(21, 1.0)])
+    sizes = []
+    stored_steps = MpcController._stored_steps
+    monkeypatch.setattr(MpcController, "_stored_steps",
+                        lambda self, Y: sizes.append(len(Y)) or stored_steps(self, Y))
+    paths, steps, qps = _rows_against_the_loop(di2d_prob, di2d_design_eff, [], X,
+                                               monkeypatch)
+    assert paths == "S" * 9 + "Q" * 12
+    ctl = MpcController(di2d_prob, di2d_design_eff, 3)
+    assert qps == [np.concatenate([ctl.qp_at(X[i]).q, ctl.qp_at(X[i]).g]).tobytes()
+                   for i in (9, 13, 18, 19)]
+    assert [k for k in sizes if k > 1] == [21, 11, 7]
+    assert [s.feasible for s in steps] == [True] * 19 + [False] * 2
 
 
 def test_grid_requires_2d(ac4d_prob, ac4d_design_eff):

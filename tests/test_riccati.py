@@ -162,6 +162,33 @@ def test_dare_rejects_an_unsteerable_unit_mode_at_once(A, B):
     assert time.perf_counter() - start < 1.0
 
 
+def _gaussian_draw(index):
+    """Draw `index` (from 0) of the seeded Gaussian pairs: per draw n in 1..4,
+    m in 1..2, then A and B standard normal."""
+    rng = np.random.default_rng(0)
+    for _ in range(index + 1):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+        A, B = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+    return A, B
+
+
+@pytest.mark.parametrize("index", [783, 806])
+def test_dare_of_a_far_from_normal_kleinman_loop_matches_scipy(index):
+    # the Kleinman step's Lyapunov solve on these pairs meets a stable loop
+    # with |D|_2 of 75 and 93: its converged P left a residual of about
+    # 1.5e-11 |P|, which a check against 1e-11 |P| never passed; the check
+    # now allows for the rounding in D'PD, 1e-11 |D|^2 |P|
+    from scipy.linalg import solve_discrete_are
+
+    A, B = _gaussian_draw(index)
+    n, m = B.shape
+    Kstar, gain = solve_dare(LqSystem(A, B, np.eye(n), np.eye(m)))
+    ref = solve_discrete_are(A, B, np.eye(n), np.eye(m))
+    assert induced_two_norm(ref) > 1e4
+    assert induced_two_norm(Kstar - ref) <= 1e-9 * induced_two_norm(ref)
+    assert spectral_radius(gain.closed_loop) < 1
+
+
 def test_dare_2d_design_distance(di2d_sys, di2d_dare, di2d_K_eff):
     Kstar, _ = di2d_dare
     assert induced_two_norm(di2d_K_eff - Kstar) == pytest.approx(9.9, rel=1e-9)
