@@ -73,8 +73,7 @@ class ConstrainedProblem:
     sys: LqSystem
     Xhat: HPolytope
     U: HPolytope
-    # tight axis-aligned bounds (lo, hi) of Xhat and of U, found by the
-    # boundedness LPs
+    # tight axis-aligned bounds (lo, hi) of Xhat and of U, from their vertices
     box: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     input_box: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
@@ -83,23 +82,18 @@ class ConstrainedProblem:
             raise ValueError("state constraint dimension mismatch")
         if self.U.dim != self.sys.m:
             raise ValueError("input constraint dimension mismatch")
-        boxes = {}
-        for name, P in (("state", self.Xhat), ("input", self.U)):
+        for name, attr, P in (("state", "box", self.Xhat), ("input", "input_box", self.U)):
             if not P.origin_interior():
                 raise ValueError(f"{name} constraint set must contain the origin strictly")
             try:
-                boxes[name] = bounding_box(P)
+                object.__setattr__(self, attr, bounding_box(P))
             except ValueError:
                 raise ValueError(f"{name} constraint set must be bounded") from None
-        object.__setattr__(self, "box", boxes["state"])
-        object.__setattr__(self, "input_box", boxes["input"])
 
     def state_set_contains(self, S: HPolytope) -> bool:
-        """True iff S lies in Xhat within 1e-7, by one support LP of S per
-        row of Xhat (stopping at the first violated row); an empty or
-        unbounded S fails."""
-        H, h = self.Xhat.H, self.Xhat.h
-        return all(lp_solve(H[i], S).value <= h[i] + 1e-7 for i in range(h.size))
+        """True iff S lies in Xhat within 1e-7 at every vertex of S (so on
+        all of S).  Raises ValueError as `vertices`."""
+        return bool(np.all(vertices(S) @ self.Xhat.H.T <= self.Xhat.h + 1e-7))
 
 
 @dataclass(frozen=True)
@@ -128,21 +122,21 @@ class TerminalDesign:
         return cls(K=K, S=S, gain=gain, zeta=float(zeta))
 
     def validate(self, prob: ConstrainedProblem) -> None:
-        """Structural checks: S inside Xhat, S invariant under the gain with
-        admissible inputs, K in the unconstrained region of decreasing.
+        """Structural checks: K in the unconstrained region of decreasing,
+        S inside Xhat, S invariant under the gain with admissible inputs.
 
-        D S in S and L S in U are linear in x, so they hold on S exactly
-        when they hold, within 1e-7, at S's vertices.
+        S in Xhat, D S in S and L S in U are linear in x, so they hold on S
+        exactly when they hold, within 1e-7, at S's vertices, computed once
+        (`vertices` raises ValueError for an unbounded S or h <= 0).
         """
-        if not prob.state_set_contains(self.S):
-            raise ValueError("terminal set is not contained in the state constraints")
         if not in_region_of_decreasing(prob.sys, self.K):
             raise ValueError("terminal cost is outside the region of decreasing")
         V = vertices(self.S)
-        if V.size == 0:
-            raise ValueError("terminal set has an empty interior")
-        for target, M, what in ((self.S, self.gain.closed_loop, "set is not invariant under its gain"),
-                                (prob.U, self.gain.L, "gain violates input constraints on S")):
+        for target, M, what in (
+            (prob.Xhat, np.eye(self.S.dim), "set is not contained in the state constraints"),
+            (self.S, self.gain.closed_loop, "set is not invariant under its gain"),
+            (prob.U, self.gain.L, "gain violates input constraints on S"),
+        ):
             excess = float(np.max(V @ M.T @ target.H.T - target.h))
             if not excess <= 1e-7:
                 raise ValueError(f"terminal {what} (by {excess:.3g} at a vertex)")

@@ -94,7 +94,7 @@ def min_eigenvalue(K) -> float:
     return float(np.linalg.eigvalsh(K)[0])
 
 
-def solve_dlyap(D, Q, tol: float = DLYAP_TOL) -> np.ndarray:
+def solve_dlyap(D, Q) -> np.ndarray:
     """Solve the discrete Lyapunov equation P = D'PD + Q for stable D.
 
     Uses the doubling iteration: with P_j = sum_{k<2^j} (D^k)' Q D^k,
@@ -104,12 +104,12 @@ def solve_dlyap(D, Q, tol: float = DLYAP_TOL) -> np.ndarray:
     which converges quadratically for spectral_radius(D) < 1.  Both the
     stopping test and the residual check are relative to ||P||, so the
     solution is accurate for any scale of Q (P is linear in Q).  The
-    residual check allows tol max(1, ||D||^2) ||P||, the size of the
+    residual check allows DLYAP_TOL max(1, ||D||^2) ||P||, the size of the
     rounding in D'PD: a converged P of a stable but far-from-normal D
     (||D|| ~ 100) leaves a residual of ~1e-11 ||P|| that no further
     doubling removes.  Each test takes its norms in one `induced_two_norm`
     call on a stack.  A step whose Frobenius norms already reject it,
-    |incr|_F > sqrt(n) tol |P_next|_F, skips that call: |incr|_2 >=
+    |incr|_F > sqrt(n) DLYAP_TOL |P_next|_F, skips that call: |incr|_2 >=
     |incr|_F / sqrt(n) and |P_next|_2 <= |P_next|_F, so the 2-norm test
     would reject it too, with a factor of 2 to spare for rounding, and every
     accepting decision is still the 2-norm test's.
@@ -124,17 +124,17 @@ def solve_dlyap(D, Q, tol: float = DLYAP_TOL) -> np.ndarray:
         )
     P = Q.copy()
     Dk = D.copy()
-    reject = np.sqrt(D.shape[0]) * tol
+    reject = np.sqrt(D.shape[0]) * DLYAP_TOL
     for _ in range(_DLYAP_MAX_DOUBLINGS):
         incr = Dk.T @ P @ Dk
         P_next = P + incr
         if np.linalg.norm(incr) <= reject * np.linalg.norm(P_next):
             incr_norm, P_next_norm = induced_two_norm(np.stack([incr, P_next]))
-            if incr_norm <= 0.5 * tol * P_next_norm:
+            if incr_norm <= 0.5 * DLYAP_TOL * P_next_norm:
                 P = 0.5 * (P_next + P_next.T)
                 resid, P_norm, D_norm = induced_two_norm(
                     np.stack([P - D.T @ P @ D - Q, P, D]))
-                if resid <= tol * max(1.0, D_norm * D_norm) * P_norm:
+                if resid <= DLYAP_TOL * max(1.0, D_norm * D_norm) * P_norm:
                     return P
         P = P_next
         Dk = Dk @ Dk

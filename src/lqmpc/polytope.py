@@ -1,17 +1,18 @@
 """Half-space polytope algebra and maximal invariant set computation.
 
-A polytope is stored as ``{x | Hx <= h}``.  Row i is a facet exactly when
-its polar point H_i / (h_i - H_i c) about an interior point c is a vertex of
-the polar points' convex hull (Qhull).  That one test gives:
+A polytope is stored as ``{x | Hx <= h}`` and must hold the origin strictly
+inside (h > 0), as every set the package forms does.  Row i is then a facet
+exactly when its polar point H_i / h_i is a vertex of the polar points'
+convex hull (Qhull).  That one hull gives:
 
 * the maximal admissible invariant set of a stable linear loop, without
   redundant rows: one incremental hull per set takes each step's new polar
   points, and the set is determined at the first step none of whose points
   is a vertex;
-* the vertices: each facet of the polar hull is one, and Qhull's volume of
-  their hull is the polytope's exact volume in every dimension above 1-D.
+* the vertices: each facet of the polar hull is one.  The exact volume
+  (their hull's, their span in 1-D) and the bounding box come from them.
 
-LPs give support values, bounding boxes and the Chebyshev centre.  The
+None of these solves an LP; `lp_solve` serves `cmpc.feasible_set`.  The
 module writes no files; `cli` writes a polytope's half-spaces."""
 
 from __future__ import annotations
@@ -126,34 +127,12 @@ def contains(P: HPolytope, x, tol: float = FEAS_TOL) -> bool:
     return bool(np.all(P.H @ x <= P.h + tol))
 
 
-def _support(P: HPolytope, c) -> float:
-    r = lp_solve(c, P)
-    if r.status != "optimal":
-        raise ValueError(f"support LP {r.status}; polytope must be bounded and nonempty")
-    return r.value
-
-
-def _chebyshev_centre(P: HPolytope) -> Optional[np.ndarray]:
-    """Centre of the largest ball inside P, by one LP, or None when P has an
-    empty interior."""
-    res = linprog(
-        np.r_[np.zeros(P.dim), -1.0],
-        A_ub=np.hstack([P.H, np.linalg.norm(P.H, axis=1)[:, None]]),
-        b_ub=P.h,
-        bounds=[(None, None)] * P.dim + [(0, None)],
-        method="highs",
-    )
-    if res.status == 3:
-        raise ValueError("polytope is unbounded")
-    return res.x[: P.dim] if res.status == 0 and res.x[-1] > 0 else None
-
-
-def _polar_points(P: HPolytope) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(c, G): an interior point c, the origin when h > 0, and the polar
-    point H_i / (h_i - H_i c) of each row about it; None when P has an empty
-    interior."""
-    c = np.zeros(P.dim) if P.origin_interior() else _chebyshev_centre(P)
-    return None if c is None else (c, P.H / (P.h - P.H @ c)[:, None])
+def _polar_points(P: HPolytope) -> np.ndarray:
+    """The polar point H_i / h_i of each row about the origin.  Raises
+    ValueError unless the origin lies strictly inside P (h > 0)."""
+    if not P.origin_interior():
+        raise ValueError("polytope must hold the origin strictly inside (h > 0)")
+    return P.H / P.h[:, None]
 
 
 def _last_copies(G: np.ndarray) -> np.ndarray:
@@ -278,59 +257,39 @@ def maximal_invariant_set(closed_loop, Xhat: HPolytope, U: HPolytope, L) -> HPol
     )
 
 
-def _vertex_offsets(P: HPolytope) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(c, Y): an interior point c and the vertices of P less c, one per
-    facet of the polar hull about c (the facet a'y + b = 0 gives the vertex
-    c - a/b; in 1-D the extreme polar point p gives c + 1/p).  None when P
-    has an empty interior; an unbounded P raises ValueError."""
-    polar = _polar_points(P)
-    if polar is None:
-        return None
-    c, G = polar
+def vertices(P: HPolytope) -> np.ndarray:
+    """Vertices of a bounded polytope with the origin strictly inside, one
+    row each, in no particular order.
+
+    The facet a'y + b = 0 of the polar hull gives the vertex -a/b; in 1-D
+    the two extreme rows give h_i / H_i.  Raises ValueError unless h > 0
+    and P is bounded.
+    """
+    G = _polar_points(P)
     rows, hull = _hull_rows(G)  # rejects an unbounded P
     if P.dim == 1:
-        return c, 1.0 / G[rows]
+        return (P.h[rows] / P.H[rows, 0])[:, None]
     # when every distinct row is a facet, G[rows] is the hull's own input
     facets = (hull if rows.size == hull.points.shape[0] else ConvexHull(G[rows])).equations
-    return c, -facets[:, :-1] / facets[:, -1:]
-
-
-def vertices(P: HPolytope) -> np.ndarray:
-    """Vertices of a bounded polytope, one row each, in no particular order.
-
-    Empty interior yields an empty array; an unbounded P raises ValueError.
-    """
-    offsets = _vertex_offsets(P)
-    if offsets is None:
-        return np.zeros((0, P.dim))
-    c, Y = offsets
-    return c + Y
+    return -facets[:, :-1] / facets[:, -1:]
 
 
 def bounding_box(P: HPolytope) -> tuple[np.ndarray, np.ndarray]:
-    """Tight axis-aligned bounds (lo, hi) of a polytope, by 2 dim LPs.
-
-    Raises ValueError when the polytope is unbounded or empty.
-    """
-    lo = np.array([-_support(P, -e) for e in np.eye(P.dim)])
-    hi = np.array([_support(P, e) for e in np.eye(P.dim)])
-    return lo, hi
+    """Tight axis-aligned bounds (lo, hi) of a polytope: the least and
+    greatest coordinates of its vertices.  Raises ValueError as `vertices`."""
+    V = vertices(P)
+    return V.min(axis=0), V.max(axis=0)
 
 
 def volume(P: HPolytope, n_samples: Optional[int] = None, seed: Optional[int] = None) -> float:
-    """Exact volume of a bounded polytope; 0.0 when its interior is empty.
+    """Exact volume of a bounded polytope with the origin strictly inside.
 
-    dim = 1: interval length.  dim >= 2: Qhull's volume (in 2-D, the area)
-    of the hull of P's vertices, taken about an interior point (see
-    `_vertex_offsets`), which does not change it; no LP is solved when the
-    origin is interior.  `n_samples` and `seed` are accepted and ignored;
-    they select nothing.  Raises ValueError for an unbounded or empty P.
+    dim = 1: the span of its two vertices.  dim >= 2: Qhull's volume (in
+    2-D, the area) of the hull of its vertices.  `n_samples` and `seed` are
+    accepted and ignored; they select nothing.  Raises ValueError as
+    `vertices`.
     """
+    V = vertices(P)
     if P.dim == 1:
-        lo, hi = bounding_box(P)  # also rejects an unbounded or empty P
-        return float(max(hi[0] - lo[0], 0.0))
-    offsets = _vertex_offsets(P)
-    if offsets is None:
-        bounding_box(P)  # no interior: rejects an unbounded or empty P
-        return 0.0
-    return float(ConvexHull(offsets[1]).volume)
+        return float(V.max() - V.min())
+    return float(ConvexHull(V).volume)

@@ -41,7 +41,7 @@ from lqmpc import (
     zeta_dare,
 )
 from lqmpc.cmpc import _CERT_MARGIN, _REGION_MARGIN, _grid_axes
-from lqmpc.polytope import _chebyshev_centre, _hull_rows, _polar_points
+from lqmpc.polytope import _hull_rows, _polar_points
 from lqmpc.qp import QP_DUAL_TOL, _TIKHONOV, _phase1
 
 
@@ -66,22 +66,18 @@ def policy_bellman_op(sys, policy, K):
 
 def remove_redundancy(P):
     """Drop half-spaces implied by the remaining ones (of identical rows the
-    last stays).  Raises ValueError for an unbounded P or an empty interior."""
-    polar = _polar_points(P)
-    if polar is None:
-        raise ValueError("polytope has empty interior")
-    keep, _ = _hull_rows(polar[1])
+    last stays).  Raises ValueError for an unbounded P or one without the
+    origin strictly inside."""
+    keep, _ = _hull_rows(_polar_points(P))
     return HPolytope(P.H[keep], P.h[keep])
 
 
 def sample_interior(P, n, seed=0):
-    """Hit-and-run samples from a bounded polytope (deterministic per seed),
-    started at its Chebyshev centre."""
-    bounding_box(P)  # rejects an unbounded or empty P
+    """Hit-and-run samples from a bounded polytope with the origin strictly
+    inside (deterministic per seed), started at the origin."""
+    bounding_box(P)  # rejects an unbounded P or one without the origin inside
     rng = np.random.default_rng(seed)
-    x = _chebyshev_centre(P)
-    if x is None:
-        raise ValueError("polytope has empty interior")
+    x = np.zeros(P.dim)
     H, h = P.H, P.h
     out = np.empty((n, P.dim))
     for it in range(_HIT_AND_RUN_BURN + n):

@@ -4,11 +4,13 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from lqmpc import ConstrainedProblem, ScenarioError, load_scenario, riccati
+from lqmpc import ConstrainedProblem, HPolytope, ScenarioError, load_scenario, riccati, volume
 from lqmpc.cli import main
 from lqmpc.scenarios import builtin_names
 
@@ -226,6 +228,32 @@ def test_cmd_terminal_set_unit_ratio(tmp_path):
     assert float(vol) == pytest.approx(16.07809, rel=1e-6)
     assert float(ratio) == pytest.approx(1.0, abs=1e-9)
     assert (tmp_path / "terminal-set-zeta-1.csv").exists()
+
+
+SCALAR_BOX = str(Path(__file__).parent / "data" / "scalar-box.txt")
+
+
+def test_scalar_box_scenario_end_to_end(tmp_path):
+    # a 1-D constrained scenario: its sets take the 1-D paths of `vertices`,
+    # `volume` and `bounding_box`
+    for command in ("terminal-set", "bounds", "simulate"):
+        assert main([command, "--scenario", SCALAR_BOX, "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "terminal-ratios-scalar-box.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["1", "5", "15", "25", "35"]
+    assert [row[-1] for row in rows] == ["1"] * 5
+    # the optimal set's volume is its span, by two support LPs of the
+    # half-spaces as written (at full precision)
+    Hh = np.loadtxt(tmp_path / "terminal-set-optimal.csv", delimiter=",", skiprows=1, ndmin=2)
+    H, h = Hh[:, :1], Hh[:, 1]
+    top, bottom = (linprog(c, A_ub=H, b_ub=h, bounds=[(None, None)], method="highs").fun
+                   for c in ([-1.0], [1.0]))
+    span = -top - bottom
+    assert volume(HPolytope(H, h)) == pytest.approx(span, rel=1e-12, abs=0.0)
+    assert rows[0][1] == f"{span:.12g}"
+    trajectory = (tmp_path / "trajectory-scalar-box-ell3.csv").read_text().splitlines()
+    assert trajectory[1].split(",")[:2] == ["0", "2"]
+    assert (tmp_path / "bounds-scalar-box.csv").exists()
 
 
 def test_cmd_simulate_origin(tmp_path):

@@ -27,13 +27,13 @@ from lqmpc import (
     in_region_of_decreasing,
     iterate_bellman,
     load_scenario,
-    lp_solve,
     solve_qp,
     suboptimality_map,
     vertices,
 )
 from lqmpc import cmpc, polytope, qp
 from lqmpc.cli import _write_grid_csv
+from conftest import ZEFF_2D, ZEFF_4D
 from _checks import (assert_same_vertices, ball_loop_cost, check_policy_cost_below_value,
                      controller_arrays, pairwise_vertices_2d,
                      reference_closed_loop_cost, reference_condensation,
@@ -73,28 +73,29 @@ def test_problem_rejects_unbounded(di2d_sys):
         ConstrainedProblem(di2d_sys, halfplane, HPolytope.symmetric_box([1.0]))
 
 
-def test_box_lps_run_once_per_problem(di2d_sys, di2d_design_eff, monkeypatch):
+def test_problem_setup_solves_no_lp(di2d_sys, di2d_design_eff, monkeypatch):
     calls = []
+    linprog = polytope.linprog
 
-    def counting_lp_solve(c, P):
+    def counting_linprog(*args, **kwargs):
         calls.append(1)
-        return lp_solve(c, P)
+        return linprog(*args, **kwargs)
 
-    monkeypatch.setattr(polytope, "lp_solve", counting_lp_solve)
-    monkeypatch.setattr(cmpc, "lp_solve", counting_lp_solve)
+    monkeypatch.setattr(polytope, "linprog", counting_linprog)
     prob = ConstrainedProblem(
         di2d_sys, HPolytope.symmetric_box([5.0, 5.0]), HPolytope.symmetric_box([1.0])
     )
+    # the boxes are the vertices' least and greatest coordinates
     lo, hi = prob.box
     assert lo.tolist() == [-5.0, -5.0] and hi.tolist() == [5.0, 5.0]
-    n_setup = len(calls)
-    # the box comes from the boundedness LPs: two per axis of each set
-    assert 0 < n_setup <= 2 * (di2d_sys.n + di2d_sys.m)
-    # closed loops solve no LP: the tail set comes from the polar hull
+    lo, hi = prob.input_box
+    assert lo.tolist() == [-1.0] and hi.tolist() == [1.0]
+    assert prob.state_set_contains(di2d_design_eff.S)
+    # closed loops solve no LP either: the tail set comes from the polar hull
     ctl = MpcController(prob, di2d_design_eff, 3)
     for x0 in ([-4.0, 1.8], [2.0, -1.0], [0.5, 0.5]):
         assert math.isfinite(ctl.simulate_cost(np.array(x0)))
-    assert len(calls) == n_setup
+    assert calls == []
 
 
 def test_state_set_contains(di2d_prob, di2d_design_eff):
@@ -103,11 +104,51 @@ def test_state_set_contains(di2d_prob, di2d_design_eff):
     # within 1e-7 of a face counts as inside; 1e-6 past it does not
     assert di2d_prob.state_set_contains(HPolytope.symmetric_box([5.0 + 5e-8, 1.0]))
     assert not di2d_prob.state_set_contains(HPolytope.symmetric_box([5.0 + 1e-6, 1.0]))
-    # an empty or unbounded set has no finite support and is not contained
+    # an empty set, and one without the origin strictly inside, raise; so
+    # does an unbounded one
     empty = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0]))
     quadrant = HPolytope(np.array([[-1.0, 0.0], [0.0, -1.0]]), np.array([0.0, 0.0]))
-    assert not di2d_prob.state_set_contains(empty)
-    assert not di2d_prob.state_set_contains(quadrant)
+    strip = HPolytope(np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([1.0, 1.0]))
+    for S, message in ((empty, "origin strictly inside"), (quadrant, "origin strictly inside"),
+                       (strip, "unbounded")):
+        with pytest.raises(ValueError, match=message):
+            di2d_prob.state_set_contains(S)
+
+
+@pytest.mark.parametrize("study", ["di2d", "ac4d"])
+def test_every_polytope_holds_the_origin_strictly_inside(request, study):
+    """The polytope layer's one precondition, h > 0, holds for every set the
+    studies form: Xhat and U; S at zeta = 1, at the scenario's zeta and at
+    `terminal-set`'s default list; the tail sets of both designs'
+    controllers; and the rows of `feasible_set`'s lifted polytope."""
+    prob = request.getfixturevalue(f"{study}_prob")
+    zeta = ZEFF_2D if study == "di2d" else ZEFF_4D
+    assert prob.Xhat.origin_interior() and prob.U.origin_interior()
+    designs = [TerminalDesign.for_amplified_cost(prob, z)
+               for z in (1.0, zeta, 5.0, 15.0, 25.0, 35.0)]
+    for design in designs:
+        assert design.S.origin_interior()
+    for design in designs[:2]:
+        for ell in (1, 3, 10):
+            ctl = MpcController(prob, design, ell)
+            assert ctl.tail_set.origin_interior()
+            # `feasible_set`'s lifted rows, less the zero rows
+            keep = np.any(np.hstack([-ctl._g_map, ctl._qp.G]) != 0.0, axis=1)
+            assert np.all(ctl._g_const[keep] > 0)
+
+
+def test_design_outside_the_state_set_fails_at_a_vertex(di2d_prob, di2d_design_eff):
+    # a box 1 % larger than Xhat fails the first of the three vertex checks
+    grown = TerminalDesign(K=di2d_design_eff.K, S=HPolytope.symmetric_box([5.05, 5.05]),
+                           gain=di2d_design_eff.gain)
+    with pytest.raises(ValueError, match="terminal set is not contained in the state "
+                                         "constraints \\(by 0.05 at a vertex\\)"):
+        grown.validate(di2d_prob)
+    # an S without the origin strictly inside has no vertices to check
+    shifted = TerminalDesign(K=di2d_design_eff.K, S=HPolytope.box([0.0, -1.0], [1.0, 1.0]),
+                             gain=di2d_design_eff.gain)
+    with pytest.raises(ValueError, match="origin strictly inside"):
+        shifted.validate(di2d_prob)
 
 
 def test_problem_rejects_origin_on_boundary(di2d_sys):

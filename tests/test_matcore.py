@@ -177,11 +177,15 @@ def _dlyap_cases():
 
 
 # tolerances spread so that some stopping test lands within a factor of two
-# of its threshold
+# of its threshold; `solve_dlyap` reads its tolerance from the module
 @pytest.mark.parametrize("tol", [10.0**-k for k in range(2, 14)])
-def test_dlyap_matches_one_norm_per_matrix_reference(tol):
-    for D, Q in _dlyap_cases():
-        assert np.array_equal(solve_dlyap(D, Q, tol), reference_solve_dlyap(D, Q, tol))
+def test_dlyap_matches_one_norm_per_matrix_reference(monkeypatch, tol):
+    from lqmpc import matcore
+
+    cases = _dlyap_cases()  # solves its DAREs at the package's own tolerance
+    monkeypatch.setattr(matcore, "DLYAP_TOL", tol)
+    for D, Q in cases:
+        assert np.array_equal(solve_dlyap(D, Q), reference_solve_dlyap(D, Q, tol))
 
 
 def test_dlyap_tiny_gap_matches_exact_value(di2d_sys, di2d_K_eff):

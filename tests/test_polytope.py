@@ -37,9 +37,13 @@ from _checks import (
 )
 
 BOX5 = HPolytope.symmetric_box([5.0, 5.0])
-UNIT_SQUARE = HPolytope.box(np.zeros(2), np.ones(2))
+# the unit square [0, 1]^2 and the triangle with vertices (0, 0), (1, 0) and
+# (0, 1), less SHIFT, so that each holds the origin strictly inside; the
+# tests add SHIFT back (exactly, in binary) to compare with their vertices
+SHIFT = np.array([0.25, 0.25])
+UNIT_SQUARE = HPolytope.box(-SHIFT, 1.0 - SHIFT)
 TRIANGLE = HPolytope(
-    np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]), np.array([0.0, 0.0, 1.0])
+    np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]), np.array([0.25, 0.25, 0.5])
 )
 
 
@@ -95,15 +99,17 @@ def test_origin_interior_flag():
 # ---------------------------------------------------------------------------
 
 def test_lp_unit_square():
-    r = lp_solve(np.array([1.0, 0.0]), UNIT_SQUARE)
+    c = np.array([1.0, 0.0])
+    r = lp_solve(c, UNIT_SQUARE)
     assert r.status == "optimal"
-    assert r.value == pytest.approx(1.0)
+    assert r.value + c @ SHIFT == pytest.approx(1.0)
 
 
 def test_lp_triangle():
-    r = lp_solve(np.array([1.0, 1.0]), TRIANGLE)
+    c = np.array([1.0, 1.0])
+    r = lp_solve(c, TRIANGLE)
     assert r.status == "optimal"
-    assert r.value == pytest.approx(1.0)
+    assert r.value + c @ SHIFT == pytest.approx(1.0)
 
 
 def test_lp_detects_redundant_row():
@@ -133,7 +139,7 @@ def test_lp_unbounded_status():
 # ---------------------------------------------------------------------------
 
 def test_vertices_unit_square():
-    V = vertices(UNIT_SQUARE)
+    V = vertices(UNIT_SQUARE) + SHIFT
     assert len(V) == 4
     expected = {(0, 0), (1, 0), (1, 1), (0, 1)}
     got = {(round(v[0]), round(v[1])) for v in V}
@@ -143,17 +149,20 @@ def test_vertices_unit_square():
 def test_vertices_triangle():
     # `vertices` keeps no order; the counterclockwise order of a 2-D
     # `feasible_set` is tested in tests/test_cmpc.py
-    V = vertices(TRIANGLE)
+    V = vertices(TRIANGLE) + SHIFT
     assert len(V) == 3
     np.testing.assert_allclose(sorted(V.sum(axis=1)), [0.0, 1.0, 1.0], atol=1e-9)
 
 
-def test_vertices_empty_interior():
+def test_vertices_empty_interior(monkeypatch):
     empty = HPolytope(
         np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
         np.array([1.0, -2.0, 1.0, 1.0]),
     )
-    assert len(vertices(empty)) == 0
+    calls = _lp_counting(monkeypatch)
+    with pytest.raises(ValueError, match="origin strictly inside"):
+        vertices(empty)
+    assert calls == []
 
 
 def test_vertices_inside_polytope():
@@ -163,9 +172,10 @@ def test_vertices_inside_polytope():
 
 
 @pytest.mark.parametrize("lo, hi", [
-    ([-1.0], [2.0]),  # origin interior
-    ([1.0], [3.0]),  # about the Chebyshev centre
-    ([0.5, 1.0, 2.0], [1.5, 3.0, 2.5]),
+    ([-1.0], [2.0]),
+    # [1, 3] less 1.5, and [0.5, 1.5] x [1, 3] x [2, 2.5] less (1, 1.5, 2.25)
+    ([-0.5], [1.5]),
+    ([-0.5, -0.5, -0.25], [0.5, 1.5, 0.25]),
     ([-1.0, -2.0, -0.5, -1.0], [1.0, 0.5, 0.5, 3.0]),
 ])
 def test_vertices_of_a_box_are_its_corners(lo, hi):
@@ -176,15 +186,27 @@ def test_vertices_of_a_box_are_its_corners(lo, hi):
         assert np.min(np.abs(V - c).max(axis=1)) <= 1e-12
 
 
+def test_vertices_1d_are_the_offsets_of_unit_rows():
+    # h_i / H_i is exact for H_i = +-1, where 1 / (H_i / h_i) can miss by an ulp
+    rng = np.random.default_rng(7)
+    for lo, hi in zip(-rng.uniform(0.01, 10.0, 200), rng.uniform(0.01, 10.0, 200)):
+        P = HPolytope.box([lo], [hi])
+        assert sorted(vertices(P).ravel()) == [lo, hi]
+        box_lo, box_hi = bounding_box(P)
+        assert box_lo.tolist() == [lo] and box_hi.tolist() == [hi]
+        assert volume(P) == hi - lo
+
+
 def test_vertices_match_pairwise_vertices_2d(di2d_design_eff):
     for P in (TRIANGLE, BOX5, di2d_design_eff.S):
         assert_same_vertices(vertices(P), pairwise_vertices_2d(P))
 
 
 def test_vertices_empty_interior_and_unbounded():
-    flat = HPolytope.box([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
-    assert vertices(flat).shape == (0, 3)
-    with pytest.raises(ValueError):
+    flat = HPolytope.box([-1.0, -1.0, 0.0], [1.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="origin strictly inside"):
+        vertices(flat)
+    with pytest.raises(ValueError, match="unbounded"):
         vertices(HPolytope(np.array([[1.0, 0.0, 0.0]]), np.array([1.0])))
 
 
@@ -224,7 +246,9 @@ def _lp_counting(monkeypatch):
 
 
 def _simplex(dim):
-    return HPolytope(np.vstack([-np.eye(dim), np.ones((1, dim))]), np.r_[np.zeros(dim), 1.0])
+    """The unit simplex {x >= 0, sum x <= 1} less 1/8 in every coordinate."""
+    return HPolytope(np.vstack([-np.eye(dim), np.ones((1, dim))]),
+                     np.r_[np.full(dim, 0.125), 1.0 - 0.125 * dim])
 
 
 # the 4-D cross-polytope |x|_1 <= 1: its polar is the 4-cube, whose facets
@@ -237,9 +261,9 @@ CROSS_4D = HPolytope(_SIGNS_4D, np.ones(16))
     (CROSS_4D, 2.0 / 3.0),
     (_simplex(3), 1.0 / 6.0),
     (_simplex(4), 1.0 / 24.0),
-    # no origin inside: the polar points are taken about the Chebyshev centre
-    (HPolytope.box(np.ones(4), 2.0 * np.ones(4)), 1.0),
-    (HPolytope.box([-1.0, 0.5, -2.0], [0.0, 2.0, 1.0]), 4.5),
+    # [1, 2]^4 less 1.25, and [-1, 0] x [0.5, 2] x [-2, 1] less (-0.5, 1, 0)
+    (HPolytope.box(-0.25 * np.ones(4), 0.75 * np.ones(4)), 1.0),
+    (HPolytope.box([-0.5, -0.5, -2.0], [0.5, 1.0, 1.0]), 4.5),
 ], ids=["cross-4d", "simplex-3d", "simplex-4d", "box-4d", "box-3d"])
 def test_volume_above_2d_is_exact(P, exact):
     assert volume(P) == pytest.approx(exact, rel=1e-12)
@@ -257,16 +281,17 @@ def test_volume_4d_one_bounding_box(monkeypatch):
 
 
 def test_volume_above_2d_regressions():
-    # an empty interior gives 0.0 after the bounding-box check
-    flat = HPolytope.box(np.zeros(3), np.array([1.0, 1.0, 0.0]))
-    assert volume(flat) == 0.0
+    # an empty interior holds no origin strictly inside
+    flat = HPolytope.box(-np.ones(3), np.array([1.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match="origin strictly inside"):
+        volume(flat)
     # a 4-D slab, bounded in three directions only
     slab = HPolytope(np.vstack([np.eye(3, 4), -np.eye(3, 4)]), np.ones(6))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unbounded"):
         volume(slab)
-    empty = HPolytope.box(np.zeros(3), np.ones(3)).intersect(
+    empty = HPolytope.box(-np.ones(3), np.ones(3)).intersect(
         HPolytope(np.array([[1.0, 1.0, 1.0]]), np.array([-1.0])))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="origin strictly inside"):
         volume(empty)
     # duplicate rows change nothing
     P = CROSS_4D.intersect(HPolytope(np.array([[1.0, 0.5, 0.0, 0.0]]), np.array([0.4])))
@@ -314,7 +339,7 @@ def test_volume_of_a_4d_terminal_set_builds_two_hulls(monkeypatch, ac4d_design_e
     # every polar point of an irredundant S is a hull vertex, so the facets
     # of the first hull are those a second hull of the same rows would give
     S = ac4d_design_eff.S
-    G = polytope._polar_points(S)[1]
+    G = polytope._polar_points(S)
     rows, _ = polytope._hull_rows(G)
     facets = polytope.ConvexHull(G[rows]).equations
     expected = polytope.ConvexHull(-facets[:, :-1] / facets[:, -1:]).volume
@@ -346,18 +371,20 @@ def test_volume_2d_solves_no_lp(monkeypatch, di2d_design_eff):
     assert calls == []
 
 
-def test_volume_2d_rejects_empty_and_unbounded():
+def test_volume_2d_rejects_empty_and_unbounded(monkeypatch):
     empty = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
                       np.array([-1.0, -1.0, 1.0, 1.0]))
     strip = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 1.0]))
     line = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, 0.0]))
-    for P in (empty, strip, line):
-        with pytest.raises(ValueError):
-            volume(P)
-    # a segment is bounded and nonempty, with area 0
+    # a segment is bounded and nonempty, but its interior is empty
     segment = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
                         np.array([0.0, 0.0, 1.0, 1.0]))
-    assert volume(segment) == 0.0
+    calls = _lp_counting(monkeypatch)
+    for P, message in ((empty, "origin strictly inside"), (strip, "unbounded"),
+                       (line, "origin strictly inside"), (segment, "origin strictly inside")):
+        with pytest.raises(ValueError, match=message):
+            volume(P)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -559,29 +586,24 @@ def test_invariant_set_solves_no_lp(monkeypatch, di2d_prob, ac4d_prob):
     assert calls == []
 
 
-def test_origin_outside_uses_one_lp(monkeypatch):
-    from lqmpc import polytope
-
+def test_origin_outside_raises_without_an_lp(monkeypatch):
     # [10, 12] x [3, 4] with a redundant cut x1 + x2 <= 20 in the middle
     P = HPolytope(
         np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
         np.array([12.0, 4.0, 20.0, -10.0, -3.0]),
     )
-    reference = lp_remove_redundancy(P)
-    calls = []
-    linprog = polytope.linprog
-
-    def counting_linprog(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(polytope, "linprog", counting_linprog)
-    kept = remove_redundancy(P)
-    V = vertices(P)
-    assert len(calls) == 2  # one Chebyshev centre each
-    _assert_same_rows(kept, reference)
-    _assert_same_rows(kept, HPolytope(P.H[[0, 1, 3, 4]], P.h[[0, 1, 3, 4]]))
-    assert_same_vertices(V, pairwise_vertices_2d(P))
+    calls = _lp_counting(monkeypatch)
+    for fn in (remove_redundancy, vertices, volume, bounding_box):
+        with pytest.raises(ValueError, match="origin strictly inside"):
+            fn(P)
+    assert calls == []
+    # its translate by -(11, 3.5) holds the origin: the same rows and vertices
+    Q = HPolytope(P.H, P.h - P.H @ np.array([11.0, 3.5]))
+    kept = remove_redundancy(Q)
+    V = vertices(Q) + np.array([11.0, 3.5])
+    _assert_same_rows(kept, lp_remove_redundancy(Q))
+    _assert_same_rows(kept, HPolytope(Q.H[[0, 1, 3, 4]], Q.h[[0, 1, 3, 4]]))
+    assert_same_vertices(V - np.array([11.0, 3.5]), pairwise_vertices_2d(Q))
     assert_same_vertices(V, np.array([[10.0, 3.0], [12.0, 3.0], [12.0, 4.0], [10.0, 4.0]]))
 
 
@@ -762,7 +784,8 @@ def test_unbounded_inputs_raise_elsewhere(di2d_sets):
         maximal_invariant_set(0.5 * np.eye(2), STRIP, U, np.zeros((1, 2)))
     with pytest.raises(ValueError):  # origin on the boundary
         maximal_invariant_set(0.5 * np.eye(2), SEGMENT, U, np.zeros((1, 2)))
-    assert len(vertices(SEGMENT)) == 0
+    with pytest.raises(ValueError):  # empty interior
+        vertices(SEGMENT)
 
 
 # ---------------------------------------------------------------------------
@@ -771,8 +794,8 @@ def test_unbounded_inputs_raise_elsewhere(di2d_sets):
 
 def test_bounding_box():
     lo, hi = bounding_box(TRIANGLE)
-    np.testing.assert_allclose(lo, [0.0, 0.0], atol=1e-9)
-    np.testing.assert_allclose(hi, [1.0, 1.0], atol=1e-9)
+    np.testing.assert_allclose(lo + SHIFT, [0.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(hi + SHIFT, [1.0, 1.0], atol=1e-9)
 
 
 def test_sample_interior_stays_inside():
