@@ -517,6 +517,11 @@ def _reproduce_table3(cs: CheckSet, out: str) -> list[str]:
     return ["table 3: terminal set volume ratios (2-D volumes computed exactly)"]
 
 
+# the relative tolerance of example 3's J_pol <= V_ell flag, above every
+# (J_pol - V_ell)/V_ell probed (8.9e-14 at most, on all four example-3 grids)
+_POLICY_COST_RTOL = 1e-12
+
+
 def _reproduce_example3(cs: CheckSet, out: str) -> list[str]:
     sc = load_scenario("di-2d")
     prob = sc.constrained_problem()
@@ -546,6 +551,24 @@ def _reproduce_example3(cs: CheckSet, out: str) -> list[str]:
     finite = submap.rel_gap[np.isfinite(submap.rel_gap)]
     max_gap = float(finite.max()) if finite.size else math.nan
     cs.upper("example3.max_relative_suboptimality", max_gap, 0.005)
+    # J_pol <= V_ell: x'Kx decreases along the terminal gain's loop on S, so
+    # the closed loop costs at most the horizon value (relaxed dynamic
+    # programming); checked on the cells where the amplified grid is feasible
+    feasible = grid_amp.feasible
+    J_pol, V = submap.cost[feasible], grid_amp.cost[feasible]
+    rel = np.where(V > 0, (J_pol - V) / np.where(V > 0, V, 1.0), -math.inf)
+    worst = int(np.argmax(rel))
+    iy, ix = np.argwhere(feasible)[worst]
+    cs.flag(
+        "example3.policy_cost_within_value",
+        bool(np.all(J_pol <= V * (1.0 + _POLICY_COST_RTOL))),
+        f"closed-loop cost at most the horizon value on every feasible cell, "
+        f"J_pol <= V_ell (1 + {_POLICY_COST_RTOL:g}) (worst at x = "
+        f"({_fmt(submap.xs[ix])}, {_fmt(submap.ys[iy])}): "
+        f"(J_pol - V_ell)/V_ell = {_fmt(rel[worst])})",
+    )
+    cs.info("example3.max_policy_cost_over_value", float(rel[worst]),
+            "largest (J_pol - V_ell)/V_ell over the feasible cells")
     return ["example 3: feasible-region containment and suboptimality sweep"]
 
 

@@ -7,7 +7,9 @@ feasibility / suboptimality maps over 2-D grids, and gives the exact
 feasible set in any dimension by support LPs.  One row pass tests queries,
 one state, a grid row or the live states of many closed loops stepped
 together, against the controller's stores (shortcut, infeasibility
-certificates, critical regions); the rest reach the QP.
+certificates, critical regions) and answers them as arrays of verdicts,
+first moves and values, each store's from stacked products; the rest reach
+the QP.
 
 Infeasibility is identified with infinite cost (indicator-function semantics
 of the state constraint set).  The module returns arrays and grids and
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -158,6 +159,16 @@ class MpcStep:
 _INFEASIBLE = MpcStep(False, None, math.inf)
 
 
+def _linear(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M x per row x of X (M stacked or not), with the bits of `M @ x`."""
+    return (M @ X[:, :, None])[:, :, 0]
+
+
+def _quadratic(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x'Mx per row x of X (M stacked or not), with the bits of `x @ M @ x`."""
+    return (X[:, None, :] @ M @ X[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class CriticalRegion:
     """The ell-step QP's solution on one optimal active set W, affine in x0.
@@ -230,14 +241,18 @@ class MpcController:
     regions only "feasible", so no verdict depends on either store.
 
     The three store tests are written once, for the rows of a state matrix
-    (`_stored_steps`): one product each for the shortcut, the certificate
-    rows and the region rows.  `solve` is that row pass on its one state,
-    then the QP (`_qp_step`) when no store answers.  `_solve_rows` passes
-    many states at once, against the stores as they stand on entry, and
-    `solve`, in order, for the states left over, re-testing those still
-    left together after each QP that grows a store.  A region sweep passes
-    it a whole grid row; the closed loops (`_closed_loop_costs`) pass it
-    every live state of every loop at each lock-step.
+    (`_stored_answers`): one product each for the shortcut, the certificate
+    rows and the region rows.  Its answers are arrays, a verdict, a first
+    move and a value per row, and each store's moves and values are
+    stacked products over the states it answers (`_linear`, `_quadratic`),
+    with the bits of the per-state products.  `solve` is that pass on its
+    one state, then the QP (`_qp_step`) when no store answers, as an
+    `MpcStep`.  `_solve_rows` passes many states at once, against the
+    stores as they stand on entry, and `solve`, in order, for the states
+    left over, re-testing those still left together after each QP that
+    grows a store.  A region sweep passes it a whole grid row; the closed
+    loops (`_closed_loop_costs`) pass it every live state of every loop at
+    each lock-step.
     """
 
     def __init__(self, prob: ConstrainedProblem, design: TerminalDesign, ell: int):
@@ -324,6 +339,9 @@ class MpcController:
         self._law_scale = max(1.0, float(np.max(np.abs(self._qg_aug))))
         self._regions: list[CriticalRegion] = []
         self._region_rows = np.zeros((0, n + 1))
+        # the stored regions' first-move laws and value matrices, stacked
+        self._region_laws = np.zeros((0, m, n + 1))
+        self._region_values = np.zeros((0, n + 1, n + 1))
 
     @property
     def tail_cost(self) -> np.ndarray:
@@ -355,53 +373,75 @@ class MpcController:
         )
 
     def solve(self, x0) -> MpcStep:
-        """The ell-step answer at x0: the row pass `_stored_steps` on the one
-        state, and the QP when no store answers it."""
+        """The ell-step answer at x0: the row pass `_stored_answers` on the
+        one state, and the QP (`_qp_step`) when no store answers it."""
         x0 = np.asarray(x0, dtype=float).ravel()
-        return self._stored_steps(x0[None])[0] or self._qp_step(x0)
+        answered, feasible, u0, value = self._stored_answers(x0[None])
+        if not answered[0]:
+            return self._qp_step(x0)
+        return MpcStep(True, u0[0], float(value[0])) if feasible[0] else _INFEASIBLE
 
-    def _solve_rows(self, X) -> list[MpcStep]:
-        """`[self.solve(x0) for x0 in X]`: the rows of X tested at once
-        against the stores as they stand on entry, and each state left over
+    def _solve_rows(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(feasible, u0, value) of `solve` at each row of X (inf and nan
+        where infeasible): the rows tested at once against the stores as
+        they stand on entry (`_stored_answers`), and each state left over
         passed, in order, to `solve`; the states still left over are tested
-        at once again whenever that QP grows a store (a region or a
-        certificate).  So the same states reach the QP in the same order as
-        in the loop; and as the stores only grow, each answer is the loop's
-        too."""
+        at once again whenever that QP grows a store.  So the same states
+        reach the QP in the same order as with one `solve` per row; and as
+        the stores only grow, each answer is that loop's too."""
         X = np.asarray(X, dtype=float)
-        steps = self._stored_steps(X)
-        for i in range(len(steps)):
-            if steps[i] is None:
-                stored = len(self._regions) + self._cert_b.size
-                steps[i] = self.solve(X[i])
-                if len(self._regions) + self._cert_b.size > stored:
-                    rest = [j for j in range(i + 1, len(steps)) if steps[j] is None]
-                    for j, step in zip(rest, self._stored_steps(X[rest])):
-                        steps[j] = step
-        return steps
+        answered, feasible, u0, value = self._stored_answers(X)
+        for i in np.flatnonzero(~answered):
+            if answered[i]:
+                continue
+            stored = len(self._regions) + self._cert_b.size
+            step = self.solve(X[i])
+            feasible[i], value[i] = step.feasible, step.value
+            if step.feasible:
+                u0[i] = step.u0
+            rest = i + 1 + np.flatnonzero(~answered[i + 1:])
+            if rest.size and len(self._regions) + self._cert_b.size > stored:
+                answered[rest], feasible[rest], u0[rest], value[rest] = \
+                    self._stored_answers(X[rest])
+        return feasible, u0, value
 
-    def _stored_steps(self, X: np.ndarray) -> list[Optional[MpcStep]]:
-        """Per row x0 of X, the answer of the stores as they stand: the
-        shortcut step, the certified infeasible step, the step of the first
-        stored region that holds x0 (each state with its own KKT-scale
-        margin, see the class docstring), or None.  One product each tests
-        every state against the shortcut polytope, the certificate rows and
-        every stored region's membership rows; the last is skipped when the
-        first two answer every state."""
+    def _stored_answers(self, X: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(answered, feasible, u0, value) per row x0 of X from the stores
+        as they stand: the shortcut (u0 as the policy gain rounds it, which
+        (Z x0)[:m] rounds by a longer product, and x0' F^ell(K) x0), a
+        certificate (infeasible) or the first stored region that holds x0
+        with its own KKT-scale margin (see the class docstring).  One
+        product each tests all states against the shortcut polytope and
+        the certificate rows, and those left against every region's
+        membership rows; each store's answers are stacked products over
+        its states."""
         k, n = X.shape
-        shortcut = (X @ self._H_u.T <= self._h_u).all(axis=1).tolist()
-        certified = (X @ self._cert_a.T + self._cert_b > _CERT_MARGIN).any(axis=1).tolist()
-        held = [-1] * k
-        if self._regions and not all(map(operator.or_, shortcut, certified)):
-            Y = np.ones((k, n + 1))
-            Y[:, :-1] = X
+        shortcut = (X @ self._H_u.T <= self._h_u).all(axis=1)
+        certified = (X @ self._cert_a.T + self._cert_b > _CERT_MARGIN).any(axis=1) & ~shortcut
+        feasible = shortcut.copy()
+        u0 = np.full((k, self.prob.sys.m), math.nan)
+        value = np.full(k, math.inf)
+        Xs = X[shortcut]
+        u0[shortcut] = _linear(self._policy_gain.L, Xs)
+        value[shortcut] = _quadratic(Xs, self._value_matrix)
+        rest = np.flatnonzero(~(shortcut | certified))
+        if self._regions and rest.size:
+            Y = np.ones((rest.size, n + 1))
+            Y[:, :-1] = X[rest]
             scale = np.abs(Y @ self._qg_aug.T).max(axis=1, initial=1.0)
             inside = (Y @ self._region_rows.T >= _REGION_MARGIN * scale[:, None]).reshape(
-                k, len(self._regions), -1).all(axis=2)
-            held = np.where(inside.any(axis=1), inside.argmax(axis=1), -1).tolist()
-        return [self._shortcut_step(x0) if short else _INFEASIBLE if cert
-                else self._region_step(self._regions[i], x0) if i >= 0 else None
-                for x0, short, cert, i in zip(X, shortcut, certified, held)]
+                rest.size, len(self._regions), -1).all(axis=2)
+            held = inside.any(axis=1)
+            rows = rest[held]
+            u0[rows], value[rows] = self._region_answers(inside[held].argmax(axis=1), Y[held])
+            feasible[rows] = True
+        return feasible | certified, feasible, u0, value
+
+    def _region_answers(self, held: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u0, value) at each row y = (x0, 1) of Y from the stored region
+        whose index is the same row of `held`: its law's first move and
+        y'Vy."""
+        return _linear(self._region_laws[held], Y), _quadratic(Y, self._region_values[held])
 
     def _qp_step(self, x0: np.ndarray) -> MpcStep:
         """The QP's answer at x0, which grows the certificate store when the
@@ -419,24 +459,19 @@ class MpcController:
                 f"{': ' if over else ''}{', '.join(over)}, after {sol.iterations} iterations)"
             )
         active = tuple(int(i) for i in np.flatnonzero(sol.duals_ineq > 0.0))
-        region = next((r for r in self._regions if r.active == active), None)
-        if region is None:
+        m = self.prob.sys.m
+        held = next((i for i, r in enumerate(self._regions) if r.active == active), None)
+        if held is None:
             region = self._region(active)
             if region is None:
-                return MpcStep(True, sol.z[: self.prob.sys.m].copy(), sol.objective)
+                return MpcStep(True, sol.z[:m].copy(), sol.objective)
+            held = len(self._regions)
             self._regions.append(region)
             self._region_rows = np.vstack([self._region_rows, region.rows])
-        return self._region_step(region, x0)
-
-    def _shortcut_step(self, x0) -> MpcStep:
-        """The answer inside the shortcut polytope: the first move as the
-        policy gain rounds it ((Z x0)[:m] is the same move, rounded by a
-        longer product) and the value x0' F^ell(K) x0."""
-        return MpcStep(True, self._policy_gain.L @ x0, float(x0 @ self._value_matrix @ x0))
-
-    def _region_step(self, region: CriticalRegion, x0) -> MpcStep:
-        y = np.append(x0, 1.0)
-        return MpcStep(True, region.law[: self.prob.sys.m] @ y, float(y @ region.value @ y))
+            self._region_laws = np.concatenate([self._region_laws, region.law[None, :m]])
+            self._region_values = np.concatenate([self._region_values, region.value[None]])
+        u0, value = self._region_answers(np.array([held]), np.append(x0, 1.0)[None])
+        return MpcStep(True, u0[0], float(value[0]))
 
     def _region_law(self, active: tuple) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """(law, lam) of the active rows W, with z = law y and W's
@@ -501,10 +536,11 @@ class MpcController:
         self._cert_a = np.vstack([self._cert_a, -(self._g_map.T @ y) / s])
         self._cert_b = np.append(self._cert_b, -(self._g_const @ y + slack) / s)
 
-    def _move(self, x, u) -> tuple[float, np.ndarray]:
-        """One closed-loop move u from x: (stage cost, successor state)."""
+    def _moves(self, X, U) -> tuple[np.ndarray, np.ndarray]:
+        """The closed-loop move u from x, per row of X and the same row of
+        U: (stage cost x'Qx + u'Ru, successor Ax + Bu)."""
         sys = self.prob.sys
-        return float(x @ sys.Q @ x + u @ sys.R @ u), sys.A @ x + sys.B @ u
+        return _quadratic(X, sys.Q) + _quadratic(U, sys.R), _linear(sys.A, X) + _linear(sys.B, U)
 
     def simulate_cost(self, x0) -> float:
         """Realized infinite-horizon closed-loop cost from x0 (inf if any
@@ -519,10 +555,12 @@ class MpcController:
         product (without slack, so inside the shortcut polytope too) and
         closes those inside with the exact cost to go x' tail_cost x; the
         rest move by one row pass (`_solve_rows`), and an infeasible step
-        closes its loop at inf.  Each loop sums its own stage costs in its
-        own order, and each answer is the law of the state's own active set
-        whichever loop reached the QP first, so every cost has the bits of
-        its loop run alone.
+        closes its loop at inf.  The tail costs, stage costs and successors
+        are stacked products over the states they concern, one product per
+        state with the bits of that state's own.  Each loop sums its own
+        stage costs in its own order, and each answer is the law of the
+        state's own active set whichever loop reached the QP first, so every
+        cost has the bits of its loop run alone.
         """
         X = np.array(X, dtype=float)  # each row steps in place
         cost = np.full(len(X), math.inf)
@@ -531,17 +569,15 @@ class MpcController:
         O = self.tail_set
         for _ in range(_SIM_CAP):
             inside = (X[live] @ O.H.T <= O.h).all(axis=1)
-            for i in live[inside]:
-                cost[i] = total[i] + float(X[i] @ self.tail_cost @ X[i])
+            done = live[inside]
+            cost[done] = total[done] + _quadratic(X[done], self.tail_cost)
             live = live[~inside]
             if not live.size:
                 return cost
-            steps = self._solve_rows(X[live])
-            feasible = [step.feasible for step in steps]
-            for i, step in zip(live[feasible], itertools.compress(steps, feasible)):
-                stage, X[i] = self._move(X[i], step.u0)
-                total[i] += stage
+            feasible, U, _ = self._solve_rows(X[live])
             live = live[feasible]
+            stage, X[live] = self._moves(X[live], U[feasible])
+            total[live] += stage
         if live.size:
             raise ArithmeticError(
                 f"closed loop did not reach the tail set in {_SIM_CAP} steps"
@@ -555,12 +591,13 @@ class MpcController:
         out = []
         for k in range(max_steps):
             step = self.solve(x)
-            stage, x_next = self._move(x, step.u0) if step.feasible else (math.inf, None)
-            out.append({"k": k, "x": x.copy(), "u": step.u0, "stage": stage,
+            stage, X_next = (self._moves(x[None], step.u0[None]) if step.feasible
+                             else ([math.inf], None))
+            out.append({"k": k, "x": x.copy(), "u": step.u0, "stage": float(stage[0]),
                         "value": step.value, "feasible": step.feasible})
             if not step.feasible:
                 break
-            x = x_next
+            x = X_next[0]
         return out
 
 
@@ -600,19 +637,19 @@ def feasible_region_grid(
     results do not depend on earlier calls, one grid row at a time
     (`MpcController._solve_rows`): the cells that the shortcut, a stored
     certificate or a stored region answers at the start of the row are
-    answered together, and the rest go through `MpcController.solve` in
-    order, tested together again after each QP that grows a store, so the
-    grid and the QPs it runs are those of one `solve` per cell.  No gap is
-    computed: one read-only NaN stands for every cell.  `workers` is
-    accepted and ignored, for callers that still pass it; it selects
-    nothing.
+    answered together, and the rest go to the QP in order, tested together
+    again after each QP that grows a store, so the grid and the QPs it runs
+    are those of one `solve` per cell.  The grids stack the rows' verdict
+    and value arrays.  No gap is computed: one read-only NaN stands for
+    every cell.  `workers` is accepted and ignored, for callers that still
+    pass it; it selects nothing.
     """
     xs, ys = _grid_axes(prob, grid_spec or {})
     ctl = MpcController(prob, design, ell)
-    steps = [ctl._solve_rows(np.column_stack([xs, np.full(xs.size, y)])) for y in ys]
+    rows = [ctl._solve_rows(np.column_stack([xs, np.full(xs.size, y)])) for y in ys]
     return CostMapGrid(
-        xs=xs, ys=ys, feasible=np.array([[s.feasible for s in row] for row in steps]),
-        cost=np.array([[s.value for s in row] for row in steps]),
+        xs=xs, ys=ys, feasible=np.array([feasible for feasible, _, _ in rows]),
+        cost=np.array([value for _, _, value in rows]),
         rel_gap=np.broadcast_to(math.nan, (ys.size, xs.size)),
         meta={"kind": "region", "ell": ell, "zeta": design.zeta, "resolution": xs.size},
     )

@@ -207,9 +207,10 @@ def maximal_invariant_set(closed_loop, Xhat: HPolytope, U: HPolytope, L) -> HPol
     whose new rows are all redundant given the accumulated ones.  That is
     read from one polar hull, grown by Qhull's incremental algorithm: its
     first batch is the rows of steps 0 and 1, each later step adds only its
-    own rows' polar points, and the loop stops at the first step none of
-    whose points is a hull vertex.  So no LP is solved, and a step costs its
-    new points, not all the accumulated ones.  The rows come in the order
+    own rows' polar points that the hull does not already hold by more than
+    LP_TOL of the points' scale, and the loop stops at the first step none
+    of whose points is a hull vertex.  So no LP is solved, and a step costs
+    its new points, not all the accumulated ones.  The rows come in the order
     they were accumulated.  The offsets of Xhat and U must be positive;
     k_det is finite for stable D and compact constraint sets.
     """
@@ -238,12 +239,16 @@ def maximal_invariant_set(closed_loop, Xhat: HPolytope, U: HPolytope, L) -> HPol
             if k > 1:
                 M = M @ D
                 blocks.append(np.vstack([Xhat.H @ M, U.H @ L @ M]))
-                # a point identical to one already in the hull is no new
-                # vertex, and a zero row's polar point 0 is never one
+                # a point inside the hull by more than LP_TOL * scale is no
+                # new vertex (nor is a zero row's polar point 0), so only the
+                # others are added; when none is left, step k adds no facet
                 G = blocks[k] / base_h[:, None]
-                hull.add_points(G)
-                pos = np.concatenate([pos, k * m + np.arange(m)])
                 scale = max(scale, np.abs(G).max())
+                eq = hull.equations
+                out = np.flatnonzero((G @ eq[:, :-1].T + eq[:, -1] > -LP_TOL * scale).any(axis=1))
+                if out.size:
+                    hull.add_points(G[out])
+                    pos = np.concatenate([pos, k * m + out])
             _require_origin_inside(hull, scale)
             rows = pos[hull.vertices]
             if rows.max() < k * m:  # no row of step k is a facet

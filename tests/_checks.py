@@ -450,7 +450,7 @@ def reference_region_sweep(prob, design, ell, grid_spec):
 def reference_stored_region(ctl, x0):
     """The index of the first stored region of the controller whose
     membership rows all reach the margin at x0, by the one-state test that
-    the row pass `MpcController._stored_steps` replaced, or None."""
+    the row pass `MpcController._stored_answers` replaced, or None."""
     if not ctl._regions:
         return None
     y = np.append(np.asarray(x0, dtype=float).ravel(), 1.0)
@@ -462,7 +462,7 @@ def reference_stored_region(ctl, x0):
 
 def reference_store_answer(ctl, x0):
     """What answers x0 from the controller's stores as they stand, by the
-    one-state tests that `MpcController._stored_steps` replaced:
+    one-state tests that `MpcController._stored_answers` replaced:
     "shortcut", "certificate", a region index (`reference_stored_region`),
     or None (the QP answers)."""
     x0 = np.asarray(x0, dtype=float).ravel()

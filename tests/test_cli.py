@@ -1,6 +1,7 @@
 """Scenario ingestion and the command-line driver."""
 
 import json
+import math
 import subprocess
 import sys
 import time
@@ -294,6 +295,39 @@ def test_cmd_reproduce_table1(tmp_path, capsys):
     assert "table1.di-2d.norm_ratio" in names
     for c in summary["checks"]:
         assert {"name", "value", "target", "passed"} <= set(c)
+
+
+def test_example3_policy_cost_within_value(tmp_path, monkeypatch):
+    """Example 3 flags J_pol <= V_ell on every feasible cell and reports the
+    largest (J_pol - V_ell)/V_ell, which is negative for the amplified
+    design; a closed loop broken at x = (-1, 1) fails the flag, which names
+    that cell."""
+    from lqmpc import cli
+
+    def checks(out):
+        summary = json.loads((out / "summary.json").read_text())
+        return {c["name"]: c for c in summary["checks"]}
+
+    assert main(["reproduce", "--example", "3", "--out", str(tmp_path / "ok")]) == 0
+    got = checks(tmp_path / "ok")
+    flag, worst = got["example3.policy_cost_within_value"], got["example3.max_policy_cost_over_value"]
+    assert flag["passed"] is True and worst["passed"] is None
+    assert -1e-3 < worst["value"] < 0
+    assert flag["target"].endswith(f"(J_pol - V_ell)/V_ell = {worst['value_repr']})")
+
+    submap = cli.suboptimality_map
+
+    def broken(*args, **kw):
+        grid = submap(*args, **kw)
+        grid.cost[60, 40] = math.inf
+        return grid
+
+    monkeypatch.setattr(cli, "suboptimality_map", broken)
+    assert main(["reproduce", "--example", "3", "--out", str(tmp_path / "broken")]) == 1
+    got = checks(tmp_path / "broken")
+    flag = got["example3.policy_cost_within_value"]
+    assert flag["passed"] is False and "worst at x = (-1, 1)" in flag["target"]
+    assert [c for c in got.values() if c["passed"] is False] == [flag]
 
 
 def test_cmd_reproduce_writes_text_summary(tmp_path):

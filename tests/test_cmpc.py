@@ -680,32 +680,40 @@ def test_region_sweep_matches_the_cell_loop(di2d_prob, request, which, seed, ell
     assert len(qps) <= len(solved) < feas.size / 10
 
 
-def _check_store_answer(ctl, x0, step) -> str:
-    """Assert that `step`, an answer of `_stored_steps` at x0, comes from the
-    store that `reference_store_answer` picks, with the bits of u0 and value
-    that the one-state tests' own expressions give there; returns the
-    store's name ("region" for any region)."""
-    answer = reference_store_answer(ctl, x0)
-    if answer is None:
-        assert step is None, x0
-        return "qp"
-    if answer == "certificate":
-        assert not step.feasible and step.u0 is None and step.value == math.inf, x0
-        return answer
-    if answer == "shortcut":
-        u0, value = ctl._policy_gain.L @ x0, float(x0 @ ctl._value_matrix @ x0)
-    else:
-        region, y = ctl._regions[answer], np.append(x0, 1.0)
-        u0, value = region.law[: ctl.prob.sys.m] @ y, float(y @ region.value @ y)
-    assert step is not None and _same_step(step, cmpc.MpcStep(True, u0, value)), (x0, answer)
-    return "region" if isinstance(answer, int) else answer
+def _check_store_answers(ctl, X, answers) -> list[str]:
+    """Assert that `answers`, the arrays (answered, feasible, u0, value) of
+    `_stored_answers(X)`, come row by row from the store that
+    `reference_store_answer` picks, with the bits of u0 and value that the
+    one-state tests' own expressions give there; returns each row's store
+    name ("region" for any region, "qp" for none)."""
+    paths = []
+    for x0, answered, feasible, u0, value in zip(X, *answers):
+        answer = reference_store_answer(ctl, x0)
+        if answer is None:
+            assert not answered, x0
+            paths.append("qp")
+            continue
+        assert answered, (x0, answer)
+        if answer == "certificate":
+            assert not feasible and value == math.inf, x0
+            paths.append(answer)
+            continue
+        if answer == "shortcut":
+            ref_u, ref_v = ctl._policy_gain.L @ x0, float(x0 @ ctl._value_matrix @ x0)
+        else:
+            region, y = ctl._regions[answer], np.append(x0, 1.0)
+            ref_u, ref_v = region.law[: ctl.prob.sys.m] @ y, float(y @ region.value @ y)
+        assert feasible and u0.tobytes() == ref_u.tobytes(), (x0, answer)
+        assert np.float64(value).tobytes() == np.float64(ref_v).tobytes(), (x0, answer)
+        paths.append("region" if isinstance(answer, int) else answer)
+    return paths
 
 
 @pytest.mark.parametrize("which", ["eff", "opt"])
 @pytest.mark.parametrize("ell", [3, 10])
 def test_store_answers_match_the_one_state_tests_on_every_grid_cell(
         di2d_prob, request, which, ell):
-    """`_stored_steps` against the one-state store tests it replaced
+    """`_stored_answers` against the one-state store tests it replaced
     (`_checks.reference_store_answer`) on every cell of an example-3 grid
     (101x101), in the sweep's order: each grid row against the stores as
     they stand at its start, and each cell alone against the stores as
@@ -717,10 +725,9 @@ def test_store_answers_match_the_one_state_tests_on_every_grid_cell(
     paths = {}
     for y in ys:
         row = np.column_stack([xs, np.full(xs.size, y)])
-        for x0, step in zip(row, ctl._stored_steps(row)):
-            _check_store_answer(ctl, x0, step)
+        _check_store_answers(ctl, row, ctl._stored_answers(row))
         for x0 in row:
-            path = _check_store_answer(ctl, x0, ctl._stored_steps(x0[None])[0])
+            [path] = _check_store_answers(ctl, x0[None], ctl._stored_answers(x0[None]))
             paths[path] = paths.get(path, 0) + 1
             ctl.solve(x0)
     assert sum(paths.values()) == 101 * 101
@@ -730,30 +737,84 @@ def test_store_answers_match_the_one_state_tests_on_every_grid_cell(
 def test_store_answers_match_the_one_state_tests_in_closed_loops(
         di2d_prob, di2d_design_eff, monkeypatch):
     """Every state of the closed loops of a 15x15 di-2d suboptimality map,
-    at ell = 3 and at ell = 100, gets from `_stored_steps` the store,
+    at ell = 3 and at ell = 100, gets from `_stored_answers` the store,
     region and bits that the one-state tests give (see the grid test
-    above): every row of every pass, the lock-step passes of the loops and
-    the one-state passes of `solve` alike, against the stores as they stand
-    at that pass; and the map is the one without the check."""
+    above): every row of every pass, the lock-step passes of the loops,
+    the re-tests after a QP grows a store and the one-state passes of
+    `solve` alike, against the stores as they stand at that pass; and the
+    map is the one without the check."""
     spec = {**load_scenario("di-2d").grid_spec(), "resolution": 15}
     paths = {}
-    stored_steps = MpcController._stored_steps
+    stored_answers = MpcController._stored_answers
 
     def checked(self, X):
-        steps = stored_steps(self, X)
-        for x0, step in zip(X, steps):
-            path = _check_store_answer(self, x0, step)
+        answers = stored_answers(self, X)
+        for path in _check_store_answers(self, X, answers):
             paths[self.ell, path] = paths.get((self.ell, path), 0) + 1
-        return steps
+        return answers
 
     plain = suboptimality_map(di2d_prob, di2d_design_eff, 3, spec)
-    monkeypatch.setattr(MpcController, "_stored_steps", checked)
+    monkeypatch.setattr(MpcController, "_stored_answers", checked)
     grid = suboptimality_map(di2d_prob, di2d_design_eff, 3, spec)
     for a, b in ((grid.cost, plain.cost), (grid.rel_gap, plain.rel_gap)):
         assert a.tobytes() == b.tobytes()
     for ell in (3, cmpc.APPROX_OPT_HORIZON):
         assert paths.get((ell, "region"), 0) > 0 and paths.get((ell, "qp"), 0) > 0, paths
     assert paths.get((3, "certificate"), 0) > 0, paths
+
+
+def _grid_controllers(prob, designs):
+    """A controller per (design, ell) example-3 grid, each after the region
+    sweep of that grid, so that its stores hold what the sweep stored."""
+    xs, ys = cmpc._grid_axes(prob, load_scenario("di-2d").grid_spec())
+    for design in designs:
+        for ell in (3, 10):
+            ctl = MpcController(prob, design, ell)
+            for y in ys:
+                ctl._solve_rows(np.column_stack([xs, np.full(xs.size, y)]))
+            yield ctl
+
+
+def test_stacked_store_products_match_the_per_state_products(
+        di2d_prob, di2d_design_eff, di2d_design_opt, ac4d_prob, ac4d_design_eff):
+    """The stacked products of the row pass and the closed loops against
+    the per-state products they replaced, bit for bit, on seeded states:
+    every stored region's first move law[:m] y and value y'Vy (y = (x0, 1))
+    on the four example-3 grids' controllers and on an ac-4d controller at
+    ell = 2 after 300 seeded solves, each state with a seeded region from
+    the stacked laws and values, the shortcut's move L x0 and value
+    x0' F^ell(K) x0, the tail cost x' tail_cost x, and the closed-loop move
+    (x'Qx + u'Ru, Ax + Bu) at seeded inputs."""
+    rng = np.random.default_rng(20261020)
+    ac4d = MpcController(ac4d_prob, ac4d_design_eff, 2)
+    lo, hi = ac4d_prob.box
+    for x0 in rng.uniform(lo, hi, size=(300, 4)):
+        ac4d.solve(x0)
+    controllers = [*_grid_controllers(di2d_prob, (di2d_design_eff, di2d_design_opt)), ac4d]
+    for ctl in controllers:
+        sys, m = ctl.prob.sys, ctl.prob.sys.m
+        lo, hi = ctl.prob.box
+        X = rng.uniform(1.2 * lo, 1.2 * hi, size=(2000, sys.n))
+        U = rng.uniform(*ctl.prob.input_box, size=(2000, m))
+        Y = np.column_stack([X, np.ones(len(X))])
+        held = rng.integers(len(ctl._regions), size=len(Y))
+        u0, value = ctl._region_answers(held, Y)
+        regions = [ctl._regions[i] for i in held]
+        assert u0.tobytes() == np.array([r.law[:m] @ y for r, y in zip(regions, Y)]).tobytes()
+        assert value.tobytes() == np.array(
+            [float(y @ r.value @ y) for r, y in zip(regions, Y)]).tobytes()
+        assert len(set(held.tolist())) == len(ctl._regions) > 1
+        for got, ref in (
+            (cmpc._linear(ctl._policy_gain.L, X), [ctl._policy_gain.L @ x for x in X]),
+            (cmpc._quadratic(X, ctl._value_matrix), [float(x @ ctl._value_matrix @ x) for x in X]),
+            (cmpc._quadratic(X, ctl.tail_cost), [float(x @ ctl.tail_cost @ x) for x in X]),
+        ):
+            assert got.tobytes() == np.array(ref).tobytes()
+        stage, X_next = ctl._moves(X, U)
+        assert stage.tobytes() == np.array(
+            [float(x @ sys.Q @ x + u @ sys.R @ u) for x, u in zip(X, U)]).tobytes()
+        assert X_next.tobytes() == np.array(
+            [sys.A @ x + sys.B @ u for x, u in zip(X, U)]).tobytes()
 
 
 @pytest.mark.parametrize("which", ["eff", "opt"])
@@ -794,10 +855,11 @@ def _answer_paths(ctl, X) -> str:
 
 def _rows_against_the_loop(prob, design, history, X, monkeypatch):
     """`_solve_rows(X)` and `[solve(x0) for x0 in X]`, each on a controller
-    at ell = 3 that first solved the states in `history`: every step must
-    have the same verdict and the same bits of value and u0, and the same
-    cells must reach the QP in the same order.  Returns the answer paths at
-    the start of the row, the steps and the row's QPs."""
+    at ell = 3 that first solved the states in `history`: every row must
+    have the same verdict and the same bits of value and u0 (of a feasible
+    row) as the loop's step, and the same cells must reach the QP in the
+    same order.  Returns the answer paths at the start of the row, the
+    loop's steps and the row's QPs."""
     X = np.asarray(X, dtype=float)
     qps = _recording_solve_qp(monkeypatch)
     runs = []
@@ -809,12 +871,13 @@ def _rows_against_the_loop(prob, design, history, X, monkeypatch):
         qps.clear()
         steps = ctl._solve_rows(X) if batched else [ctl.solve(x0) for x0 in X]
         runs.append((paths, steps, list(qps)))
-    (_, loop, loop_qps), (paths, steps, row_qps) = runs
-    assert len(steps) == len(X)
-    for x0, a, b in zip(X, steps, loop):
-        assert _same_step(a, b), x0
+    (_, loop, loop_qps), (paths, (feasible, u0, value), row_qps) = runs
+    assert len(feasible) == len(u0) == len(value) == len(loop) == len(X)
+    for x0, f, u, v, step in zip(X, feasible, u0, value, loop):
+        assert f == step.feasible and np.float64(v).tobytes() == np.float64(step.value).tobytes()
+        assert not f or u.tobytes() == step.u0.tobytes(), x0
     assert row_qps == loop_qps
-    return paths, steps, row_qps
+    return paths, loop, row_qps
 
 
 @pytest.mark.parametrize("history, paths",
@@ -896,9 +959,9 @@ def test_region_grown_mid_row_is_tested_against_the_cells_left_over(di2d_prob, d
     QP in the same order as with one `solve` per cell."""
     X = np.column_stack([np.linspace(-5.0, 5.0, 21), np.full(21, 1.0)])
     sizes = []
-    stored_steps = MpcController._stored_steps
-    monkeypatch.setattr(MpcController, "_stored_steps",
-                        lambda self, Y: sizes.append(len(Y)) or stored_steps(self, Y))
+    stored_answers = MpcController._stored_answers
+    monkeypatch.setattr(MpcController, "_stored_answers",
+                        lambda self, Y: sizes.append(len(Y)) or stored_answers(self, Y))
     paths, steps, qps = _rows_against_the_loop(di2d_prob, di2d_design_eff, [], X,
                                                monkeypatch)
     assert paths == "S" * 9 + "Q" * 12
@@ -1084,6 +1147,8 @@ def _forget(ctl: MpcController) -> MpcController:
     ctl._cert_b = ctl._cert_b[:0]
     ctl._regions = []
     ctl._region_rows = ctl._region_rows[:0]
+    ctl._region_laws = ctl._region_laws[:0]
+    ctl._region_values = ctl._region_values[:0]
     return ctl
 
 

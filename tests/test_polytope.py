@@ -731,8 +731,31 @@ def test_invariant_set_of_a_marginally_stable_loop_raises_at_the_cap(monkeypatch
     monkeypatch.setattr(polytope, "ConvexHull", CountingHull)
     with pytest.raises(ArithmeticError, match=f"within {polytope._INVSET_CAP} steps"):
         maximal_invariant_set(D, BOX5, HPolytope.symmetric_box([1.0]), np.zeros((1, 2)))
-    # steps 2 to the cap, each adding its own 6 rows' points
-    assert added == [6] * (polytope._INVSET_CAP - 1)
+    # steps 2 to the cap, each adding its own 4 state rows' points; its 2
+    # input rows (the zero gain's) have the polar point 0, inside the hull
+    assert added == [4] * (polytope._INVSET_CAP - 1)
+
+
+def test_invariant_set_step_inside_the_hull_adds_no_points(monkeypatch):
+    from lqmpc import polytope
+
+    # a rotation by 45 degrees, shrunk by 0.9 a step: the box's polar
+    # diamond and step 1's rotated points span the hull, and step 2's points
+    # (the box's, turned by 90 degrees and shrunk by 0.81) lie inside it
+    c = np.cos(np.pi / 4)
+    D = 0.9 * np.array([[c, -c], [c, c]])
+    added = []
+
+    class CountingHull(polytope.ConvexHull):
+        def add_points(self, points, restart=False):
+            added.append(len(points))
+            super().add_points(points, restart)
+
+    monkeypatch.setattr(polytope, "ConvexHull", CountingHull)
+    U, L = HPolytope.symmetric_box([1.0]), np.zeros((1, 2))
+    S = maximal_invariant_set(D, BOX5, U, L)
+    assert added == [] and S.nrows == 8
+    _assert_matches_one_hull_per_step(D, BOX5, U, L)
 
 
 def test_invariant_set_with_the_origin_on_the_polar_hull_raises():
