@@ -7,9 +7,9 @@ feasibility / suboptimality maps over 2-D grids, and gives the exact
 feasible set in any dimension by support LPs.  One row pass tests queries,
 one state, a grid row or the live states of many closed loops stepped
 together, against the controller's stores (shortcut, infeasibility
-certificates, critical regions) and answers them as arrays of verdicts,
-first moves and values, each store's from stacked products; the rest reach
-the QP.
+certificates, critical regions, each kept once as stacked arrays) and
+answers them as arrays of verdicts, first moves and values, each store's
+from stacked products; the rest reach the QP.
 
 Infeasibility is identified with infinite cost (indicator-function semantics
 of the state constraint set).  The module returns arrays and grids and
@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -169,22 +170,6 @@ def _quadratic(X: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (X[:, None, :] @ M @ X[:, :, None])[:, 0, 0]
 
 
-@dataclass(frozen=True)
-class CriticalRegion:
-    """The ell-step QP's solution on one optimal active set W, affine in x0.
-
-    With y = (x0, 1): z = law y.  Row i of `rows` is, as a function of y,
-    the slack of G's row i when i is not in W and its multiplier when it
-    is, so x0 lies in the region where every row is nonnegative; the
-    optimal value there is y'Vy.
-    """
-
-    active: tuple
-    law: np.ndarray  # (ell m, n + 1)
-    rows: np.ndarray  # (rows of G, n + 1)
-    value: np.ndarray  # (n + 1, n + 1), symmetric
-
-
 class MpcController:
     """Precondensed ell-step MPC for one (problem, design, horizon) triple.
 
@@ -223,22 +208,25 @@ class MpcController:
 
     Feasible queries are answered from a store of critical regions (Bemporad
     et al., Automatica 2002).  On the optimal active set W of one QP, the
-    solution and W's multipliers are affine in x0 (`CriticalRegion`), built
-    from the template's factor and W's small Schur complement, and gated
-    once on their stationarity and active-row residuals (ArithmeticError
-    naming the residual).  So a query runs, in order: the empty-active-set
-    shortcut; the certificate rows; the region rows, all blocks in one
-    product, where x0 is inside a region when each inactive row's slack and
-    each active multiplier is at least 1e-9 of the KKT scale; and the QP.
-    A feasible QP is answered from the region of its own active set
-    {i : mu_i > 0}, which is stored then, unless its Schur complement is
-    singular or some membership row vanishes identically (a degenerate W,
-    which no query can lie strictly inside): then the QP's own iterate
-    answers and nothing is stored.  Each answer is thus the law of the
-    query's own optimal active set, or the QP's, whatever the store holds:
-    with strict margins at most one region holds a query, and there the QP
-    finds that region's W too.  Certificates only answer "infeasible", and
-    regions only "feasible", so no verdict depends on either store.
+    solution and W's multipliers are affine in x0 (`_region`), built from
+    the template's factor and W's small Schur complement, and gated once on
+    their stationarity and active-row residuals (ArithmeticError naming the
+    residual).  A region is kept once, in three stacks the row pass reads:
+    its membership rows, its first move's law and its value matrix, and a
+    dict maps its W to its index there.  So a query runs, in order: the
+    empty-active-set shortcut; the certificate rows; the region rows, all
+    blocks in one product, where x0 is inside a region when each inactive
+    row's slack and each active multiplier is at least 1e-9 of the KKT
+    scale; and the QP.  A feasible QP is answered from the region of its own
+    active set {i : mu_i > 0}, which is stored then, unless its Schur
+    complement is singular or some membership row vanishes identically (a
+    degenerate W, which no query can lie strictly inside): then the QP's own
+    iterate answers and nothing is stored.  Each answer is thus the law of
+    the query's own optimal active set, or the QP's, whatever the store
+    holds: with strict margins at most one region holds a query, and there
+    the QP finds that region's W too.  Certificates only answer
+    "infeasible", and regions only "feasible", so no verdict depends on
+    either store.
 
     The three store tests are written once, for the rows of a state matrix
     (`_stored_answers`): one product each for the shortcut, the certificate
@@ -320,15 +308,12 @@ class MpcController:
         # the shortcut polytope H_u x0 <= g_const, with 1e-10 of slack
         self._H_u = G @ Z - self._g_map
         self._h_u = self._g_const + 1e-10
-        self._tail_cost: Optional[np.ndarray] = None
-        self._tail_set: Optional[HPolytope] = None
         # the stored certificates, rows (a, b) of b + a'x0 (see the class
         # docstring), and |z_j| <= z_bound_j for every z in U^ell
         self._cert_a = np.zeros((0, n))
         self._cert_b = np.zeros(0)
         lo, hi = prob.input_box
         self._z_bound = np.tile(np.maximum(-lo, hi), ell)
-        # the stored critical regions, and their membership rows stacked;
         # with y = (x0, 1), q = q_aug y and g = g_aug y (stacked in qg_aug),
         # and the unconstrained minimiser -P^-1 q is z_free y
         J = self._qp.factor
@@ -337,32 +322,29 @@ class MpcController:
         self._qg_aug = np.vstack([self._q_aug, self._g_aug])
         self._z_free = -(J @ (J.T @ self._q_aug))
         self._law_scale = max(1.0, float(np.max(np.abs(self._qg_aug))))
-        self._regions: list[CriticalRegion] = []
+        # the critical regions, each active set -> its index in the stacks of
+        # membership rows, first-move laws and value matrices (`_region`)
+        self._regions: dict[tuple, int] = {}
         self._region_rows = np.zeros((0, n + 1))
-        # the stored regions' first-move laws and value matrices, stacked
         self._region_laws = np.zeros((0, m, n + 1))
         self._region_values = np.zeros((0, n + 1, n + 1))
 
-    @property
+    @cached_property
     def tail_cost(self) -> np.ndarray:
         """Infinite-horizon cost matrix of the unconstrained policy gain."""
-        if self._tail_cost is None:
-            self._tail_cost = closed_loop_cost(self.prob.sys, self._policy_gain)
-        return self._tail_cost
+        return closed_loop_cost(self.prob.sys, self._policy_gain)
 
-    @property
+    @cached_property
     def tail_set(self) -> HPolytope:
         """Maximal invariant set O of the policy gain's loop inside the
         shortcut polytope {H_u x0 <= g_const}.  From a state in O the
         shortcut answers every later move, so the closed loop applies the
         policy gain forever and its cost to go is exactly x' tail_cost x."""
-        if self._tail_set is None:
-            # a zero row of H_u holds at every x0 (its offset is positive)
-            keep = np.any(self._H_u != 0.0, axis=1)
-            shortcut = HPolytope(self._H_u[keep], self._g_const[keep])
-            self._tail_set = maximal_invariant_set(
-                self._policy_gain.closed_loop, shortcut, self.prob.U, self._policy_gain)
-        return self._tail_set
+        # a zero row of H_u holds at every x0 (its offset is positive)
+        keep = np.any(self._H_u != 0.0, axis=1)
+        shortcut = HPolytope(self._H_u[keep], self._g_const[keep])
+        return maximal_invariant_set(
+            self._policy_gain.closed_loop, shortcut, self.prob.U, self._policy_gain)
 
     def qp_at(self, x0) -> QpProblem:
         x0 = np.asarray(x0, dtype=float).ravel()
@@ -445,7 +427,7 @@ class MpcController:
 
     def _qp_step(self, x0: np.ndarray) -> MpcStep:
         """The QP's answer at x0, which grows the certificate store when the
-        QP is infeasible and the region store when its active set is new."""
+        QP is infeasible and the region stacks when its active set is new."""
         sol: QpSolution = solve_qp(self.qp_at(x0))
         if sol.status == "infeasible":
             self._keep_certificate(sol.farkas)
@@ -459,17 +441,16 @@ class MpcController:
                 f"{': ' if over else ''}{', '.join(over)}, after {sol.iterations} iterations)"
             )
         active = tuple(int(i) for i in np.flatnonzero(sol.duals_ineq > 0.0))
-        m = self.prob.sys.m
-        held = next((i for i, r in enumerate(self._regions) if r.active == active), None)
+        held = self._regions.get(active)
         if held is None:
             region = self._region(active)
             if region is None:
-                return MpcStep(True, sol.z[:m].copy(), sol.objective)
-            held = len(self._regions)
-            self._regions.append(region)
-            self._region_rows = np.vstack([self._region_rows, region.rows])
-            self._region_laws = np.concatenate([self._region_laws, region.law[None, :m]])
-            self._region_values = np.concatenate([self._region_values, region.value[None]])
+                return MpcStep(True, sol.z[:self.prob.sys.m].copy(), sol.objective)
+            rows, law, V = region
+            held = self._regions[active] = len(self._regions)
+            self._region_rows = np.vstack([self._region_rows, rows])
+            self._region_laws = np.concatenate([self._region_laws, law[None]])
+            self._region_values = np.concatenate([self._region_values, V[None]])
         u0, value = self._region_answers(np.array([held]), np.append(x0, 1.0)[None])
         return MpcStep(True, u0[0], float(value[0]))
 
@@ -495,9 +476,12 @@ class MpcController:
         lam = cho_solve((L, True), G @ self._z_free - self._g_aug[w])
         return self._z_free - self._qp.factor @ (M.T @ lam), lam
 
-    def _region(self, active: tuple) -> Optional[CriticalRegion]:
-        """The critical region of the active rows W, gated on the residuals
-        of its law; None when W is degenerate (see the class docstring)."""
+    def _region(self, active: tuple) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(rows, law, value) of the critical region of the active rows W,
+        gated on its law's residuals; None when W is degenerate (see the
+        class docstring).  With y = (x0, 1), row i of `rows` is G's row i's
+        slack off W and its multiplier on W, so x0 is in the region where all
+        are nonnegative; the first move there is law y, the value y'Vy."""
         out = self._region_law(active)
         if out is None:
             return None
@@ -520,7 +504,7 @@ class MpcController:
         offset = np.zeros((n + 1, n + 1))
         offset[:n, :n] = self._off_map
         value = 0.5 * law.T @ p.P @ law + self._q_aug.T @ law + offset
-        return CriticalRegion(active, law, rows, 0.5 * (value + value.T))
+        return rows, law[:self.prob.sys.m], 0.5 * (value + value.T)
 
     def _keep_certificate(self, y: np.ndarray) -> None:
         """Store the verified Farkas vector y of an infeasible QP as one row.

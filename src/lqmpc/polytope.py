@@ -24,6 +24,8 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
+from .matcore import is_stable, spectral_radius
+
 __all__ = [
     "FEAS_TOL",
     "LP_TOL",
@@ -212,13 +214,14 @@ def maximal_invariant_set(closed_loop, Xhat: HPolytope, U: HPolytope, L) -> HPol
     of whose points is a hull vertex.  So no LP is solved, and a step costs
     its new points, not all the accumulated ones.  The rows come in the order
     they were accumulated.  The offsets of Xhat and U must be positive;
-    k_det is finite for stable D and compact constraint sets.
+    k_det is finite for stable D and compact constraint sets.  D must pass
+    `matcore.is_stable` (spectral radius below 1 - STABILITY_TOL), as every
+    layer's loops do; any other D raises ValueError naming its radius.
     """
     D = np.atleast_2d(np.asarray(closed_loop, dtype=float))
     L = np.atleast_2d(np.asarray(getattr(L, "L", L), dtype=float))
-    sr = float(np.max(np.abs(np.linalg.eigvals(D))))
-    if sr >= 1.0:
-        raise ValueError(f"closed loop unstable (spectral radius {sr:.6g})")
+    if not is_stable(D):
+        raise ValueError(f"closed loop unstable (spectral radius {spectral_radius(D):.6g})")
     if L.shape[1] != D.shape[0] or L.shape[0] != U.dim or Xhat.dim != D.shape[0]:
         raise ValueError("dimension mismatch between loop, gain and constraint sets")
     base_h = np.concatenate([Xhat.h, U.h])

@@ -216,7 +216,9 @@ def solve_dare(sys: LqSystem) -> tuple[np.ndarray, GainPolicy]:
     Value iteration from Q is globally convergent; once the greedy closed loop
     is stable the tail is finished by Kleinman (policy-iteration) steps, which
     converge quadratically, until a Kleinman step's residual |F(K) - K| is
-    within DARE_TOL of max(1, |K|).  Each iterate takes one `_riccati_step`,
+    within DARE_TOL of max(1, |K|); after the last step, a Kleinman iterate
+    within DARE_TOL max(1, |D|)^2 max(1, |K|), the rounding of D'KD for its
+    closed loop D, is accepted too.  Each iterate takes one `_riccati_step`,
     which gives its greedy gain and its Bellman step (the residual) together.
     Raises ArithmeticError when no iterate stabilizes or one overflows first,
     and before any iterate when the PBH rank test fails: some eigenvalue
@@ -254,6 +256,13 @@ def solve_dare(sys: LqSystem) -> tuple[np.ndarray, GainPolicy]:
         L, FK = _riccati_step(sys, K)
         if kleinman and (induced_two_norm(check_square(FK, "F(K)") - K)
                          <= DARE_TOL * max(1.0, induced_two_norm(K))):
+            return K, GainPolicy.from_system(sys, L)
+    # a far-from-normal Kleinman loop D leaves |F(K) - K| at the rounding of
+    # D'KD, which no further step removes: accept the last Kleinman iterate
+    # within that scale, DARE_TOL max(1, |D|)^2 max(1, |K|), as `solve_dlyap`
+    if kleinman:
+        resid, K_norm, D_norm = induced_two_norm(np.stack([FK - K, K, policy.closed_loop]))
+        if resid <= DARE_TOL * max(1.0, D_norm) ** 2 * max(1.0, K_norm):
             return K, GainPolicy.from_system(sys, L)
     raise ArithmeticError(
         f"Riccati refinement stalled; last residual {_dare_residual(sys, K):.3e}"

@@ -701,8 +701,9 @@ def _check_store_answers(ctl, X, answers) -> list[str]:
         if answer == "shortcut":
             ref_u, ref_v = ctl._policy_gain.L @ x0, float(x0 @ ctl._value_matrix @ x0)
         else:
-            region, y = ctl._regions[answer], np.append(x0, 1.0)
-            ref_u, ref_v = region.law[: ctl.prob.sys.m] @ y, float(y @ region.value @ y)
+            y = np.append(x0, 1.0)
+            ref_u = ctl._region_laws[answer] @ y
+            ref_v = float(y @ ctl._region_values[answer] @ y)
         assert feasible and u0.tobytes() == ref_u.tobytes(), (x0, answer)
         assert np.float64(value).tobytes() == np.float64(ref_v).tobytes(), (x0, answer)
         paths.append("region" if isinstance(answer, int) else answer)
@@ -799,10 +800,10 @@ def test_stacked_store_products_match_the_per_state_products(
         Y = np.column_stack([X, np.ones(len(X))])
         held = rng.integers(len(ctl._regions), size=len(Y))
         u0, value = ctl._region_answers(held, Y)
-        regions = [ctl._regions[i] for i in held]
-        assert u0.tobytes() == np.array([r.law[:m] @ y for r, y in zip(regions, Y)]).tobytes()
+        assert u0.tobytes() == np.array(
+            [ctl._region_laws[i] @ y for i, y in zip(held, Y)]).tobytes()
         assert value.tobytes() == np.array(
-            [float(y @ r.value @ y) for r, y in zip(regions, Y)]).tobytes()
+            [float(y @ ctl._region_values[i] @ y) for i, y in zip(held, Y)]).tobytes()
         assert len(set(held.tolist())) == len(ctl._regions) > 1
         for got, ref in (
             (cmpc._linear(ctl._policy_gain.L, X), [ctl._policy_gain.L @ x for x in X]),
@@ -1145,7 +1146,7 @@ def _forget(ctl: MpcController) -> MpcController:
     """Empty both stores: the certificate rows and the critical regions."""
     ctl._cert_a = ctl._cert_a[:0]
     ctl._cert_b = ctl._cert_b[:0]
-    ctl._regions = []
+    ctl._regions = {}
     ctl._region_rows = ctl._region_rows[:0]
     ctl._region_laws = ctl._region_laws[:0]
     ctl._region_values = ctl._region_values[:0]
@@ -1340,11 +1341,47 @@ def test_region_store_stays_bounded_on_a_region_sweep(di2d_prob, request, which,
             # a region is stored only after a feasible QP, one per active set
             assert len(ctl._regions) - n <= sum(feasible_qps[k:])
             stored += step.feasible and not shortcut and len(feasible_qps) == k
-    actives = [r.active for r in ctl._regions]
+    actives = list(ctl._regions)
     assert len(set(actives)) == len(actives) <= 12
     assert ctl._region_rows.shape == (len(actives) * ctl._qp.g.size, 3)
     # most feasible cells outside the shortcut were answered from the store
     assert stored > 10 * sum(feasible_qps)
+
+
+@pytest.mark.parametrize("which", ["eff", "opt"])
+def test_region_stacks_keep_each_active_set_once(di2d_prob, request, which):
+    """A 41x41 region sweep at ell = 3, one grid row at a time: each stored
+    active set maps to its own index, every stack entry has the bits of
+    `_region` recomputed for its active set, and a second QP at each
+    feasible cell off the shortcut finds a known (or degenerate) active set,
+    so it grows no stack and answers with the bits of the sweep."""
+    design = request.getfixturevalue(f"di2d_design_{which}")
+    ctl = MpcController(di2d_prob, design, 3)
+    lo, hi = di2d_prob.box
+    xs = np.linspace(lo[0], hi[0], 41)
+    X = np.array([(x, y) for y in np.linspace(lo[1], hi[1], 41) for x in xs])
+    feasible, u0, value = map(np.concatenate, zip(
+        *(ctl._solve_rows(X[i:i + xs.size]) for i in range(0, len(X), xs.size))))
+    k, g = len(ctl._regions), ctl._qp.g.size
+    assert sorted(ctl._regions.values()) == list(range(k)) and k > 1
+    assert (len(ctl._region_rows), len(ctl._region_laws), len(ctl._region_values)) == (
+        k * g, k, k)
+    for active, i in ctl._regions.items():
+        rows, law, V = ctl._region(active)
+        assert rows.tobytes() == ctl._region_rows[i * g:(i + 1) * g].tobytes(), active
+        assert law.tobytes() == ctl._region_laws[i].tobytes(), active
+        assert V.tobytes() == ctl._region_values[i].tobytes(), active
+    stacks, regions = (ctl._region_rows, ctl._region_laws, ctl._region_values), dict(ctl._regions)
+    shortcut = (X @ ctl._H_u.T <= ctl._h_u).all(axis=1)
+    asked = np.flatnonzero(feasible & ~shortcut)
+    assert asked.size > 100
+    for j in asked:
+        step = ctl._qp_step(X[j])
+        assert step.feasible and step.u0.tobytes() == u0[j].tobytes(), X[j]
+        assert np.float64(step.value).tobytes() == value[j].tobytes(), X[j]
+    assert ctl._regions == regions
+    assert all(a is b for a, b in zip(stacks, (ctl._region_rows, ctl._region_laws,
+                                                ctl._region_values)))
 
 
 def test_region_law_off_by_1e_6_raises_naming_the_residual(di2d_prob, di2d_design_eff,
@@ -1361,7 +1398,7 @@ def test_region_law_off_by_1e_6_raises_naming_the_residual(di2d_prob, di2d_desig
     with pytest.raises(ArithmeticError, match=r"active set \[.*\] misses its gate: "
                                               r"stationarity residual .* > 1e-08"):
         ctl.solve(x0)
-    assert ctl._regions == []
+    assert ctl._regions == {}
 
 
 def test_degenerate_active_set_is_answered_by_the_qp(di2d_prob, di2d_design_eff):
@@ -1382,7 +1419,7 @@ def test_degenerate_active_set_is_answered_by_the_qp(di2d_prob, di2d_design_eff)
     step = ctl.solve(x0)
     assert step.u0.tobytes() == sol.z[:1].tobytes()
     assert np.float64(step.value).tobytes() == np.float64(sol.objective).tobytes()
-    assert ctl._regions == [] and ctl._region_rows.shape[0] == 0
+    assert ctl._regions == {} and ctl._region_rows.shape[0] == 0
     # both copies of a row taken as active: their Schur complement is singular
     G, g = ctl._qp.G, ctl._qp.g
     r = active[0]
@@ -1501,7 +1538,7 @@ def test_dual_qp_matches_reference_on_every_grid_cell(di2d_prob, request, which,
         assert status in ("optimal", "infeasible"), (x0, status)
         shortcut = np.all(ctl._H_u @ x0 <= ctl._h_u)
         i = None if shortcut else reference_stored_region(ctl, x0)
-        region = None if i is None else ctl._regions[i]
+        active = None if i is None else list(ctl._regions)[i]
         step = ctl.solve(x0)
         assert step.feasible == (status == "optimal"), x0
         if step.feasible:
@@ -1510,16 +1547,16 @@ def test_dual_qp_matches_reference_on_every_grid_cell(di2d_prob, request, which,
             assert abs(step.value - objective) <= tol, x0
             sol = solve_qp(ctl.qp_at(x0))
             assert sol.status == "optimal" and abs(sol.objective - objective) <= tol, x0
-            if region is not None:
+            if active is not None:
                 # a cell the region store answered: the QP's own active set
                 # and, within 1e-12, its value and first move
                 n_stored += 1
-                assert tuple(np.flatnonzero(sol.duals_ineq > 0.0)) == region.active, x0
+                assert tuple(np.flatnonzero(sol.duals_ineq > 0.0)) == active, x0
                 assert abs(step.value - sol.objective) <= 1e-12 * max(1.0, abs(sol.objective))
                 u_qp = sol.z[: di2d_prob.sys.m]
                 assert np.max(np.abs(step.u0 - u_qp)) <= 1e-12 * max(1.0, np.max(np.abs(u_qp)))
         else:
-            assert region is None, x0
+            assert active is None, x0
     assert 3000 < n_feasible < 101 * 101 - 3000
     assert n_stored > 2000
 

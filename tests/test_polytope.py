@@ -717,10 +717,11 @@ def test_invariant_set_of_a_nilpotent_loop():
 def test_invariant_set_of_a_marginally_stable_loop_raises_at_the_cap(monkeypatch):
     from lqmpc import polytope
 
-    # a rotation by 1 rad, shrunk by 1e-12 a step: every new row is tangent
-    # to the (nearly) unit circle, so each step adds facets
+    # a rotation by 1 rad, shrunk by 1e-8 a step (stable by `is_stable`):
+    # every new row is tangent to the (nearly) unit circle, so each step adds
+    # facets; at the real cap the set is determined, so the cap is lowered
     c, s = np.cos(1.0), np.sin(1.0)
-    D = (1.0 - 1e-12) * np.array([[c, -s], [s, c]])
+    D = (1.0 - 1e-8) * np.array([[c, -s], [s, c]])
     added = []
 
     class CountingHull(polytope.ConvexHull):
@@ -729,11 +730,24 @@ def test_invariant_set_of_a_marginally_stable_loop_raises_at_the_cap(monkeypatch
             super().add_points(points, restart)
 
     monkeypatch.setattr(polytope, "ConvexHull", CountingHull)
-    with pytest.raises(ArithmeticError, match=f"within {polytope._INVSET_CAP} steps"):
+    monkeypatch.setattr(polytope, "_INVSET_CAP", 20)
+    with pytest.raises(ArithmeticError, match="within 20 steps"):
         maximal_invariant_set(D, BOX5, HPolytope.symmetric_box([1.0]), np.zeros((1, 2)))
     # steps 2 to the cap, each adding its own 4 state rows' points; its 2
     # input rows (the zero gain's) have the polar point 0, inside the hull
-    assert added == [4] * (polytope._INVSET_CAP - 1)
+    assert added == [4] * 19
+
+
+def test_invariant_set_of_a_loop_within_the_stability_tolerance_raises_at_once(monkeypatch):
+    from lqmpc import polytope
+
+    # shrunk by 1e-12 a step, the rotation's spectral radius is within
+    # STABILITY_TOL of 1: `is_stable` rejects it before any hull is built
+    c, s = np.cos(1.0), np.sin(1.0)
+    D = (1.0 - 1e-12) * np.array([[c, -s], [s, c]])
+    monkeypatch.setattr(polytope, "ConvexHull", None)
+    with pytest.raises(ValueError, match=r"closed loop unstable \(spectral radius 1\)"):
+        maximal_invariant_set(D, BOX5, HPolytope.symmetric_box([1.0]), np.zeros((1, 2)))
 
 
 def test_invariant_set_step_inside_the_hull_adds_no_points(monkeypatch):
