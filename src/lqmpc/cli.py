@@ -211,20 +211,22 @@ def _design(prob: ConstrainedProblem, sc: Scenario, terminal: str) -> TerminalDe
 
 
 def _mpc_setup(args):
-    """Scenario, output directory, problem, terminal design and horizon."""
+    """Scenario, problem and horizon, each checked; a command checks the rest
+    of its arguments before it makes the output directory (`_outdir`) and
+    the terminal design (`_design`)."""
     sc = load_scenario(args.scenario)
     ell = _horizons([args.ell])[0] if args.ell is not None else sc.horizon
-    out = _outdir(args)
-    prob = sc.constrained_problem()
-    return sc, out, prob, _design(prob, sc, args.terminal), ell
+    return sc, sc.constrained_problem(), ell
 
 
 def _grid_spec(sc: Scenario, args) -> dict:
     if sc.system.n != 2:
         raise ScenarioError(f"grid sweeps need a 2-D state; '{sc.name}' has {sc.system.n}")
-    if args.grid is not None:
-        sc = sc.with_overrides(grid_resolution=args.grid)  # checks the minimum
-    return sc.grid_spec()
+    if args.grid is None:
+        return sc.grid_spec()
+    if args.grid < 2:
+        raise ScenarioError("grid resolution must be at least 2")
+    return {**sc.grid_spec(), "resolution": args.grid}
 
 
 def _write_grid_csv(grid: CostMapGrid, path: str) -> None:
@@ -332,11 +334,10 @@ def _trajectory_costs(prob: ConstrainedProblem, design: TerminalDesign, ell: int
 
 def cmd_bounds(args) -> int:
     sc = load_scenario(args.scenario)
-    out = _outdir(args)
     ells = _horizons(_parse_list(args.ell, int, "horizon"))
     K, note = _terminal_matrix(sc, args.zeta)
+    path = os.path.join(_outdir(args), f"bounds-{sc.name}.csv")
     rows = _bounds_rows(sc.system, K, ells)
-    path = os.path.join(out, f"bounds-{sc.name}.csv")
     _write_bounds_csv(path, rows, note)
     print(f"# {sc.name}: terminal matrix = {note}")
     print(f"{'ell':>4} {'gap':>14} {'contraction':>14} {'monotone':>14} {'newton':>14}")
@@ -354,9 +355,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_terminal_set(args) -> int:
     sc = load_scenario(args.scenario)
-    out = _outdir(args)
     zetas = _amplifications(_parse_list(args.zeta, float, "zeta"))
-    base_row, rows = _terminal_sets(sc.constrained_problem(), zetas, out)
+    prob = sc.constrained_problem()
+    out = _outdir(args)
+    base_row, rows = _terminal_sets(prob, zetas, out)
     if 1.0 not in zetas:  # the optimal set's row leads, once
         rows.insert(0, base_row)
     csv_path = os.path.join(out, f"terminal-ratios-{sc.name}.csv")
@@ -369,8 +371,10 @@ def cmd_terminal_set(args) -> int:
 
 
 def cmd_region(args) -> int:
-    sc, out, prob, design, ell = _mpc_setup(args)
-    grid = feasible_region_grid(prob, design, ell, _grid_spec(sc, args))
+    sc, prob, ell = _mpc_setup(args)
+    spec = _grid_spec(sc, args)
+    out, design = _outdir(args), _design(prob, sc, args.terminal)
+    grid = feasible_region_grid(prob, design, ell, spec)
     tag = f"{sc.name}-ell{ell}-{args.terminal}"
     csv_path = _write_grid(grid, os.path.join(out, f"region-{tag}"),
                            f"feasible region (ell={ell})", 3)
@@ -384,8 +388,10 @@ def cmd_region(args) -> int:
 
 
 def cmd_submap(args) -> int:
-    sc, out, prob, design, ell = _mpc_setup(args)
-    grid = suboptimality_map(prob, design, ell, _grid_spec(sc, args))
+    sc, prob, ell = _mpc_setup(args)
+    spec = _grid_spec(sc, args)
+    out, design = _outdir(args), _design(prob, sc, args.terminal)
+    grid = suboptimality_map(prob, design, ell, spec)
     tag = f"{sc.name}-ell{ell}-{args.terminal}"
     csv_path = _write_grid(grid, os.path.join(out, f"submap-{tag}"),
                            f"relative suboptimality (ell={ell})", 5)
@@ -404,7 +410,7 @@ def cmd_submap(args) -> int:
 def cmd_simulate(args) -> int:
     if args.steps < 1:
         raise ScenarioError(f"steps must be >= 1, got {args.steps}")
-    sc, out, prob, design, ell = _mpc_setup(args)
+    sc, prob, ell = _mpc_setup(args)
     if args.x0 is not None:
         x0 = np.array(_parse_list(args.x0, float, "x0", repeats=True))
     elif sc.x0 is not None:
@@ -413,6 +419,7 @@ def cmd_simulate(args) -> int:
         raise ScenarioError("no x0 given (use --x0 or a scenario that defines one)")
     if x0.size != sc.system.n:
         raise ScenarioError(f"x0 has {x0.size} entries, expected {sc.system.n}")
+    out, design = _outdir(args), _design(prob, sc, args.terminal)
     records = _trajectory_costs(prob, design, ell, x0, args.steps)
     csv_path = os.path.join(out, f"trajectory-{sc.name}-ell{ell}.csv")
     _write_csv(

@@ -2,15 +2,16 @@
 
 A scenario bundles system matrices, optional constraint sets, the terminal
 cost recipe, and sweep defaults.  Scenarios load from a flat text format
-(``key: value`` per line, values in JSON) or from the built-in registry,
-which embeds the benchmark problem data so the harness needs no external
-files.
+(``key: value`` per line, values in JSON).  The built-ins embed the benchmark
+problem data as such a file parsed, a dict of JSON values keyed by field
+name, and `load_scenario` reads both alike: the same field checks and the
+same Riccati solve at load.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -42,7 +43,7 @@ class Scenario:
     zeta_effective: Optional[float] = None
     horizon: int = 10
     grid_resolution: int = 101
-    grid_bounds: Optional[tuple] = None
+    grid_bounds: Optional[tuple] = None  # (lower, upper) arrays
     x0: Optional[np.ndarray] = None
     K0: Optional[np.ndarray] = None  # explicit assessment matrix override
     # the system of (A, B, Q, R), built and checked once, so that every
@@ -52,10 +53,6 @@ class Scenario:
     def __post_init__(self):
         sys = LqSystem(self.A, self.B, self.Q, self.R)  # dimension/PSD checks
         object.__setattr__(self, "system", sys)
-        if self.terminal_kind not in ("dare", "zeta_dare"):
-            raise ScenarioError(
-                f"terminal_kind must be 'dare' or 'zeta_dare', got {self.terminal_kind!r}"
-            )
         for name, z in (("zeta", self.zeta), ("zeta_effective", self.zeta_effective)):
             if self.terminal_kind == "zeta_dare" and z is not None and z < 1.0:
                 raise ScenarioError(f"field '{name}': must be >= 1 for terminal_kind "
@@ -74,10 +71,10 @@ class Scenario:
             raise ScenarioError("x0 dimension mismatch")
         if self.K0 is not None and self.K0.shape != (sys.n, sys.n):
             raise ScenarioError("K0 must be n-by-n")
-        if self.grid_bounds is not None and any(len(b) != sys.n for b in self.grid_bounds):
-            lo, hi = self.grid_bounds
-            raise ScenarioError(f"field 'grid_bounds': {len(lo)} lower, {len(hi)} upper "
-                                f"bounds, expected {sys.n} each")
+        if self.grid_bounds is not None and self.grid_bounds[0].size != sys.n:
+            k = self.grid_bounds[0].size  # as many upper bounds (`_as_bounds`)
+            raise ScenarioError(f"field 'grid_bounds': {k} lower, {k} upper bounds, "
+                                f"expected {sys.n} each")
 
     @property
     def constrained(self) -> bool:
@@ -103,93 +100,73 @@ class Scenario:
             spec["bounds"] = self.grid_bounds
         return spec
 
-    def with_overrides(self, **kw) -> "Scenario":
-        return replace(self, **kw)
-
 
 # --------------------------------------------------------------------------
-# built-in problem data
+# built-in problem data, as a scenario file would give it
 # --------------------------------------------------------------------------
 
-def _scalar_scenario() -> Scenario:
-    return Scenario(
-        name="lqr-scalar",
-        A=np.array([[2.0]]),
-        B=np.array([[0.5]]),
-        Q=np.array([[1.0]]),
-        R=np.array([[10.0]]),
-        terminal_kind="dare",
-        horizon=1,
+_BUILTINS = {
+    "lqr-scalar": {
+        "name": "lqr-scalar",
+        "A": [[2.0]],
+        "B": [[0.5]],
+        "Q": [[1.0]],
+        "R": [[10.0]],
+        "terminal_kind": "dare",
+        "horizon": 1,
         # Reconstructed assessment matrix for the scalar study (the source
         # reports bounds for an initial K stated only as "K = 180").
-        K0=np.array([[180.0]]),
-    )
-
-
-def _di2d_scenario() -> Scenario:
-    return Scenario(
-        name="di-2d",
-        A=np.array([[1.0, 1.0], [0.0, 1.0]]),
-        B=np.array([[0.0], [1.0]]),
-        Q=np.eye(2),
-        R=np.array([[1.0]]),
-        Xhat=HPolytope.symmetric_box([5.0, 5.0]),
-        U=HPolytope.symmetric_box([1.0]),
-        terminal_kind="zeta_dare",
-        zeta=50.0,
+        "K0": [[180.0]],
+    },
+    "di-2d": {
+        "name": "di-2d",
+        "A": [[1.0, 1.0], [0.0, 1.0]],
+        "B": [[0.0], [1.0]],
+        "Q": [[1.0, 0.0], [0.0, 1.0]],
+        "R": [[1.0]],
+        "state_box": [[-5.0, -5.0], [5.0, 5.0]],
+        "input_box": [[-1.0], [1.0]],
+        "terminal_kind": "zeta_dare",
+        "zeta": 50.0,
         # Calibrated so the terminal matrix reproduces the reported
         # (norm ratio, distance) = (2.5, 9.9); see report notes.
-        zeta_effective=10.132151874906384,
-        horizon=3,
-        grid_resolution=101,
-        grid_bounds=((-5.0, -5.0), (5.0, 5.0)),
-        x0=np.array([-4.0, 1.8]),
-    )
-
-
-def _ac4d_scenario() -> Scenario:
-    A = np.array([
-        [0.9993, -3.0083, -0.1131, -1.6081],
-        [0.0, 0.9862, 0.0478, 0.0],
-        [0.0, 2.0833, 1.0089, 0.0],
-        [0.0, 0.0526, 0.0498, 1.0],
-    ])
-    B = np.array([
-        [-0.0804, -0.6347],
-        [-0.0291, -0.0143],
-        [-0.8679, -0.0917],
-        [-0.0216, -0.0022],
-    ])
-    # The stated constraint |x2| <= 0.5 alone leaves the state set unbounded;
-    # generous bounds on the remaining coordinates close it without becoming
-    # active in any reported experiment.
-    H = np.vstack([np.eye(4), -np.eye(4)])
-    h = np.array([50.0, 0.5, 50.0, 50.0] * 2)
-    return Scenario(
-        name="ac-4d",
-        A=A,
-        B=B,
-        Q=np.eye(4),
-        R=np.eye(2),
-        Xhat=HPolytope(H, h),
-        U=HPolytope.symmetric_box([25.0, 25.0]),
-        terminal_kind="zeta_dare",
-        zeta=50.0,
+        "zeta_effective": 10.132151874906384,
+        "horizon": 3,
+        "grid_resolution": 101,
+        "grid_bounds": [[-5.0, -5.0], [5.0, 5.0]],
+        "x0": [-4.0, 1.8],
+    },
+    "ac-4d": {
+        "name": "ac-4d",
+        "A": [[0.9993, -3.0083, -0.1131, -1.6081],
+              [0.0, 0.9862, 0.0478, 0.0],
+              [0.0, 2.0833, 1.0089, 0.0],
+              [0.0, 0.0526, 0.0498, 1.0]],
+        "B": [[-0.0804, -0.6347],
+              [-0.0291, -0.0143],
+              [-0.8679, -0.0917],
+              [-0.0216, -0.0022]],
+        "Q": [[1.0, 0.0, 0.0, 0.0],
+              [0.0, 1.0, 0.0, 0.0],
+              [0.0, 0.0, 1.0, 0.0],
+              [0.0, 0.0, 0.0, 1.0]],
+        "R": [[1.0, 0.0], [0.0, 1.0]],
+        # The stated constraint |x2| <= 0.5 alone leaves the state set unbounded;
+        # generous bounds on the remaining coordinates close it without becoming
+        # active in any reported experiment.
+        "state_box": [[-50.0, -0.5, -50.0, -50.0], [50.0, 0.5, 50.0, 50.0]],
+        "input_box": [[-25.0, -25.0], [25.0, 25.0]],
+        "terminal_kind": "zeta_dare",
+        "zeta": 50.0,
         # Calibrated so the terminal matrix reproduces the reported
         # (norm ratio, distance) = (4.3, 486); see report notes.
-        zeta_effective=8.0,
-        horizon=2,
+        "zeta_effective": 8.0,
+        "horizon": 2,
         # Starts on the |x2| <= 0.5 bound with optimal cost-to-go near 293.
         # Chosen along a direction where the two-step policy is close to
         # optimal; at this scale the relative gap stays under 0.2%.
-        x0=np.array([12.88, 0.5, -1.33, 0.23]),
-    )
-
-
-_BUILTINS = {
-    "lqr-scalar": _scalar_scenario,
-    "di-2d": _di2d_scenario,
-    "ac-4d": _ac4d_scenario,
+        "x0": [12.88, 0.5, -1.33, 0.23],
+    },
 }
 
 
@@ -200,16 +177,6 @@ def builtin_names() -> list[str]:
 # --------------------------------------------------------------------------
 # file format
 # --------------------------------------------------------------------------
-
-_FIELDS = {
-    "name", "A", "B", "Q", "R",
-    "state_box", "state_H", "state_h",
-    "input_box", "input_H", "input_h",
-    "terminal_kind", "zeta", "zeta_effective",
-    "horizon", "grid_resolution", "grid_bounds",
-    "x0", "K0",
-}
-
 
 def _as_matrix(field: str, value) -> np.ndarray:
     if not isinstance(value, list) or not value or not all(
@@ -242,14 +209,58 @@ def _finite(field: str, value):
     return value
 
 
-def _as_scalar(field: str, value, integer: bool = False):
-    """A finite number, not a bool, string, array or null; an int if `integer`."""
+def _as_number(field: str, value) -> float:
+    """A finite number, not a bool, string, array or null."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioError(f"field '{field}': expected a number, got {json.dumps(value)}")
-    value = _finite(field, float(value))
-    if integer and not value.is_integer():
+    return _finite(field, float(value))
+
+
+def _as_int(field: str, value) -> int:
+    value = _as_number(field, value)
+    if not value.is_integer():
         raise ScenarioError(f"field '{field}': expected an integer, got {value:g}")
-    return int(value) if integer else value
+    return int(value)
+
+
+def _as_bounds(field: str, value) -> tuple:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ScenarioError(f"field '{field}': expected [lower, upper] arrays")
+    lo, hi = _as_vector(field, value[0]), _as_vector(field, value[1])
+    if lo.size != hi.size:
+        raise ScenarioError(f"field '{field}': {lo.size} lower, {hi.size} upper bounds")
+    return lo, hi
+
+
+def _as_name(field: str, value) -> str:
+    """A string that can stand in a file name: not empty, no separator or NUL."""
+    if not isinstance(value, str) or not value or any(c in value for c in "/\\\0"):
+        raise ScenarioError(f"field '{field}': expected a non-empty string without "
+                            f"'/', '\\' or NUL, got {json.dumps(value)}")
+    return value
+
+
+def _as_kind(field: str, value) -> str:
+    if value not in ("dare", "zeta_dare"):
+        raise ScenarioError(f"field '{field}': expected \"dare\" or \"zeta_dare\", "
+                            f"got {json.dumps(value)}")
+    return value
+
+
+# the parser of each `Scenario` field, in the order they are checked; the
+# six constraint-set fields build `Xhat` and `U` (`_constraint_set`)
+_PARSERS = {
+    "name": _as_name,
+    "A": _as_matrix, "B": _as_matrix, "Q": _as_matrix, "R": _as_matrix,
+    "terminal_kind": _as_kind,
+    "zeta": _as_number, "zeta_effective": _as_number,
+    "horizon": _as_int, "grid_resolution": _as_int,
+    "grid_bounds": _as_bounds,
+    "x0": _as_vector,
+    "K0": _as_matrix,
+}
+
+_FIELDS = {*_PARSERS, *(f"{p}_{k}" for p in ("state", "input") for k in ("box", "H", "h"))}
 
 
 def _parse_lines(text: str) -> dict:
@@ -276,19 +287,11 @@ def _parse_lines(text: str) -> dict:
 
 
 def _constraint_set(data: dict, prefix: str) -> Optional[HPolytope]:
-    box = data.get(f"{prefix}_box")
-    H = data.get(f"{prefix}_H")
-    h = data.get(f"{prefix}_h")
+    box, H, h = (data.get(f"{prefix}_{key}") for key in ("box", "H", "h"))
     if box is not None and H is not None:
         raise ScenarioError(f"give either {prefix}_box or {prefix}_H/{prefix}_h, not both")
     if box is not None:
-        if not (isinstance(box, list) and len(box) == 2):
-            raise ScenarioError(f"field '{prefix}_box': expected [lower, upper] arrays")
-        lo = _as_vector(f"{prefix}_box", box[0])
-        hi = _as_vector(f"{prefix}_box", box[1])
-        if lo.size != hi.size:
-            raise ScenarioError(f"field '{prefix}_box': {lo.size} lower, {hi.size} upper bounds")
-        return HPolytope.box(lo, hi)
+        return HPolytope.box(*_as_bounds(f"{prefix}_box", box))
     if (H is None) != (h is None):
         raise ScenarioError(f"{prefix}_H and {prefix}_h must be given together")
     if H is not None:
@@ -296,55 +299,26 @@ def _constraint_set(data: dict, prefix: str) -> Optional[HPolytope]:
     return None
 
 
-def _scenario_fields(data: dict) -> dict:
-    kw = {
-        "name": str(data["name"]),
-        "A": _as_matrix("A", data["A"]),
-        "B": _as_matrix("B", data["B"]),
-        "Q": _as_matrix("Q", data["Q"]),
-        "R": _as_matrix("R", data["R"]),
-        "Xhat": _constraint_set(data, "state"),
-        "U": _constraint_set(data, "input"),
-    }
-    if "terminal_kind" in data:
-        kw["terminal_kind"] = str(data["terminal_kind"])
-    for key, integer in (("zeta", False), ("zeta_effective", False),
-                         ("horizon", True), ("grid_resolution", True)):
-        if key in data:
-            kw[key] = _as_scalar(key, data[key], integer)
-    if "grid_bounds" in data:
-        gb = data["grid_bounds"]
-        if not (isinstance(gb, list) and len(gb) == 2):
-            raise ScenarioError("field 'grid_bounds': expected [lower, upper] arrays")
-        kw["grid_bounds"] = (
-            tuple(_as_vector("grid_bounds", gb[0])),
-            tuple(_as_vector("grid_bounds", gb[1])),
-        )
-    if "x0" in data:
-        kw["x0"] = _as_vector("x0", data["x0"])
-    if "K0" in data:
-        kw["K0"] = _as_matrix("K0", data["K0"])
-    return kw
-
-
 def load_scenario(path_or_name: str) -> Scenario:
-    """Load a scenario from a file path, or by built-in name."""
-    if path_or_name in _BUILTINS:
-        return _BUILTINS[path_or_name]()
-    try:
-        with open(path_or_name, "r", encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        raise ScenarioError(
-            f"no built-in scenario or readable file '{path_or_name}' "
-            f"(built-ins: {', '.join(builtin_names())}): {e.strerror}"
-        ) from None
-    data = _parse_lines(text)
+    """Load a scenario by built-in name, or from a file path."""
+    data = _BUILTINS.get(path_or_name)
+    if data is None:
+        try:
+            with open(path_or_name, "r", encoding="utf-8") as f:
+                data = _parse_lines(f.read())
+        except OSError as e:
+            raise ScenarioError(
+                f"no built-in scenario or readable file '{path_or_name}' "
+                f"(built-ins: {', '.join(builtin_names())}): {e.strerror}"
+            ) from None
     for req in ("name", "A", "B", "Q", "R"):
         if req not in data:
             raise ScenarioError(f"missing required field '{req}'")
     try:
-        sc = Scenario(**_scenario_fields(data))
+        sc = Scenario(
+            **{key: parse(key, data[key]) for key, parse in _PARSERS.items() if key in data},
+            Xhat=_constraint_set(data, "state"), U=_constraint_set(data, "input"),
+        )
         sc.system.optimal  # solved here: an (A, B) that is not stabilizable raises
     except (ValueError, ArithmeticError) as e:  # also those of HPolytope and LqSystem
         raise ScenarioError(str(e)) from None

@@ -449,7 +449,9 @@ def test_single_bounds_equal_report_fields(corpus):
 
 
 def test_riccati_pair_solved_once_per_system(monkeypatch):
-    sys = load_scenario("di-2d").system
+    # a fresh system: a loaded scenario's pair is solved at load
+    sc = load_scenario("di-2d")
+    sys = LqSystem(sc.A, sc.B, sc.Q, sc.R)
     K = zeta_dare(sys, ZEFF_2D)
     calls = []
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy.optimize import linprog
 
 from lqmpc import ConstrainedProblem, HPolytope, ScenarioError, load_scenario, riccati, volume
 from lqmpc.cli import main
+from lqmpc import scenarios
 from lqmpc.scenarios import builtin_names
 
 
@@ -24,15 +26,57 @@ def test_builtin_names():
     assert set(builtin_names()) == {"lqr-scalar", "di-2d", "ac-4d"}
 
 
+def _bits(value):
+    """A field's value as (dtype, shape, bytes), so that 0.0 and -0.0, or 3
+    and 3.0, differ; None and strings as they are."""
+    if value is None or isinstance(value, str):
+        return value
+    a = np.asarray(value)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _scenario_bits(sc) -> dict:
+    """Every field of a scenario, the constraint sets as the bits of H and h."""
+    bits = {key: _bits(getattr(sc, key)) for key in (
+        "name", "A", "B", "Q", "R", "terminal_kind", "zeta", "zeta_effective",
+        "horizon", "grid_resolution", "grid_bounds", "x0", "K0")}
+    for key in ("Xhat", "U"):
+        S = getattr(sc, key)
+        bits[key] = None if S is None else (_bits(S.H), _bits(S.h))
+    return bits
+
+
+def _box(radii):
+    """The half-spaces of the box |x_i| <= radii_i: rows +e_i, then -e_i."""
+    n = len(radii)
+    return SimpleNamespace(H=np.vstack([np.eye(n), -np.eye(n)]),
+                           h=np.array(list(radii) * 2, dtype=float))
+
+
+# the fields a built-in leaves at their defaults
+_DEFAULTS = dict(Xhat=None, U=None, terminal_kind="dare", zeta=1.0, zeta_effective=None,
+                 horizon=10, grid_resolution=101, grid_bounds=None, x0=None, K0=None)
+
+
 def test_builtin_di2d():
     sc = load_scenario("di-2d")
-    np.testing.assert_array_equal(sc.A, [[1.0, 1.0], [0.0, 1.0]])
-    np.testing.assert_array_equal(sc.B, [[0.0], [1.0]])
-    np.testing.assert_array_equal(sc.Q, np.eye(2))
-    np.testing.assert_array_equal(sc.R, [[1.0]])
-    assert sc.terminal_kind == "zeta_dare"
-    assert sc.zeta == 50.0
-    assert sc.horizon == 3
+    assert _scenario_bits(sc) == _scenario_bits(SimpleNamespace(**{
+        **_DEFAULTS,
+        "name": "di-2d",
+        "A": np.array([[1.0, 1.0], [0.0, 1.0]]),
+        "B": np.array([[0.0], [1.0]]),
+        "Q": np.eye(2),
+        "R": np.array([[1.0]]),
+        "Xhat": _box([5.0, 5.0]),
+        "U": _box([1.0]),
+        "terminal_kind": "zeta_dare",
+        "zeta": 50.0,
+        "zeta_effective": 10.132151874906384,
+        "horizon": 3,
+        "grid_resolution": 101,
+        "grid_bounds": ((-5.0, -5.0), (5.0, 5.0)),
+        "x0": np.array([-4.0, 1.8]),
+    }))
     assert sc.constrained
     prob = sc.constrained_problem()
     assert prob.Xhat.dim == 2 and prob.U.dim == 1
@@ -40,28 +84,59 @@ def test_builtin_di2d():
 
 def test_builtin_ac4d():
     sc = load_scenario("ac-4d")
-    assert sc.A.shape == (4, 4)
-    assert sc.B.shape == (4, 2)
-    assert sc.horizon == 2
-    assert sc.zeta == 50.0
+    assert _scenario_bits(sc) == _scenario_bits(SimpleNamespace(**{
+        **_DEFAULTS,
+        "name": "ac-4d",
+        "A": np.array([
+            [0.9993, -3.0083, -0.1131, -1.6081],
+            [0.0, 0.9862, 0.0478, 0.0],
+            [0.0, 2.0833, 1.0089, 0.0],
+            [0.0, 0.0526, 0.0498, 1.0],
+        ]),
+        "B": np.array([
+            [-0.0804, -0.6347],
+            [-0.0291, -0.0143],
+            [-0.8679, -0.0917],
+            [-0.0216, -0.0022],
+        ]),
+        "Q": np.eye(4),
+        "R": np.eye(2),
+        "Xhat": _box([50.0, 0.5, 50.0, 50.0]),
+        "U": _box([25.0, 25.0]),
+        "terminal_kind": "zeta_dare",
+        "zeta": 50.0,
+        "zeta_effective": 8.0,
+        "horizon": 2,
+        "x0": np.array([12.88, 0.5, -1.33, 0.23]),
+    }))
     # pitch-angle channel is the tightly constrained one
     prob = sc.constrained_problem()
-    lo, hi = np.min(prob.Xhat.h), np.max(prob.Xhat.h)
-    assert lo == pytest.approx(0.5)
-    assert hi == pytest.approx(50.0)
-    assert sc.x0 is not None and sc.x0.shape == (4,)
+    assert np.min(prob.Xhat.h) == 0.5 and np.max(prob.Xhat.h) == 50.0
 
 
 def test_builtin_scalar():
     sc = load_scenario("lqr-scalar")
-    assert sc.A[0, 0] == 2.0 and sc.B[0, 0] == 0.5
-    assert sc.K0 is not None and sc.K0[0, 0] == 180.0
+    assert _scenario_bits(sc) == _scenario_bits(SimpleNamespace(**{
+        **_DEFAULTS,
+        "name": "lqr-scalar",
+        "A": np.array([[2.0]]),
+        "B": np.array([[0.5]]),
+        "Q": np.array([[1.0]]),
+        "R": np.array([[10.0]]),
+        "horizon": 1,
+        "K0": np.array([[180.0]]),
+    }))
     assert not sc.constrained
 
 
-def test_scenario_overrides():
-    sc = load_scenario("di-2d").with_overrides(grid_resolution=7, horizon=5)
-    assert sc.grid_resolution == 7 and sc.horizon == 5
+@pytest.mark.parametrize("name", builtin_names())
+def test_builtin_written_as_a_scenario_file_loads_to_the_same_fields(tmp_path, name):
+    # a built-in is the parsed form of a scenario file: written out as one
+    # `key: value` line per field, it loads to the same bits
+    f = tmp_path / f"{name}.scn"
+    f.write_text("".join(f"{key}: {json.dumps(value)}\n"
+                         for key, value in scenarios._BUILTINS[name].items()))
+    assert _scenario_bits(load_scenario(str(f))) == _scenario_bits(load_scenario(name))
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +430,14 @@ def test_usage_error_exit_code():
     (["simulate", "--scenario", "di-2d", "--ell", "0"], "horizon must be >= 1, got 0"),
     (["simulate", "--scenario", "di-2d", "--steps", "-3"], "steps must be >= 1, got -3"),
     (["simulate", "--scenario", "di-2d", "--steps", "0"], "steps must be >= 1, got 0"),
+    (["simulate", "--scenario", "di-2d", "--x0", "1,2,3"], "x0 has 3 entries, expected 2"),
+    (["terminal-set", "--scenario", "lqr-scalar"], "scenario 'lqr-scalar' has no constraint sets"),
 ])
 def test_input_errors_exit_2_with_an_error_line(tmp_path, capsys, argv, message):
-    assert main(argv + ["--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
-    assert not any(tmp_path.iterdir())  # no CSV, not even an empty one
+    assert not out.exists()  # every argument is checked before the output directory
 
 
 @pytest.mark.parametrize("argv, scenario_edit, message", [
@@ -384,7 +462,10 @@ def test_non_finite_numbers_exit_2_with_an_error_line(tmp_path, capsys, argv, sc
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+_NAME_ERROR = "field 'name': expected a non-empty string without '/', '\\' or NUL, got "
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -416,6 +497,18 @@ def test_non_finite_numbers_exit_2_with_an_error_line(tmp_path, capsys, argv, sc
      "eigenvalue 1 of A is not controllable (PBH rank test); (A, B) may not be stabilizable"),
     (("A: [[1, 1], [0, 1]]", "A: [[1, 0], [0, 0.5]]"),
      "eigenvalue 1 of A is not controllable (PBH rank test); (A, B) may not be stabilizable"),
+    # a name stands in the output file names: a path separator, an empty
+    # name or a non-string would write elsewhere or under a made-up name
+    (('name: "toy"', 'name: "a/b"'), _NAME_ERROR + '"a/b"'),
+    (('name: "toy"', r'name: "a\\b"'), _NAME_ERROR + r'"a\\b"'),
+    (('name: "toy"', r'name: "a\u0000b"'), _NAME_ERROR + r'"a\u0000b"'),
+    (('name: "toy"', 'name: ""'), _NAME_ERROR + '""'),
+    (('name: "toy"', "name: null"), _NAME_ERROR + "null"),
+    (('name: "toy"', "name: 3"), _NAME_ERROR + "3"),
+    (('terminal_kind: "zeta_dare"', "terminal_kind: 3"),
+     "field 'terminal_kind': expected \"dare\" or \"zeta_dare\", got 3"),
+    (('terminal_kind: "zeta_dare"', 'terminal_kind: "zeta"'),
+     "field 'terminal_kind': expected \"dare\" or \"zeta_dare\", got \"zeta\""),
 ])
 def test_invalid_scenario_fields_exit_2_with_an_error_line(tmp_path, capsys, edit, message):
     # a field of the wrong type or a constraint set that cannot be built is
@@ -428,7 +521,7 @@ def test_invalid_scenario_fields_exit_2_with_an_error_line(tmp_path, capsys, edi
     assert main(argv) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_argparse_usage_exit_code():
