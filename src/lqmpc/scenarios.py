@@ -71,10 +71,10 @@ class Scenario:
             raise ScenarioError("x0 dimension mismatch")
         if self.K0 is not None and self.K0.shape != (sys.n, sys.n):
             raise ScenarioError("K0 must be n-by-n")
-        if self.grid_bounds is not None and self.grid_bounds[0].size != sys.n:
-            k = self.grid_bounds[0].size  # as many upper bounds (`_as_bounds`)
-            raise ScenarioError(f"field 'grid_bounds': {k} lower, {k} upper bounds, "
-                                f"expected {sys.n} each")
+        if self.grid_bounds is not None and any(len(b) != sys.n for b in self.grid_bounds):
+            lo, hi = self.grid_bounds
+            raise ScenarioError(f"field 'grid_bounds': {len(lo)} lower, {len(hi)} upper "
+                                f"bounds, expected {sys.n} each")
 
     @property
     def constrained(self) -> bool:
