@@ -23,7 +23,6 @@ from .riccati import (
     closed_loop_cost,
     greedy_gain,
     in_region_of_decreasing,
-    iterate_bellman,
     solve_dare,
     zeta_dare,
 )

@@ -3,7 +3,8 @@
 Induced 2-norms, spectral radii, discrete Lyapunov equations, the
 positive-semidefinite ordering, and the construction of a weighted norm
 ``||M||_s = ||W M W^-1||`` that certifies a contraction factor for a given
-stable closed-loop matrix.
+stable closed-loop matrix.  `linprog` is scipy's LP solver, loaded at its
+first call.
 """
 
 from __future__ import annotations
@@ -199,3 +200,16 @@ def build_weighted_norm(D) -> WeightedNorm:
     c1 = float(np.sqrt(lam[0] / lam[-1]))
     c2 = float(np.sqrt(lam[-1] / lam[0]))
     return WeightedNorm(W=W, rho=float(rho), c1=c1, c2=c2)
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported at the first call; the arguments
+    and the `OptimizeResult` pass through unchanged.
+
+    `qp` and `polytope` bind it under the module attribute `linprog`, so a
+    run that solves no LP never loads `scipy.optimize`, and a test or a
+    tracer can still patch each module's LP by that name.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)

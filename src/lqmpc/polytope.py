@@ -12,7 +12,11 @@ convex hull (Qhull).  That one hull gives:
 * the vertices: each facet of the polar hull is one.  The exact volume
   (their hull's, their span in 1-D) and the bounding box come from them.
 
-None of these solves an LP; `lp_solve` serves `cmpc.feasible_set`.  The
+None of these solves an LP; `lp_solve` serves `cmpc.feasible_set`.  Its LPs
+go through the module attribute `linprog`, which is `matcore.linprog`:
+scipy's solver, imported at the first LP, so that finding terminal sets and
+volumes never loads `scipy.optimize`.  It stays an attribute of this module
+so that a test can count the LPs by patching `polytope.linprog`.  The
 module writes no files; `cli` writes a polytope's half-spaces."""
 
 from __future__ import annotations
@@ -21,10 +25,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
-from .matcore import is_stable, spectral_radius
+from .matcore import is_stable, linprog, spectral_radius
 
 __all__ = [
     "FEAS_TOL",

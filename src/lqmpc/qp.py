@@ -21,6 +21,12 @@ complementarity residuals, relative to max(1, |q|_inf, |g|_inf), within
 QP_FEAS_TOL, QP_DUAL_TOL and QP_COMP_TOL; a solution that misses it has the
 status "inaccurate".
 
+The Phase-1 LP goes through the module attribute `linprog`, which is
+`matcore.linprog`: scipy's solver, imported at the first LP, so a run whose
+QPs are all feasible never loads `scipy.optimize`.  It stays an attribute of
+this module so that a test or a tracer can count the Phase-1 LPs by
+patching `qp.linprog`.
+
 A `QpProblem` validates and factors its Hessian once, at construction.
 Problems that share P and G with it, such as the per-state QPs of one MPC
 controller, are derived by `QpProblem.with_linear_terms`, which reuses the
@@ -36,9 +42,8 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import linprog
 
-from .matcore import symmetrize
+from .matcore import linprog, symmetrize
 
 __all__ = ["QP_FEAS_TOL", "QP_DUAL_TOL", "QP_COMP_TOL", "QpProblem", "QpSolution",
            "solve_qp"]

@@ -12,8 +12,8 @@ validating each one again.
 
 The finite-horizon recursion, ell-step MPC read as ell - 1 Bellman steps
 from K and one greedy step, is written once, in `_horizon_ladder`: its
-callers are `iterate_bellman` (the last iterate), `bounds.full_report`
-(F(K), F^(ell-1)(K) and the last gain) and `cmpc.MpcController` (every gain).
+callers are `bounds.full_report` (F(K), F^(ell-1)(K) and the last gain) and
+`cmpc.MpcController` (every gain).
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "greedy_gain",
     "solve_dare",
     "zeta_dare",
-    "iterate_bellman",
     "in_region_of_decreasing",
     "closed_loop_cost",
 ]
@@ -304,13 +303,6 @@ def _horizon_ladder(sys: LqSystem, K, ell: int) -> tuple[list, list]:
         iterates.append(Kj)
     check_square(iterates[-1], f"F^{ell}(K)")
     return gains, iterates
-
-
-def iterate_bellman(sys: LqSystem, K, steps: int) -> np.ndarray:
-    """steps-fold composition F^steps(K); steps = 0 returns K unchanged."""
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    return _horizon_ladder(sys, K, steps)[1][-1]
 
 
 def in_region_of_decreasing(sys: LqSystem, K) -> bool:

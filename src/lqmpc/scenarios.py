@@ -311,6 +311,11 @@ def load_scenario(path_or_name: str) -> Scenario:
                 f"no built-in scenario or readable file '{path_or_name}' "
                 f"(built-ins: {', '.join(builtin_names())}): {e.strerror}"
             ) from None
+        except UnicodeDecodeError as e:
+            raise ScenarioError(
+                f"scenario file '{path_or_name}' is not UTF-8 text "
+                f"(byte {e.object[e.start]:#04x} at offset {e.start})"
+            ) from None
     for req in ("name", "A", "B", "Q", "R"):
         if req not in data:
             raise ScenarioError(f"missing required field '{req}'")

@@ -27,7 +27,6 @@ from lqmpc import (
     induced_two_norm,
     in_region_of_decreasing,
     is_stable,
-    iterate_bellman,
     lp_solve,
     GainPolicy,
     HPolytope,
@@ -43,15 +42,24 @@ from lqmpc import (
 from lqmpc.cmpc import _CERT_MARGIN, _REGION_MARGIN, _grid_axes
 from lqmpc.polytope import _hull_rows, _polar_points
 from lqmpc.qp import QP_DUAL_TOL, _TIKHONOV, _phase1
+from lqmpc.riccati import _horizon_ladder
 
 
 # ---------------------------------------------------------------------------
-# Helpers only the tests use: policy evaluation, redundancy removal and
-# hit-and-run sampling
+# Helpers only the tests use: Bellman iterates, policy evaluation,
+# redundancy removal and hit-and-run sampling
 # ---------------------------------------------------------------------------
 
 # hit-and-run steps discarded before the first sample
 _HIT_AND_RUN_BURN = 20
+
+
+def iterate_bellman(sys, K, steps: int) -> np.ndarray:
+    """steps-fold composition F^steps(K), the last iterate of the
+    receding-horizon ladder; steps = 0 returns K unchanged."""
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    return _horizon_ladder(sys, K, steps)[1][-1]
 
 
 def policy_bellman_op(sys, policy, K):

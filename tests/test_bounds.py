@@ -19,7 +19,6 @@ from lqmpc import (
     gap_of_policy,
     greedy_gain,
     induced_two_norm,
-    iterate_bellman,
     load_scenario,
     newton_gamma,
     solve_dare,
@@ -32,6 +31,7 @@ from _checks import (
     check_inequality_chain,
     check_design_step_quadratic,
     check_monotone_le_contraction,
+    iterate_bellman,
     reference_full_report,
     reference_newton_gamma,
 )

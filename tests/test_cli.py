@@ -524,6 +524,19 @@ def test_invalid_scenario_fields_exit_2_with_an_error_line(tmp_path, capsys, edi
     assert not out.exists()
 
 
+def test_scenario_file_that_is_not_utf8_exits_2_with_an_error_line(tmp_path, capsys):
+    # a Latin-1 byte in a name: the file is named, not a traceback
+    f = tmp_path / "toy.scn"
+    f.write_bytes(GOOD.replace('"toy"', '"to\xff"').encode("latin-1"))
+    out = tmp_path / "out"
+    argv = ["simulate", "--steps", "2", "--scenario", str(f), "--out", str(out)]
+    assert main(argv) == 2
+    offset = GOOD.encode().index(b'"toy"') + 3
+    assert capsys.readouterr().err == (
+        f"error: scenario file '{f}' is not UTF-8 text (byte 0xff at offset {offset})\n")
+    assert not out.exists()
+
+
 def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bounds"])  # missing required --scenario
@@ -553,6 +566,31 @@ def test_module_invocation_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "bounds-lqr-scalar.csv").exists()
+
+
+_LP_STACK_LOADS = """\
+import sys
+import lqmpc
+assert "scipy.optimize" not in sys.modules, "import lqmpc"
+import lqmpc.cli
+assert "scipy.optimize" not in sys.modules, "import lqmpc.cli"
+assert lqmpc.cli.main(["bounds", "--scenario", "di-2d", "--ell", "1,3", "--out", sys.argv[1]]) == 0
+assert "scipy.optimize" not in sys.modules, "bounds"
+sc = lqmpc.load_scenario("di-2d")
+prob = sc.constrained_problem()
+design = lqmpc.TerminalDesign.for_amplified_cost(prob, sc.amplification())
+grid = lqmpc.feasible_region_grid(prob, design, sc.horizon, {**sc.grid_spec(), "resolution": 11})
+assert not grid.feasible.all()
+assert "scipy.optimize" in sys.modules, "feasible_region_grid"
+"""
+
+
+def test_scipy_optimize_loads_only_at_the_first_lp(tmp_path):
+    # a fresh interpreter: importing the package and a bounds report solve
+    # no LP, and the first infeasible cell of a region sweep runs a Phase-1 LP
+    proc = subprocess.run([sys.executable, "-c", _LP_STACK_LOADS, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from lqmpc import (
     feasible_set,
     greedy_gain,
     in_region_of_decreasing,
-    iterate_bellman,
     load_scenario,
     solve_qp,
     suboptimality_map,
@@ -35,7 +34,7 @@ from lqmpc import cmpc, polytope, qp
 from lqmpc.cli import _write_grid_csv
 from conftest import ZEFF_2D, ZEFF_4D
 from _checks import (assert_same_vertices, ball_loop_cost, check_policy_cost_below_value,
-                     controller_arrays, pairwise_vertices_2d,
+                     controller_arrays, iterate_bellman, pairwise_vertices_2d,
                      reference_closed_loop_cost, reference_condensation,
                      reference_region_sweep, reference_results, reference_store_answer,
                      reference_stored_region, reference_vertices, sample_interior)

@@ -12,13 +12,12 @@ from lqmpc import (
     QpProblem,
     TerminalDesign,
     greedy_gain,
-    iterate_bellman,
     solve_qp,
     zeta_dare,
 )
 from lqmpc import qp
 from conftest import ZEFF_2D
-from _checks import check_qp_oracle, reference_solve_qp
+from _checks import check_qp_oracle, iterate_bellman, reference_solve_qp
 
 
 def _qp(P, q, G=None, g=None):
@@ -97,6 +96,35 @@ def test_phase1_failure_without_certificate_raises(monkeypatch):
     )
     with pytest.raises(ArithmeticError, match="HiGHS status 4: numerical difficulties"):
         solve_qp(_qp(np.eye(1), [0.0], G=[[1.0], [-1.0]], g=[-2.0, -2.0]))
+
+
+def test_phase1_farkas_bits_match_scipy_linprog(monkeypatch):
+    # the LP scipy.optimize.linprog solves on the same arguments gives the
+    # same certificate, bit for bit: the lazy linprog passes both through
+    from scipy.optimize import linprog
+
+    lazy, calls = qp.linprog, []
+
+    def recording_linprog(*args, **kwargs):
+        calls.append((args, kwargs))
+        return lazy(*args, **kwargs)
+
+    monkeypatch.setattr(qp, "linprog", recording_linprog)
+    p = _qp(np.eye(2), [1.0, -1.0], G=[[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0]],
+            g=[-1.0, -1.0, 3.0])
+    z, farkas = qp._phase1(p)
+    assert z is None and len(calls) == 1
+    res = linprog(*calls[0][0], **calls[0][1])
+    assert farkas.tobytes() == np.maximum(-np.asarray(res.ineqlin.marginals), 0.0).tobytes()
+
+
+def test_lp_layer_is_a_plain_module_attribute():
+    # tests and the benchmark's tracer patch `linprog` by name in each module
+    from lqmpc import matcore, polytope
+
+    for module in (qp, polytope):
+        assert vars(module)["linprog"] is matcore.linprog
+        assert not hasattr(module.linprog, "__wrapped__")
 
 
 def test_qp_oracle_equivalence():

@@ -17,7 +17,6 @@ from lqmpc import (
     greedy_gain,
     induced_two_norm,
     in_region_of_decreasing,
-    iterate_bellman,
     psd_order_holds,
     solve_dare,
     spectral_radius,
@@ -29,6 +28,7 @@ from conftest import ZEFF_2D, ZEFF_4D
 from _checks import (
     check_operator_monotonicity,
     check_region_invariance,
+    iterate_bellman,
     policy_bellman_op,
     reference_bellman_op,
     reference_greedy_gain,
